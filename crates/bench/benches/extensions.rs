@@ -3,7 +3,7 @@
 
 use cf_matrix::{ItemId, UserId};
 use cfsf_bench::{bench_config, bench_dataset};
-use cfsf_core::{Cfsf, IncrementalCfsf};
+use cfsf_core::{Cfsf, DriftConfig, SelfHealingCfsf};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -68,25 +68,22 @@ fn incremental_refresh(c: &mut Criterion) {
                 b.iter_with_setup(
                     || {
                         let model = Cfsf::fit(&data.matrix, bench_config()).unwrap();
-                        let mut inc = IncrementalCfsf::new(model);
-                        let m = inc.model().matrix().clone();
-                        let mut added = 0;
+                        let m = model.matrix().clone();
+                        let service = SelfHealingCfsf::new(model, DriftConfig::manual()).unwrap();
                         'outer: for u in 0..m.num_users() {
                             for i in 0..m.num_items() {
                                 let (user, item) = (UserId::from(u), ItemId::from(i));
                                 if m.get(user, item).is_none()
-                                    && inc.add_rating(user, item, 4.0).is_ok()
+                                    && service.add_rating(user, item, 4.0).is_ok()
+                                    && service.pending() >= batch
                                 {
-                                    added += 1;
-                                    if added >= batch {
-                                        break 'outer;
-                                    }
+                                    break 'outer;
                                 }
                             }
                         }
-                        inc
+                        service
                     },
-                    |mut inc| black_box(inc.refresh().unwrap()),
+                    |service| black_box(service.refresh_now().unwrap()),
                 );
             },
         );

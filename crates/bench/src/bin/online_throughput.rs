@@ -402,18 +402,9 @@ fn main() {
     // a non-gating warning, like every other bench number.
     let mut refresh_spike: Option<(f64, f64)> = None;
     if want("refresh_under_load") {
-        let parked = DriftConfig {
-            mae_trip_pm: i64::MAX,
-            mae_clear_pm: 0,
-            hist_trip_pm: i64::MAX,
-            hist_clear_pm: 0,
-            fallback_trip_pm: i64::MAX,
-            fallback_clear_pm: 0,
-            trip_windows: u32::MAX,
-            ..DriftConfig::default()
-        };
         let refit = Cfsf::fit(&data.matrix, config.clone()).expect("fit refresh model");
-        let healing = SelfHealingCfsf::new(refit, parked).expect("wrap refresh model");
+        let healing =
+            SelfHealingCfsf::new(refit, DriftConfig::manual()).expect("wrap refresh model");
         let cell = healing.cell();
         let serve_pass = |latencies: &mut Vec<f64>| {
             for &(u, i) in &mixed {

@@ -1,5 +1,6 @@
 //! CFSF hyper-parameters.
 
+use cf_cluster::KMeansConfig;
 use cf_matrix::PlanePrecision;
 use cf_similarity::GisConfig;
 
@@ -124,6 +125,30 @@ impl CfsfConfig {
             });
         }
         Ok(())
+    }
+
+    /// The GIS construction parameters every (re)build uses: the neighbor
+    /// cap widened to accommodate `M`, and the offline thread count
+    /// inherited unless the GIS config sets its own.
+    pub(crate) fn gis_config(&self) -> GisConfig {
+        let mut gis = self.gis.clone();
+        if let Some(cap) = gis.max_neighbors {
+            gis.max_neighbors = Some(cap.max(self.m));
+        }
+        gis.threads = gis.threads.or(self.threads);
+        gis
+    }
+
+    /// The K-means configuration the offline phase clusters users with —
+    /// seeded, so the same config and matrix give the same assignment.
+    pub(crate) fn kmeans_config(&self) -> KMeansConfig {
+        KMeansConfig {
+            k: self.clusters,
+            max_iterations: self.kmeans_iterations,
+            seed: self.seed,
+            threads: self.threads,
+            ..KMeansConfig::default()
+        }
     }
 
     /// Builder-style override of `λ`.

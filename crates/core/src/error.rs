@@ -14,8 +14,8 @@ pub enum CfsfError {
     },
     /// The training matrix has no ratings.
     EmptyTrainingMatrix,
-    /// An incremental refresh failed before committing; the model still
-    /// serves its pre-refresh state and the pending ratings are intact.
+    /// A rebuild failed before publishing; the previous generation still
+    /// serves and the pending ratings are intact.
     RefreshFailed {
         /// What went wrong.
         message: String,
@@ -30,10 +30,7 @@ impl fmt::Display for CfsfError {
             }
             Self::EmptyTrainingMatrix => write!(f, "training matrix has no ratings"),
             Self::RefreshFailed { message } => {
-                write!(
-                    f,
-                    "incremental refresh aborted (model unchanged): {message}"
-                )
+                write!(f, "refresh aborted (model unchanged): {message}")
             }
         }
     }

@@ -45,7 +45,6 @@ mod degrade;
 mod error;
 mod explain;
 mod fusion;
-mod incremental;
 mod model;
 mod online;
 mod persist;
@@ -59,10 +58,10 @@ pub use degrade::DegradeLevel;
 pub use error::CfsfError;
 pub use explain::{Explanation, ItemEvidence, UserEvidence};
 pub use fusion::{fuse, FusionWeights};
-pub use incremental::{IncrementalCfsf, RefreshKind, RefreshStats};
 pub use model::{Cfsf, OfflineSummary};
 pub use online::PredictionBreakdown;
 pub use persist::{crc32, PersistError, RecoveryReport};
 pub use refresh::{
-    DriftConfig, DriftMonitor, DriftSignals, DriftState, GenCell, RebuildReport, SelfHealingCfsf,
+    DriftConfig, DriftMonitor, DriftSignals, DriftState, GenCell, RebuildReport, RefreshKind,
+    SelfHealingCfsf,
 };

@@ -1,6 +1,6 @@
 //! The fitted CFSF model: offline phase and `Predictor` implementation.
 
-use cf_cluster::{ClusterAssignment, ICluster, KMeansConfig, Smoothed, Smoother};
+use cf_cluster::{ClusterAssignment, ICluster, KMeans, Smoothed, Smoother};
 use cf_matrix::{DenseRatings, ItemId, Predictor, RatingMatrix, UserId, WeightPlanes};
 use cf_similarity::Gis;
 
@@ -75,38 +75,56 @@ impl Cfsf {
             return Err(CfsfError::EmptyTrainingMatrix);
         }
 
-        // Step 1: GIS (Eq. 5). The neighbor cap must accommodate the
-        // configured M.
-        let mut gis_config = config.gis.clone();
-        if let Some(cap) = gis_config.max_neighbors {
-            gis_config.max_neighbors = Some(cap.max(config.m));
-        }
-        gis_config.threads = gis_config.threads.or(config.threads);
-        let gis = Gis::build(matrix, &gis_config);
+        // Step 1: GIS (Eq. 5); step 2: K-means (Eq. 6). Smoothing and
+        // iCluster (steps 3–4, Eq. 7–9) follow in `assemble`.
+        let gis = Gis::build(matrix, &config.gis_config());
+        let clusters = KMeans::fit(matrix, &config.kmeans_config());
+        Ok(Self::assemble(config, matrix.clone(), gis, clusters, None))
+    }
 
-        // Steps 2–4: clustering, smoothing, iCluster (Eq. 6–9).
-        let kmeans = KMeansConfig {
-            k: config.clusters,
-            max_iterations: config.kmeans_iterations,
-            seed: config.seed,
-            threads: config.threads,
-            ..Default::default()
-        };
-        let clusters = cf_cluster::KMeans::fit(matrix, &kmeans);
-        let smoothed = Smoother::smooth(matrix, &clusters, config.threads);
-        let icluster = ICluster::build(matrix, &smoothed, config.threads);
+    /// Derives every serving structure from the offline inputs. Fit,
+    /// load and rebuild all end here (through [`Self::assemble_smoothed`],
+    /// the one place a model value is written). Smoothing and iCluster
+    /// (Eq. 7–9) run over `clusters` with `config.threads`; the dense
+    /// store, weight planes and item strips follow from them. `planes`
+    /// supplies already-folded weight planes (a persisted section);
+    /// `None` folds them from the dense store, which is deterministic,
+    /// so both give bit-identical models.
+    pub(crate) fn assemble(
+        config: CfsfConfig,
+        matrix: RatingMatrix,
+        gis: Gis,
+        clusters: ClusterAssignment,
+        planes: Option<WeightPlanes>,
+    ) -> Self {
+        let smoothed = Smoother::smooth(&matrix, &clusters, config.threads);
+        let icluster = ICluster::build(&matrix, &smoothed, config.threads);
+        Self::assemble_smoothed(config, matrix, gis, clusters, smoothed, icluster, planes)
+    }
 
+    /// [`Self::assemble`] past smoothing and iCluster, for callers that
+    /// already hold both (an online-only reparameterization).
+    fn assemble_smoothed(
+        config: CfsfConfig,
+        matrix: RatingMatrix,
+        gis: Gis,
+        clusters: ClusterAssignment,
+        smoothed: Smoothed,
+        icluster: ICluster,
+        planes: Option<WeightPlanes>,
+    ) -> Self {
         let dense = if config.use_smoothing {
             smoothed.dense.clone()
         } else {
-            DenseRatings::from_sparse(matrix)
+            DenseRatings::from_sparse(&matrix)
         };
-        let planes = WeightPlanes::from_dense_with(&dense, config.w, config.plane_precision);
+        let planes = planes.unwrap_or_else(|| {
+            WeightPlanes::from_dense_with(&dense, config.w, config.plane_precision)
+        });
         let strips = crate::strips::ItemStrips::build(&gis, config.m);
-
         let model = Self {
             config,
-            matrix: matrix.clone(),
+            matrix,
             gis,
             clusters,
             smoothed,
@@ -117,7 +135,7 @@ impl Cfsf {
             neighbor_cache: ShardedCache::new(crate::cache::DEFAULT_CAPACITY),
         };
         model.publish_footprint();
-        Ok(model)
+        model
     }
 
     /// The configuration the model was fitted with.
@@ -217,27 +235,15 @@ impl Cfsf {
             return Self::fit(&self.matrix, config);
         }
 
-        let dense = if config.use_smoothing {
-            self.smoothed.dense.clone()
-        } else {
-            DenseRatings::from_sparse(&self.matrix)
-        };
-        let planes = WeightPlanes::from_dense_with(&dense, config.w, config.plane_precision);
-        let strips = crate::strips::ItemStrips::build(&self.gis, config.m);
-        let model = Self {
+        Ok(Self::assemble_smoothed(
             config,
-            matrix: self.matrix.clone(),
-            gis: self.gis.clone(),
-            clusters: self.clusters.clone(),
-            smoothed: self.smoothed.clone(),
-            icluster: self.icluster.clone(),
-            dense,
-            planes,
-            strips,
-            neighbor_cache: ShardedCache::new(crate::cache::DEFAULT_CAPACITY),
-        };
-        model.publish_footprint();
-        Ok(model)
+            self.matrix.clone(),
+            self.gis.clone(),
+            self.clusters.clone(),
+            self.smoothed.clone(),
+            self.icluster.clone(),
+            None,
+        ))
     }
 
     /// Scores every item the user hasn't rated and returns the best `n`

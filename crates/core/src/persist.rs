@@ -36,19 +36,20 @@
 //! the section boundaries make most of the file *recoverable*: the GIS,
 //! cluster, and planes sections are pure derivations of the stored
 //! matrix, so [`Cfsf::load_with_recovery`] rebuilds a corrupt one from
-//! the (intact) matrix section instead of refusing to load — the same
-//! computation [`Cfsf::fit`] runs, so the recovered model predicts
-//! identically. Version 2 streams (no generation, no planes section —
-//! planes recomputed from the smoothed sheet) and version 1 streams
-//! (unchecksummed, same payloads laid end to end) still load.
+//! the (intact) matrix section instead of refusing to load — with the
+//! same GIS and K-means configuration [`Cfsf::fit`] uses, so the
+//! recovered model predicts identically. Every load, like every fit,
+//! ends in the one model constructor, which recomputes smoothing,
+//! iCluster and strips and folds the planes when none were read.
+//! Version 2 streams (no generation, no planes section) and version 1
+//! streams (unchecksummed, same payloads laid end to end) still load.
 
 use std::io::{self, Read, Write};
 
-use cf_cluster::{ClusterAssignment, ICluster, KMeans, KMeansConfig, Smoother};
-use cf_matrix::{DenseRatings, ItemId, MatrixBuilder, RatingMatrix, RatingScale, UserId};
+use cf_cluster::{ClusterAssignment, KMeans};
+use cf_matrix::{ItemId, MatrixBuilder, RatingMatrix, RatingScale, UserId};
 use cf_similarity::Gis;
 
-use crate::cache::ShardedCache;
 use crate::{Cfsf, CfsfConfig, CfsfError};
 
 const MAGIC: &[u8; 4] = b"CFSF";
@@ -482,29 +483,6 @@ fn decode_section<'p, T>(
     Ok(value)
 }
 
-// --- rebuilding recoverable sections ------------------------------------
-
-/// The exact GIS [`Cfsf::fit`] would build for this config and matrix.
-fn rebuild_gis(config: &CfsfConfig, matrix: &RatingMatrix) -> Gis {
-    let mut gis_config = config.gis.clone();
-    if let Some(cap) = gis_config.max_neighbors {
-        gis_config.max_neighbors = Some(cap.max(config.m));
-    }
-    Gis::build(matrix, &gis_config)
-}
-
-/// The exact K-means assignment [`Cfsf::fit`] would build — seeded, so
-/// the recovered assignment matches what the file would have stored.
-fn rebuild_clusters(config: &CfsfConfig, matrix: &RatingMatrix) -> ClusterAssignment {
-    let kmeans = KMeansConfig {
-        k: config.clusters,
-        max_iterations: config.kmeans_iterations,
-        seed: config.seed,
-        ..Default::default()
-    };
-    KMeans::fit(matrix, &kmeans)
-}
-
 // --- model codec -------------------------------------------------------
 
 impl Cfsf {
@@ -560,47 +538,6 @@ impl Cfsf {
         write_section(&mut w, TAG_GIS, &encode_gis(&self.gis, &self.matrix)?)?;
         write_section(&mut w, TAG_CLUSTERS, &encode_clusters(&self.clusters)?)?;
         w.flush()
-    }
-
-    /// Reassembles a servable model from its persisted structures,
-    /// recomputing the cheap linear passes (smoothing, iCluster, dense
-    /// store, item strips). When `planes` is `None` (V1/V2 streams, or a
-    /// V3 stream whose plane section was rebuilt) the quantized weight
-    /// planes are refolded from the smoothed sheet — the same
-    /// deterministic computation [`Cfsf::fit`] runs, so the result is
-    /// bit-identical to what a V3 writer would have stored.
-    fn assemble(
-        config: CfsfConfig,
-        matrix: RatingMatrix,
-        gis: Gis,
-        clusters: ClusterAssignment,
-        planes: Option<cf_matrix::WeightPlanes>,
-    ) -> Self {
-        let smoothed = Smoother::smooth(&matrix, &clusters, None);
-        let icluster = ICluster::build(&matrix, &smoothed, None);
-        let dense = if config.use_smoothing {
-            smoothed.dense.clone()
-        } else {
-            DenseRatings::from_sparse(&matrix)
-        };
-        let planes = planes.unwrap_or_else(|| {
-            cf_matrix::WeightPlanes::from_dense_with(&dense, config.w, config.plane_precision)
-        });
-        let strips = crate::strips::ItemStrips::build(&gis, config.m);
-        let model = Self {
-            config,
-            matrix,
-            gis,
-            clusters,
-            smoothed,
-            icluster,
-            dense,
-            planes,
-            strips,
-            neighbor_cache: ShardedCache::new(crate::cache::DEFAULT_CAPACITY),
-        };
-        model.publish_footprint();
-        model
     }
 
     /// Deserializes a model saved by [`Cfsf::save`] (or a legacy V1/V2
@@ -696,7 +633,7 @@ fn load_impl<R: Read>(mut r: R, recover: bool) -> Result<(Cfsf, RecoveryReport),
         Err(_) => {
             cf_obs::counter!("persist.recovered.gis").inc();
             report.gis_rebuilt = true;
-            rebuild_gis(&config, &matrix)
+            Gis::build(&matrix, &config.gis_config())
         }
     };
     let clusters = match read_section(&mut r, TAG_CLUSTERS, "clusters")
@@ -707,7 +644,7 @@ fn load_impl<R: Read>(mut r: R, recover: bool) -> Result<(Cfsf, RecoveryReport),
         Err(_) => {
             cf_obs::counter!("persist.recovered.clusters").inc();
             report.clusters_rebuilt = true;
-            rebuild_clusters(&config, &matrix)
+            KMeans::fit(&matrix, &config.kmeans_config())
         }
     };
     let planes = if version >= VERSION {

@@ -19,24 +19,25 @@
 //!   fallback rate, with **hysteresis** (trip high, clear low, N
 //!   consecutive tripped windows, post-rebuild cooldown) so a flapping
 //!   signal can never cause a rebuild storm.
-//! - [`SelfHealingCfsf`] — the loop. Ingests live ratings (dirty-user /
-//!   stale-item tracking bounds the incremental rebuild to what
-//!   actually changed), and when the monitor trips, rebuilds on a
-//!   worker thread — smoothing, incremental GIS patch or full refit —
-//!   and publishes the result through the cell. A panicking or failing
-//!   rebuild is caught, counted (`refresh.failed`), and leaves the old
-//!   generation serving.
+//! - [`SelfHealingCfsf`] — the loop. Ingests live ratings, and when the
+//!   monitor trips (or on [`SelfHealingCfsf::trigger`] /
+//!   [`SelfHealingCfsf::refresh_now`]), rebuilds the next generation —
+//!   a **partial** rebuild patches the GIS rows of the items the pending
+//!   ratings touched and keeps the K-means assignment, then re-derives
+//!   smoothing, iCluster, planes and strips over the whole merged
+//!   matrix; a **full** refit reruns K-means too — and publishes the
+//!   result through the cell. A panicking or failing rebuild is caught,
+//!   counted (`refresh.failed`), and leaves the old generation serving.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cf_cluster::{ICluster, Smoother};
-use cf_matrix::{DenseRatings, ItemId, MatrixBuilder, RatingMatrix, UserId};
+use cf_matrix::{ItemId, MatrixBuilder, RatingMatrix, UserId};
 use cf_obs::sync::{RecoverMutex, Shim, ShimAtomicU64, ShimRwLock, StdShim};
 
-use crate::{Cfsf, CfsfError, RefreshKind};
+use crate::{Cfsf, CfsfError};
 
 // --------------------------------------------------------------------------
 // Generation cell
@@ -178,9 +179,10 @@ pub struct DriftConfig {
     /// Observations (MAE window + ingest window) required before a
     /// signal counts — a three-sample window proves nothing.
     pub min_observations: usize,
-    /// Escalate the rebuild from incremental to a full refit once the
-    /// merged churn exceeds this fraction of the matrix's ratings
-    /// (mirrors [`crate::IncrementalCfsf`]).
+    /// Escalate the rebuild from partial to a full refit once the ratings
+    /// merged since the last full refit exceed this fraction of the
+    /// matrix's ratings — the frozen K-means assignment drifts as users
+    /// accumulate ratings.
     pub full_refit_fraction: f64,
 }
 
@@ -217,6 +219,22 @@ impl DriftConfig {
             cooldown: Duration::from_millis(200),
             min_observations: 1,
             full_refit_fraction: 0.10,
+        }
+    }
+
+    /// A detector that never trips on its own: rebuilds start only from
+    /// [`SelfHealingCfsf::trigger`] or [`SelfHealingCfsf::refresh_now`],
+    /// so the caller controls exactly when a generation is built.
+    pub fn manual() -> Self {
+        Self {
+            mae_trip_pm: i64::MAX,
+            mae_clear_pm: 0,
+            hist_trip_pm: i64::MAX,
+            hist_clear_pm: 0,
+            fallback_trip_pm: i64::MAX,
+            fallback_clear_pm: 0,
+            trip_windows: u32::MAX,
+            ..Self::default()
         }
     }
 
@@ -429,12 +447,12 @@ impl DriftMonitor {
 // Self-healing serving wrapper
 // --------------------------------------------------------------------------
 
-/// Pending live ratings and the dirty-set bookkeeping that bounds an
-/// incremental rebuild to what actually changed.
+/// Live ratings accepted but not yet merged into a published generation.
+/// A rebuild works from a copy: the ratings stay here (and keep blocking
+/// duplicates) until a generation that holds them is published.
 struct Ingest {
     pending: Vec<(UserId, ItemId, f64)>,
-    stale_items: BTreeSet<ItemId>,
-    dirty_users: BTreeSet<UserId>,
+    /// Ratings merged since the last full refit; drives escalation.
     churn_since_full: usize,
 }
 
@@ -457,16 +475,26 @@ impl Drop for BusyGuard<'_> {
     }
 }
 
+/// Which path a rebuild took.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RefreshKind {
+    /// GIS rows of the touched items patched, K-means assignment kept;
+    /// smoothing, iCluster, planes and strips re-derived in full.
+    Partial,
+    /// Full offline refit (K-means included).
+    Full,
+}
+
 /// What one rebuild pass did (the background worker records the same
 /// fields into counters/gauges).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RebuildReport {
-    /// Which rebuild path ran.
+    /// Which rebuild path ran (chosen by the merged-rating count against
+    /// [`DriftConfig::full_refit_fraction`]).
     pub kind: RefreshKind,
     /// Ratings merged into the new generation.
     pub merged: usize,
-    /// Distinct users whose ratings changed (drove the partial/full
-    /// decision).
+    /// Distinct users among the merged ratings.
     pub dirty_users: usize,
     /// The generation number the rebuild published.
     pub generation: u64,
@@ -500,8 +528,6 @@ impl SelfHealingCfsf {
                 cell: Arc::new(GenCell::new(Arc::new(model))),
                 ingest: RecoverMutex::new(Ingest {
                     pending: Vec::new(),
-                    stale_items: BTreeSet::new(),
-                    dirty_users: BTreeSet::new(),
                     churn_since_full: 0,
                 }),
                 monitor: RecoverMutex::new(DriftMonitor::new(cfg.clone())),
@@ -543,22 +569,25 @@ impl SelfHealingCfsf {
     /// next rebuild — and the drift detector gets one evaluation tick,
     /// which may launch a background rebuild.
     pub fn add_rating(&self, user: UserId, item: ItemId, rating: f64) -> Result<(), CfsfError> {
-        let model = self.shared.cell.load();
-        let m = model.matrix();
-        if user.index() >= m.num_users() || item.index() >= m.num_items() {
-            return Err(CfsfError::InvalidParameter {
-                name: "rating",
-                message: format!("({user:?}, {item:?}) is outside the matrix"),
-            });
-        }
-        if !m.scale().contains(rating) || !rating.is_finite() {
-            return Err(CfsfError::InvalidParameter {
-                name: "rating",
-                message: format!("{rating} is off the {:?} scale", m.scale()),
-            });
-        }
-        {
+        let model = {
             let mut ingest = self.shared.ingest.lock();
+            // Loaded under the lock: a rebuild publishes before it prunes
+            // `pending`, so this generation's matrix plus `pending` cover
+            // every cell already taken.
+            let model = self.shared.cell.load();
+            let m = model.matrix();
+            if user.index() >= m.num_users() || item.index() >= m.num_items() {
+                return Err(CfsfError::InvalidParameter {
+                    name: "rating",
+                    message: format!("({user:?}, {item:?}) is outside the matrix"),
+                });
+            }
+            if !m.scale().contains(rating) || !rating.is_finite() {
+                return Err(CfsfError::InvalidParameter {
+                    name: "rating",
+                    message: format!("{rating} is off the {:?} scale", m.scale()),
+                });
+            }
             if m.get(user, item).is_some()
                 || ingest
                     .pending
@@ -571,9 +600,8 @@ impl SelfHealingCfsf {
                 });
             }
             ingest.pending.push((user, item, rating));
-            ingest.stale_items.insert(item);
-            ingest.dirty_users.insert(user);
-        }
+            model
+        };
         if let Some(pred) = cf_matrix::Predictor::predict(&*model, user, item) {
             cf_obs::quality::observe_prediction_error((pred - rating).abs());
         }
@@ -598,9 +626,9 @@ impl SelfHealingCfsf {
         self.spawn_rebuild()
     }
 
-    /// Runs one rebuild synchronously on the caller's thread (tests, the
-    /// CLI demo). Publishes through the same cell as the background
-    /// path.
+    /// Runs one rebuild synchronously on the caller's thread (tests,
+    /// examples, the CLI demo). Publishes through the same cell as the
+    /// background path.
     pub fn refresh_now(&self) -> Result<RebuildReport, CfsfError> {
         if self.shared.busy.swap(true, Ordering::AcqRel) {
             return Err(CfsfError::RefreshFailed {
@@ -673,7 +701,7 @@ fn install_baseline(model: &Cfsf) {
     cf_obs::drift::set_baseline(m.triplets().map(|(_, _, r)| r), scale.min, scale.max);
 }
 
-/// The rebuild pass: snapshot the pending ratings, build a complete new
+/// The rebuild pass: copy the pending ratings, build a complete new
 /// [`Cfsf`] off to the side, publish it through the cell. Runs on the
 /// worker thread (or inline for [`SelfHealingCfsf::refresh_now`]); the
 /// served generation is untouched until the final `publish`, and any
@@ -682,45 +710,41 @@ fn run_rebuild(shared: &Shared) -> Result<RebuildReport, CfsfError> {
     cf_obs::counter!("refresh.started").inc();
     cf_obs::trace::note("refresh.rebuild_started");
     let base = shared.cell.load();
-    // Snapshot and drain the ingest state; on failure it is restored so
-    // the ratings are not lost and the rebuild can be retried.
-    let (pending, stale_items, dirty_users, churn_since_full) = {
-        let mut ingest = shared.ingest.lock();
-        (
-            std::mem::take(&mut ingest.pending),
-            std::mem::take(&mut ingest.stale_items),
-            std::mem::take(&mut ingest.dirty_users),
-            ingest.churn_since_full,
-        )
+    // Build from a copy: the pending ratings stay queued, so a duplicate
+    // of an in-flight cell is still refused and a failed rebuild has
+    // nothing to restore.
+    let (pending, churn_since_full) = {
+        let ingest = shared.ingest.lock();
+        (ingest.pending.clone(), ingest.churn_since_full)
     };
 
     let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         cf_obs::time_scope!("refresh.rebuild_ns");
-        build_generation(&base, &shared.cfg, &pending, &stale_items, churn_since_full)
+        build_generation(&base, &shared.cfg, &pending, churn_since_full)
     }));
 
     match built {
         Ok(Ok((model, kind))) => {
-            let generation = shared.cell.publish(Arc::new(model));
+            let published = Arc::new(model);
+            let generation = shared.cell.publish(Arc::clone(&published));
             {
                 let mut ingest = shared.ingest.lock();
                 ingest.churn_since_full = match kind {
                     RefreshKind::Full => 0,
                     RefreshKind::Partial => churn_since_full + pending.len(),
                 };
-                // Ratings ingested *during* the rebuild were validated
-                // against the old generation; drop any the new matrix now
-                // covers.
-                let published = shared.cell.load();
+                // Keep only ratings the new generation lacks: those that
+                // arrived while it was being built.
                 let m = published.matrix();
                 ingest.pending.retain(|&(u, i, _)| m.get(u, i).is_none());
             }
-            install_baseline(&shared.cell.load());
+            install_baseline(&published);
             cf_obs::quality::clear_window();
             cf_obs::counter!("refresh.completed").inc();
             cf_obs::gauge!("refresh.generation").set(generation as i64);
             cf_obs::trace::note("refresh.generation_published");
             shared.monitor.lock().note_rebuild_finished(true);
+            let dirty_users: BTreeSet<UserId> = pending.iter().map(|&(u, _, _)| u).collect();
             Ok(RebuildReport {
                 kind,
                 merged: pending.len(),
@@ -729,26 +753,6 @@ fn run_rebuild(shared: &Shared) -> Result<RebuildReport, CfsfError> {
             })
         }
         other => {
-            // Failed or panicked: restore the snapshot (new arrivals
-            // stay, the snapshot slots back in front) and keep serving
-            // the old generation.
-            {
-                let snapshot_cells: BTreeSet<(UserId, ItemId)> =
-                    pending.iter().map(|&(u, i, _)| (u, i)).collect();
-                let mut ingest = shared.ingest.lock();
-                let newer = std::mem::take(&mut ingest.pending);
-                ingest.pending = pending;
-                // A rating ingested during the failed rebuild may address
-                // a cell the snapshot already covers (the snapshot had
-                // left the pending list); keep the snapshot's value.
-                ingest.pending.extend(
-                    newer
-                        .into_iter()
-                        .filter(|&(u, i, _)| !snapshot_cells.contains(&(u, i))),
-                );
-                ingest.stale_items.extend(stale_items.iter().copied());
-                ingest.dirty_users.extend(dirty_users.iter().copied());
-            }
             cf_obs::counter!("refresh.failed").inc();
             shared.monitor.lock().note_rebuild_finished(false);
             match other {
@@ -768,15 +772,15 @@ fn run_rebuild(shared: &Shared) -> Result<RebuildReport, CfsfError> {
     }
 }
 
-/// Builds the next generation completely off to the side. Incremental
-/// path mirrors [`crate::IncrementalCfsf`]'s staged partial refresh —
-/// GIS rows are rebuilt only for the stale items (O(changed users), via
-/// the dirty tracking) — escalating to a full refit on heavy churn.
+/// Builds the next generation completely off to the side. The partial
+/// path rebuilds GIS rows only for the items `pending` touches and keeps
+/// `base`'s K-means assignment; everything downstream (smoothing,
+/// iCluster, planes, strips) is re-derived over the whole merged matrix.
+/// Heavy churn since the last full refit escalates to a full refit.
 fn build_generation(
     base: &Cfsf,
     cfg: &DriftConfig,
     pending: &[(UserId, ItemId, f64)],
-    stale_items: &BTreeSet<ItemId>,
     churn_since_full: usize,
 ) -> Result<(Cfsf, RefreshKind), CfsfError> {
     #[cfg(feature = "faultinject")]
@@ -795,41 +799,18 @@ fn build_generation(
         // land a better local optimum, and the baseline resets.
         (Cfsf::fit(&merged, base.config.clone())?, RefreshKind::Full)
     } else {
-        let items: Vec<ItemId> = stale_items.iter().copied().collect();
-        let mut gis_config = base.config.gis.clone();
-        if let Some(cap) = gis_config.max_neighbors {
-            gis_config.max_neighbors = Some(cap.max(base.config.m));
-        }
-        gis_config.threads = gis_config.threads.or(base.config.threads);
+        let mut stale_items: Vec<ItemId> = pending.iter().map(|&(_, i, _)| i).collect();
+        stale_items.sort_unstable();
+        stale_items.dedup();
         let mut gis = base.gis.clone();
-        gis.rebuild_items(&merged, &items, &gis_config);
-
-        let smoothed = Smoother::smooth(&merged, &base.clusters, base.config.threads);
-        let icluster = ICluster::build(&merged, &smoothed, base.config.threads);
-        let dense = if base.config.use_smoothing {
-            smoothed.dense.clone()
-        } else {
-            DenseRatings::from_sparse(&merged)
-        };
-        let planes = cf_matrix::WeightPlanes::from_dense_with(
-            &dense,
-            base.config.w,
-            base.config.plane_precision,
-        );
-        let strips = crate::strips::ItemStrips::build(&gis, base.config.m);
-        let model = Cfsf {
-            config: base.config.clone(),
-            matrix: merged,
+        gis.rebuild_items(&merged, &stale_items, &base.config.gis_config());
+        let model = Cfsf::assemble(
+            base.config.clone(),
+            merged,
             gis,
-            clusters: base.clusters.clone(),
-            smoothed,
-            icluster,
-            dense,
-            planes,
-            strips,
-            neighbor_cache: crate::cache::ShardedCache::new(crate::cache::DEFAULT_CAPACITY),
-        };
-        model.publish_footprint();
+            base.clusters.clone(),
+            None,
+        );
         (model, RefreshKind::Partial)
     };
 
@@ -867,10 +848,12 @@ mod tests {
     use crate::CfsfConfig;
     use cf_data::SyntheticConfig;
     use cf_matrix::Predictor;
+    use cf_similarity::Gis;
 
-    /// The drift/quality windows are process-global; tests that assert
-    /// on them serialize here so parallel test threads cannot interleave
-    /// observations.
+    /// The drift/quality windows and the drift baseline are
+    /// process-global; tests that assert on them, or wrap a model (which
+    /// installs a baseline and feeds the windows), serialize here so
+    /// parallel test threads cannot interleave observations.
     fn windows_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock()
@@ -934,6 +917,7 @@ mod tests {
         assert!(cfg.validate().is_err());
         assert!(DriftConfig::default().validate().is_ok());
         assert!(DriftConfig::sensitive().validate().is_ok());
+        assert!(DriftConfig::manual().validate().is_ok());
         let cfg = DriftConfig {
             trip_windows: 0,
             ..DriftConfig::default()
@@ -1022,6 +1006,7 @@ mod tests {
 
     #[test]
     fn add_rating_validates_and_queues() {
+        let _serial = windows_lock();
         let (d, model) = fitted();
         let healing = SelfHealingCfsf::new(
             model,
@@ -1045,6 +1030,7 @@ mod tests {
 
     #[test]
     fn refresh_now_publishes_a_new_generation_with_merged_ratings() {
+        let _serial = windows_lock();
         let (d, model) = fitted();
         let healing = SelfHealingCfsf::new(
             model,
@@ -1058,6 +1044,7 @@ mod tests {
         let (u, i) = unrated_cell(&d.matrix, 3);
         healing.add_rating(u, i, 5.0).unwrap();
         let report = healing.refresh_now().unwrap();
+        assert_eq!(report.kind, RefreshKind::Partial);
         assert_eq!(report.merged, 1);
         assert_eq!(report.dirty_users, 1);
         assert_eq!(report.generation, before + 1);
@@ -1066,10 +1053,78 @@ mod tests {
         let m = healing.model();
         assert_eq!(m.matrix().get(u, i), Some(5.0));
         assert!(m.predict(u, ItemId::new(0)).is_some());
+        // The cell is rated now, so recommendations must skip it.
+        let recs = m.recommend_top_n(u, d.matrix.num_items());
+        assert!(!recs.is_empty());
+        assert!(recs.iter().all(|&(item, _)| item != i));
+    }
+
+    #[test]
+    fn churn_past_the_full_refit_fraction_escalates_to_a_full_refit() {
+        let _serial = windows_lock();
+        let (d, model) = fitted();
+        let cfg = DriftConfig {
+            full_refit_fraction: 0.0,
+            ..DriftConfig::manual()
+        };
+        let healing = SelfHealingCfsf::new(model, cfg).unwrap();
+        let mut from = 0;
+        for _ in 0..5 {
+            let (u, i) = unrated_cell(&d.matrix, from);
+            healing.add_rating(u, i, 3.0).unwrap();
+            from = u.raw() + 1;
+        }
+        let report = healing.refresh_now().unwrap();
+        assert_eq!(report.kind, RefreshKind::Full);
+        assert_eq!(report.merged, 5);
+        assert_eq!(report.dirty_users, 5);
+        assert_eq!(healing.pending(), 0);
+    }
+
+    /// A partial rebuild only patches the touched GIS rows and keeps the
+    /// clusters; with no neighbor cap the patch is exact, so the result
+    /// must equal a from-scratch GIS assembled over the same clusters.
+    #[test]
+    fn partial_generation_matches_a_frozen_cluster_rebuild() {
+        let _serial = windows_lock();
+        let d = SyntheticConfig::small().generate();
+        let mut config = CfsfConfig::small();
+        config.gis.max_neighbors = None;
+        let model = Cfsf::fit(&d.matrix, config.clone()).unwrap();
+        let healing = SelfHealingCfsf::new(model, DriftConfig::manual()).unwrap();
+        let base = healing.model();
+        let mut from = 0;
+        for rating in [5.0, 1.0, 4.0, 2.0] {
+            let (u, i) = unrated_cell(&d.matrix, from);
+            healing.add_rating(u, i, rating).unwrap();
+            from = u.raw() + 1;
+        }
+        assert_eq!(healing.refresh_now().unwrap().kind, RefreshKind::Partial);
+
+        let partial = healing.model();
+        let merged = partial.matrix().clone();
+        let gis = Gis::build(&merged, &config.gis_config());
+        let frozen = Cfsf::assemble(config, merged, gis, base.clusters.clone(), None);
+        let mut compared = 0usize;
+        for u in (0..d.matrix.num_users()).step_by(3) {
+            for i in (0..d.matrix.num_items()).step_by(7) {
+                let (user, item) = (UserId::from(u), ItemId::from(i));
+                match (partial.predict(user, item), frozen.predict(user, item)) {
+                    (Some(a), Some(b)) => {
+                        assert!((a - b).abs() < 1e-9, "({u},{i}): {a} vs {b}");
+                        compared += 1;
+                    }
+                    (None, None) => {}
+                    other => panic!("availability differs at ({u},{i}): {other:?}"),
+                }
+            }
+        }
+        assert!(compared > 0);
     }
 
     #[test]
     fn background_trigger_swaps_without_blocking_readers() {
+        let _serial = windows_lock();
         let (d, model) = fitted();
         let healing = SelfHealingCfsf::new(
             model,
@@ -1100,6 +1155,7 @@ mod tests {
 
     #[test]
     fn second_trigger_is_refused_while_one_is_in_flight() {
+        let _serial = windows_lock();
         let (_, model) = fitted();
         let healing = SelfHealingCfsf::new(model, DriftConfig::default()).unwrap();
         assert!(healing.trigger());

@@ -21,9 +21,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use cf_faultinject as fi;
 use cf_matrix::{ItemId, Predictor, UserId};
-use cfsf_core::{
-    Cfsf, CfsfConfig, DegradeLevel, DriftConfig, DriftState, IncrementalCfsf, SelfHealingCfsf,
-};
+use cfsf_core::{Cfsf, CfsfConfig, DegradeLevel, DriftConfig, DriftState, SelfHealingCfsf};
 
 // --- scenario scaffolding ----------------------------------------------
 
@@ -417,62 +415,38 @@ fn recommendation_survives_item_scorer_panics() {
     assert_eq!(got, expected, "only the panicked candidate may drop out");
 }
 
-// --- scenario 14: faults mid-refresh ------------------------------------
+// --- scenario 14: duplicate rating during an in-flight rebuild ----------
 
 #[test]
-fn mid_refresh_fault_leaves_model_unchanged_and_retryable() {
+fn duplicate_of_an_in_flight_rating_is_refused_not_dropped() {
     let _s = scope();
-    let mut inc = IncrementalCfsf::new(fresh_model());
-    let probes: Vec<(UserId, ItemId)> = (0..10)
-        .map(|k| (UserId::new(k * 7 % 80), ItemId::new(k * 13 % 120)))
-        .collect();
-    let baseline: Vec<Option<f64>> = probes
-        .iter()
-        .map(|&(u, i)| inc.model().predict(u, i))
-        .collect();
+    let healing = SelfHealingCfsf::new(fresh_model(), DriftConfig::manual()).unwrap();
+    let gen0 = healing.model();
+    let scale = gen0.matrix().scale();
+    let (user, item) = unrated_cells(&gen0, 1)[0];
+    healing.add_rating(user, item, scale.max).unwrap();
 
-    // Two cells the training matrix does not cover yet.
-    let mut unrated = (0..80u32)
-        .flat_map(|u| (0..120u32).map(move |i| (u, i)))
-        .filter(|&(u, i)| {
-            inc.model()
-                .matrix()
-                .get(UserId::new(u), ItemId::new(i))
-                .is_none()
-        });
-    let (u1, i1) = unrated.next().unwrap();
-    let (u2, i2) = unrated.next().unwrap();
-    drop(unrated);
-    inc.add_rating(UserId::new(u1), ItemId::new(i1), 4.0)
-        .unwrap();
-    inc.add_rating(UserId::new(u2), ItemId::new(i2), 2.0)
-        .unwrap();
-    let pending = inc.pending();
-    assert!(pending > 0);
-
-    fi::arm("incremental.midrefresh", fi::Policy::Always);
-    let e = inc.refresh();
-    assert!(e.is_err(), "injected mid-refresh fault must abort");
-    // Transactional: the served model is untouched, the delta retained.
-    let after: Vec<Option<f64>> = probes
-        .iter()
-        .map(|&(u, i)| inc.model().predict(u, i))
-        .collect();
-    assert_eq!(after, baseline, "aborted refresh must not mutate the model");
-    assert_eq!(
-        inc.pending(),
-        pending,
-        "aborted refresh must keep the delta"
+    // Hold the rebuild after it has copied the pending rating.
+    fi::arm("refresh.worker_stall", fi::Policy::Once);
+    assert!(healing.trigger(), "background trigger must start a rebuild");
+    let start = std::time::Instant::now();
+    while fi::fired_count("refresh.worker_stall") == 0 {
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(20),
+            "rebuild never reached the stall"
+        );
+        std::thread::yield_now();
+    }
+    // The cell is still unpublished, but it is taken: a second rating
+    // must be refused, not accepted and then discarded on publish.
+    assert!(
+        healing.add_rating(user, item, scale.min).is_err(),
+        "a rating for a cell in the in-flight rebuild must be refused"
     );
-
-    // Once the fault clears, the same refresh succeeds.
-    fi::disarm("incremental.midrefresh");
-    inc.refresh().unwrap();
-    assert_eq!(inc.pending(), 0);
-    assert_eq!(
-        inc.model().matrix().get(UserId::new(u1), ItemId::new(i1)),
-        Some(4.0)
-    );
+    healing.wait_idle();
+    assert_eq!(healing.generation(), 1);
+    assert_eq!(healing.pending(), 0);
+    assert_eq!(healing.model().matrix().get(user, item), Some(scale.max));
 }
 
 // --- scenario 15: tracing under faults ----------------------------------
@@ -515,21 +489,6 @@ fn panic_isolated_degraded_request_is_trace_captured() {
 
 // --- scenario 16–19: self-healing refresh under faults -------------------
 
-/// A drift config that never trips on its own, so each scenario controls
-/// exactly when the rebuild happens.
-fn parked_drift() -> DriftConfig {
-    DriftConfig {
-        mae_trip_pm: i64::MAX,
-        mae_clear_pm: 0,
-        hist_trip_pm: i64::MAX,
-        hist_clear_pm: 0,
-        fallback_trip_pm: i64::MAX,
-        fallback_clear_pm: 0,
-        trip_windows: u32::MAX,
-        ..DriftConfig::default()
-    }
-}
-
 /// First `n` unrated cells of the served matrix, usable as live ratings.
 fn unrated_cells(m: &Cfsf, n: usize) -> Vec<(UserId, ItemId)> {
     let matrix = m.matrix();
@@ -551,7 +510,7 @@ fn unrated_cells(m: &Cfsf, n: usize) -> Vec<(UserId, ItemId)> {
 #[test]
 fn rebuild_panic_mid_swap_leaves_old_generation_serving() {
     let _s = scope();
-    let healing = SelfHealingCfsf::new(fresh_model(), parked_drift()).unwrap();
+    let healing = SelfHealingCfsf::new(fresh_model(), DriftConfig::manual()).unwrap();
     let cell = healing.cell();
     let gen0 = cell.load();
     let probes: Vec<(UserId, ItemId)> = requests().into_iter().step_by(29).collect();
@@ -602,7 +561,7 @@ fn rebuild_panic_mid_swap_leaves_old_generation_serving() {
 #[test]
 fn rebuild_failure_before_commit_restores_pending() {
     let _s = scope();
-    let healing = SelfHealingCfsf::new(fresh_model(), parked_drift()).unwrap();
+    let healing = SelfHealingCfsf::new(fresh_model(), DriftConfig::manual()).unwrap();
     let gen0 = healing.model();
     let scale = gen0.matrix().scale();
     for (user, item) in unrated_cells(&gen0, 4) {
@@ -634,7 +593,7 @@ fn rebuild_failure_before_commit_restores_pending() {
 #[test]
 fn rebuild_worker_stall_never_blocks_readers() {
     let _s = scope();
-    let healing = SelfHealingCfsf::new(fresh_model(), parked_drift()).unwrap();
+    let healing = SelfHealingCfsf::new(fresh_model(), DriftConfig::manual()).unwrap();
     let cell = healing.cell();
     let gen0 = cell.load();
     let scale = gen0.matrix().scale();

@@ -6,6 +6,8 @@
 //! test file (its own process) so the global registry deltas are not
 //! perturbed by unrelated tests.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use cf_matrix::{ItemId, UserId};
 use cfsf_core::{Cfsf, CfsfConfig};
 
@@ -15,6 +17,14 @@ const ITEMS: usize = 120;
 fn model() -> Cfsf {
     let d = cf_data::SyntheticConfig::small().generate();
     Cfsf::fit(&d.matrix, CfsfConfig::small()).expect("fit succeeds")
+}
+
+/// Both tests measure deltas of the same process-global counters, so
+/// they take turns: one test's predictions must not land in the other's
+/// window.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn counter(name: &str) -> u64 {
@@ -41,6 +51,7 @@ fn rung_sum() -> u64 {
 
 #[test]
 fn degrade_and_cache_counters_balance_under_concurrent_load() {
+    let _serial = serial();
     let m = std::sync::Arc::new(model());
     let requests: Vec<(UserId, ItemId)> = (0..600)
         .map(|k| {
@@ -111,6 +122,7 @@ fn degrade_and_cache_counters_balance_under_concurrent_load() {
 
 #[test]
 fn estimator_counters_never_exceed_predictions() {
+    let _serial = serial();
     let m = model();
     let before = counter("online.predictions");
     for u in 0..USERS {

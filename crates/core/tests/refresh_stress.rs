@@ -34,21 +34,6 @@ fn fitted() -> Cfsf {
     Cfsf::fit(&d.matrix, CfsfConfig::small()).unwrap()
 }
 
-/// A drift config that never trips on its own, so the test controls
-/// exactly when the rebuild happens (via `trigger`).
-fn parked() -> DriftConfig {
-    DriftConfig {
-        mae_trip_pm: i64::MAX,
-        mae_clear_pm: 0,
-        hist_trip_pm: i64::MAX,
-        hist_clear_pm: 0,
-        fallback_trip_pm: i64::MAX,
-        fallback_clear_pm: 0,
-        trip_windows: u32::MAX,
-        ..DriftConfig::default()
-    }
-}
-
 /// Unrated cells of the served matrix, usable as fresh live ratings.
 fn unrated_cells(model: &Cfsf, n: usize) -> Vec<(UserId, ItemId)> {
     let m = model.matrix();
@@ -87,7 +72,7 @@ struct Sample {
 #[test]
 fn requests_straddling_a_swap_are_bit_identical_per_generation() {
     let _guard = serial();
-    let healing = SelfHealingCfsf::new(fitted(), parked()).unwrap();
+    let healing = SelfHealingCfsf::new(fitted(), DriftConfig::manual()).unwrap();
     let cell = healing.cell();
     let gen0 = cell.load();
 

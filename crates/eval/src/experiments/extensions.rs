@@ -1,6 +1,7 @@
 //! Beyond-the-paper experiments exercising the future-work extensions:
 //! top-N ranking quality, temporal drift, and incremental maintenance.
 
+use std::collections::BTreeSet;
 use std::time::Instant;
 
 use cf_data::GivenN;
@@ -8,7 +9,7 @@ use cf_matrix::{ItemId, UserId};
 use cf_temporal::{
     temporal_split, Decay, DecayMode, DriftConfig, TimeAwareSur, TimeAwareSurConfig,
 };
-use cfsf_core::{IncrementalCfsf, RefreshKind};
+use cfsf_core::{RefreshKind, SelfHealingCfsf};
 
 use crate::ranking::evaluate_ranking;
 use crate::table::{fmt_mae, Table};
@@ -178,22 +179,27 @@ pub fn incremental(ctx: &ExperimentContext) -> ExperimentOutput {
         Scale::Paper => 200,
         Scale::Quick => 50,
     };
-    let mut inc = IncrementalCfsf::new(model);
+    let drift = cfsf_core::DriftConfig::manual();
+    let full_refit_fraction = drift.full_refit_fraction;
+    let service = SelfHealingCfsf::new(model, drift).expect("valid drift config");
     // queue `batch` new ratings on unrated cells
-    let m = inc.model().matrix().clone();
-    let mut added = 0usize;
+    let base = service.model();
+    let m = base.matrix();
+    let mut items = BTreeSet::new();
     'outer: for u in 0..m.num_users() {
         for i in 0..m.num_items() {
             let (user, item) = (UserId::from(u), ItemId::from(i));
-            if m.get(user, item).is_none() && inc.add_rating(user, item, 4.0).is_ok() {
-                added += 1;
-                if added >= batch {
+            if m.get(user, item).is_none() && service.add_rating(user, item, 4.0).is_ok() {
+                items.insert(item);
+                if service.pending() >= batch {
                     break 'outer;
                 }
             }
         }
     }
-    let stats = inc.refresh().expect("refresh succeeds");
+    let t = Instant::now();
+    let report = service.refresh_now().expect("refresh succeeds");
+    let elapsed = t.elapsed();
 
     let mut table = Table::new(
         "Extension — incremental maintenance cost",
@@ -205,24 +211,24 @@ pub fn incremental(ctx: &ExperimentContext) -> ExperimentOutput {
         format!("{:.3}", t_fit.as_secs_f64()),
     ]);
     table.push_row(vec![
-        format!("partial refresh ({} GIS rows)", stats.items_rebuilt),
-        stats.merged.to_string(),
-        format!("{:.3}", stats.elapsed.as_secs_f64()),
+        format!("partial refresh ({} GIS rows)", items.len()),
+        report.merged.to_string(),
+        format!("{:.3}", elapsed.as_secs_f64()),
     ]);
 
-    let speedup = t_fit.as_secs_f64() / stats.elapsed.as_secs_f64().max(1e-9);
+    let speedup = t_fit.as_secs_f64() / elapsed.as_secs_f64().max(1e-9);
     let notes = vec![
         format!(
             "partial refresh absorbed {} ratings {speedup:.1}x faster than a full refit \
              (kind: {:?})",
-            stats.merged, stats.kind
+            report.merged, report.kind
         ),
         format!(
             "refresh escalates to a full refit automatically past {}% churn",
-            (inc.full_refit_fraction * 100.0) as u32
+            (full_refit_fraction * 100.0) as u32
         ),
     ];
-    assert_eq!(stats.kind, RefreshKind::Partial, "batch below escalation");
+    assert_eq!(report.kind, RefreshKind::Partial, "batch below escalation");
 
     ExperimentOutput {
         id: "incremental".into(),

@@ -4,7 +4,7 @@
 //! hooks, compiled in only under the `faultinject` cargo feature of the
 //! host crate, where a test can make a stage misbehave on demand — an
 //! I/O error, a NaN rating, an empty neighbor list, a panicking worker, a
-//! fault in the middle of an incremental refresh. The chaos suite
+//! fault in the middle of a model rebuild. The chaos suite
 //! (`crates/core/tests/chaos.rs`) arms points, drives the normal serving
 //! API, and asserts the process never panics, every prediction stays
 //! finite and on-scale, and the degradation counters account for every

@@ -4,7 +4,7 @@
 //! drift-visible gauges from them so the `/metrics` endpoint shows, on
 //! one scrape, whether prediction quality or serving health is moving:
 //!
-//! - [`observe_prediction_error`] — the incremental ingestion path calls
+//! - [`observe_prediction_error`] — the live-rating ingestion path calls
 //!   this when a ground-truth rating arrives for a (user, item) the model
 //!   could already predict. A bounded window of recent absolute errors
 //!   maintains a **windowed online MAE** gauge

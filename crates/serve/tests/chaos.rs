@@ -124,21 +124,6 @@ fn dropped_connections_cost_retries_not_errors() {
     shard.shutdown();
 }
 
-/// A drift config that never trips on its own, so the scenario controls
-/// exactly when the rebuild starts (via `trigger`).
-fn parked() -> DriftConfig {
-    DriftConfig {
-        mae_trip_pm: i64::MAX,
-        mae_clear_pm: 0,
-        hist_trip_pm: i64::MAX,
-        hist_clear_pm: 0,
-        fallback_trip_pm: i64::MAX,
-        fallback_clear_pm: 0,
-        trip_windows: u32::MAX,
-        ..DriftConfig::default()
-    }
-}
-
 /// Unrated cells of the served matrix, usable as fresh live ratings.
 fn unrated(model: &Cfsf, n: usize) -> Vec<(UserId, ItemId)> {
     let m = model.matrix();
@@ -171,7 +156,7 @@ fn shard_kill_during_refresh_neither_blocks_serving_nor_kills_rebuild() {
 
     // Self-healing model behind the generation cell; the shard serves
     // through `ModelHandle::from_cell`, so a publish swaps it live.
-    let healing = SelfHealingCfsf::new(fitted(), parked()).unwrap();
+    let healing = SelfHealingCfsf::new(fitted(), DriftConfig::manual()).unwrap();
     let cell = healing.cell();
     let gen0 = cell.load();
     let shard = ShardServer::bind(

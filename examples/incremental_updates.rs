@@ -1,6 +1,6 @@
 //! Live-service simulation: a fitted CFSF model absorbing a stream of new
-//! ratings through incremental refreshes — the paper's "keep GIS
-//! up-to-date" future-work item (§VI) in action.
+//! ratings through partial refreshes — the paper's "keep GIS up-to-date"
+//! future-work item (§VI) in action.
 //!
 //! ```text
 //! cargo run --release --example incremental_updates
@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use cfsf::core::{IncrementalCfsf, RefreshKind};
+use cfsf::core::{DriftConfig, RefreshKind, SelfHealingCfsf};
 use cfsf::prelude::*;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -35,7 +35,8 @@ fn main() {
     .expect("valid config");
     println!("  fit in {:.2}s", t.elapsed().as_secs_f64());
 
-    let mut service = IncrementalCfsf::new(model);
+    // Drift detection parked: the service refreshes only when told to.
+    let service = SelfHealingCfsf::new(model, DriftConfig::manual()).expect("valid drift config");
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 
     // Simulate five days of traffic: each day users rate ~80 new items,
@@ -63,28 +64,30 @@ fn main() {
                 absorbed += 1;
             }
         }
-        let stats = service.refresh().expect("refresh succeeds");
+        let t = Instant::now();
+        let report = service.refresh_now().expect("refresh succeeds");
         println!(
-            "day {day}: absorbed {} ratings via {:?} refresh ({} GIS rows patched) in {:.3}s",
-            stats.merged,
-            stats.kind,
-            stats.items_rebuilt,
-            stats.elapsed.as_secs_f64()
+            "day {day}: absorbed {} ratings from {} users via {:?} refresh in {:.3}s",
+            report.merged,
+            report.dirty_users,
+            report.kind,
+            t.elapsed().as_secs_f64()
         );
-        if stats.kind == RefreshKind::Full {
+        if report.kind == RefreshKind::Full {
             println!("         (churn threshold crossed — full refit ran)");
         }
     }
 
     // The service still predicts everywhere, reflecting all absorbed data.
+    let model = service.model();
     let user = UserId::new(3);
-    let recs = service.model().recommend_top_n(user, 5);
+    let recs = model.recommend_top_n(user, 5);
     println!("\nafter 5 days, top-5 for user {user}:");
     for (item, score) in recs {
         println!("  item {:<5} predicted {score:.2}", item.raw());
     }
     println!(
         "training matrix now holds {} ratings",
-        service.model().matrix().num_ratings()
+        model.matrix().num_ratings()
     );
 }

@@ -65,6 +65,13 @@ echo "==> chaos: serving tier (shard connection drops)"
 cargo clippy -p cf-serve --features faultinject --all-targets --offline -- -D warnings
 cargo test -p cf-serve --features faultinject -q --offline
 
+# The incremental-maintenance experiment drives the self-healing model's
+# synchronous rebuild and asserts that a batch below the churn threshold
+# takes the partial path; the experiment panics (failing the gate) if not.
+echo "==> incremental maintenance: experiment smoke (partial rebuild path)"
+cargo run -q --release --offline -p cf-eval --bin cfsf-experiments -- \
+    incremental --quick --out target/experiments-smoke
+
 # Non-gating: smoke the throughput benchmark (quick windows) so a broken
 # bench binary is caught here, without making noisy perf numbers a gate.
 # --compare prints a BENCH REGRESSION WARNING for any measurement >10%
