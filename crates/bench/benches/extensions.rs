@@ -3,9 +3,10 @@
 
 use cf_matrix::{ItemId, UserId};
 use cfsf_bench::{bench_config, bench_dataset};
-use cfsf_core::{Cfsf, DriftConfig, SelfHealingCfsf};
+use cfsf_core::{Cfsf, DriftConfig, RefreshKind, SelfHealingCfsf};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 fn batch_serving(c: &mut Criterion) {
     let data = bench_dataset();
@@ -56,35 +57,42 @@ fn persistence(c: &mut Criterion) {
     group.finish();
 }
 
+/// Partial-rebuild time against the number of dirty users (one new
+/// rating each, spread over the user range so they land in different
+/// clusters): the rebuild patches only what those users' clusters can
+/// change, so time should grow with the count, not with the matrix.
 fn incremental_refresh(c: &mut Criterion) {
     let data = bench_dataset();
     let mut group = c.benchmark_group("extensions/incremental");
     group.sample_size(10);
-    for batch in [10usize, 100] {
+    for dirty_users in [1usize, 10, 100] {
         group.bench_with_input(
-            BenchmarkId::new("partial_refresh", batch),
-            &batch,
-            |b, &batch| {
-                b.iter_with_setup(
-                    || {
+            BenchmarkId::new("partial_refresh", dirty_users),
+            &dirty_users,
+            |b, &dirty_users| {
+                // Fitting and queueing stay off the clock: only the
+                // rebuild is timed.
+                b.iter_custom(|iters| {
+                    let mut rebuilding = Duration::ZERO;
+                    for _ in 0..iters {
                         let model = Cfsf::fit(&data.matrix, bench_config()).unwrap();
                         let m = model.matrix().clone();
                         let service = SelfHealingCfsf::new(model, DriftConfig::manual()).unwrap();
-                        'outer: for u in 0..m.num_users() {
-                            for i in 0..m.num_items() {
-                                let (user, item) = (UserId::from(u), ItemId::from(i));
-                                if m.get(user, item).is_none()
-                                    && service.add_rating(user, item, 4.0).is_ok()
-                                    && service.pending() >= batch
-                                {
-                                    break 'outer;
-                                }
+                        let stride = (m.num_users() / dirty_users).max(1);
+                        for u in (0..m.num_users()).step_by(stride).take(dirty_users) {
+                            let user = UserId::from(u);
+                            if let Some(item) = m.items().find(|&i| m.get(user, i).is_none()) {
+                                service.add_rating(user, item, 4.0).unwrap();
                             }
                         }
-                        service
-                    },
-                    |service| black_box(service.refresh_now().unwrap()),
-                );
+                        let t = Instant::now();
+                        let report = service.refresh_now().unwrap();
+                        rebuilding += t.elapsed();
+                        assert_eq!(report.kind, RefreshKind::Partial);
+                        black_box(report);
+                    }
+                    rebuilding
+                });
             },
         );
     }

@@ -28,4 +28,4 @@ pub use icluster::ICluster;
 pub use kmeans::{ClusterAssignment, KMeans, KMeansConfig, KMeansInit};
 pub use model::{ClusterModel, ClusterModelConfig};
 pub use quality::adjusted_rand_index;
-pub use smoothing::{Smoothed, Smoother};
+pub use smoothing::{SmoothPatch, Smoothed, Smoother};

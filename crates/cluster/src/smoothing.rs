@@ -8,7 +8,7 @@
 //! the same cluster receive different absolute imputations that express
 //! the same relative preference.
 
-use cf_matrix::{DenseRatings, ItemId, RatingMatrix, UserId};
+use cf_matrix::{DenseRatings, ItemId, RatingMatrix, RatingScale, UserId};
 use cf_parallel::par_map;
 
 use crate::ClusterAssignment;
@@ -52,6 +52,218 @@ impl Smoothed {
     pub fn num_clusters(&self) -> usize {
         self.deviations.len()
     }
+
+    /// Re-smooths after ratings were added for `dirty_users`, with the
+    /// cluster assignment frozen: `m` is the matrix these values were
+    /// smoothed from plus the new ratings. Bitwise equal to
+    /// [`Smoother::smooth`] of `m` — the same summation order, the same
+    /// imputation — for the work of the clusters that changed:
+    ///
+    /// - `Δr(C, ·)` is recomputed only for *dirty clusters* (those
+    ///   holding a dirty user);
+    /// - each dirty user's whole row is rewritten (its mean moved), and
+    ///   so is the row of every user without ratings (its mean is the
+    ///   global mean, which moved too);
+    /// - every other member of a dirty cluster gets only the unrated
+    ///   cells whose `Δr` changed bitwise rewritten.
+    ///
+    /// The returned [`SmoothPatch`] says what changed, for iCluster and
+    /// the weight planes downstream.
+    pub fn patched(
+        &self,
+        m: &RatingMatrix,
+        clusters: &ClusterAssignment,
+        dirty_users: &[UserId],
+    ) -> (Smoothed, SmoothPatch) {
+        let q = m.num_items();
+        let scale = m.scale();
+        let mut dirty_users = dirty_users.to_vec();
+        dirty_users.sort_unstable();
+        dirty_users.dedup();
+        let mut dirty_clusters: Vec<usize> = dirty_users
+            .iter()
+            .map(|&u| clusters.cluster_of(u))
+            .collect();
+        dirty_clusters.sort_unstable();
+        dirty_clusters.dedup();
+
+        let mut out = self.clone();
+        let mut changed_items = Vec::with_capacity(dirty_clusters.len());
+        for &c in &dirty_clusters {
+            let row = deviation_row(m, clusters.members(c), q);
+            let old = &self.deviations[c];
+            changed_items.push(
+                (0..q)
+                    .filter(|&i| row[i].to_bits() != old[i].to_bits())
+                    .map(ItemId::from)
+                    .collect::<Vec<_>>(),
+            );
+            out.deviations[c] = row;
+        }
+
+        let rewritten_rows: Vec<UserId> = m
+            .users()
+            .filter(|&u| m.user_count(u) == 0 || dirty_users.binary_search(&u).is_ok())
+            .collect();
+        for &u in &rewritten_rows {
+            let dev = &out.deviations[clusters.cluster_of(u)];
+            let (row, original) = smooth_row(m, u, dev, scale);
+            for (i, v) in row.into_iter().enumerate() {
+                let item = ItemId::from(i);
+                if original[i] {
+                    out.dense.set_original(u, item, v);
+                } else {
+                    out.dense.set_smoothed(u, item, v);
+                }
+            }
+        }
+        for (&c, changed) in dirty_clusters.iter().zip(&changed_items) {
+            let dev = &out.deviations[c];
+            for &u in clusters.members(c) {
+                if rewritten_rows.binary_search(&u).is_ok() {
+                    continue;
+                }
+                let mean_u = m.user_mean(u);
+                for &i in changed {
+                    if !out.dense.is_original(u, i) {
+                        out.dense
+                            .set_smoothed(u, i, impute(mean_u, dev[i.index()], scale));
+                    }
+                }
+            }
+        }
+
+        // Every item a member rated has a defined Δr in its own cluster,
+        // so cluster `c` imputes `|c|·defined(c) − ratings(c)` cells from
+        // Δr and `|c|·(q − defined(c))` from the bare mean; summed over
+        // clusters, the ratings term is the matrix's rating count.
+        let (mut from_cluster, mut from_fallback) = (0usize, 0usize);
+        for (c, dev) in out.deviations.iter().enumerate() {
+            let size = clusters.members(c).len();
+            let defined = dev.iter().filter(|d| !d.is_nan()).count();
+            from_cluster += size * defined;
+            from_fallback += size * (q - defined);
+        }
+        out.cells_from_cluster = from_cluster - m.num_ratings();
+        out.cells_from_fallback = from_fallback;
+
+        (
+            out,
+            SmoothPatch {
+                dirty_users,
+                dirty_clusters,
+                changed_items,
+                rewritten_rows,
+            },
+        )
+    }
+}
+
+/// What [`Smoothed::patched`] changed.
+#[derive(Debug, Clone, Default)]
+pub struct SmoothPatch {
+    /// Users with new ratings, ascending.
+    pub dirty_users: Vec<UserId>,
+    /// Clusters holding a dirty user, ascending.
+    pub dirty_clusters: Vec<usize>,
+    /// Parallel to `dirty_clusters`: the items whose `Δr` changed
+    /// bitwise (including becoming defined), ascending.
+    pub changed_items: Vec<Vec<ItemId>>,
+    /// Users whose whole dense row was rewritten — the dirty users and
+    /// every user without ratings — ascending.
+    pub rewritten_rows: Vec<UserId>,
+}
+
+impl SmoothPatch {
+    /// Whether `u` has new ratings.
+    pub fn is_dirty_user(&self, u: UserId) -> bool {
+        self.dirty_users.binary_search(&u).is_ok()
+    }
+
+    /// Whether cluster `c` holds a dirty user.
+    pub fn is_dirty_cluster(&self, c: usize) -> bool {
+        self.dirty_clusters.binary_search(&c).is_ok()
+    }
+
+    /// Every dense cell the patch rewrote: the rewritten rows whole and,
+    /// for every other member of a dirty cluster, that cluster's changed
+    /// items. Cells outside this set hold their old values.
+    pub fn cells<'a>(
+        &'a self,
+        clusters: &'a ClusterAssignment,
+        num_items: usize,
+    ) -> impl Iterator<Item = (UserId, ItemId)> + 'a {
+        let rows = self
+            .rewritten_rows
+            .iter()
+            .flat_map(move |&u| (0..num_items).map(move |i| (u, ItemId::from(i))));
+        let columns = self
+            .dirty_clusters
+            .iter()
+            .zip(&self.changed_items)
+            .flat_map(move |(&c, changed)| {
+                clusters
+                    .members(c)
+                    .iter()
+                    .filter(|u| self.rewritten_rows.binary_search(u).is_err())
+                    .flat_map(move |&u| changed.iter().map(move |&i| (u, i)))
+            });
+        rows.chain(columns)
+    }
+}
+
+/// `Δr(C, ·)` of Eq. 8 for the cluster with these members, summed in
+/// member order then item order; `NaN` where no member rated the item.
+fn deviation_row(m: &RatingMatrix, members: &[UserId], q: usize) -> Vec<f64> {
+    let mut sum = vec![0.0f64; q];
+    let mut count = vec![0u32; q];
+    for &u in members {
+        let mean_u = m.user_mean(u);
+        for (i, r) in m.user_ratings(u) {
+            sum[i.index()] += r - mean_u;
+            count[i.index()] += 1;
+        }
+    }
+    (0..q)
+        .map(|i| {
+            if count[i] > 0 {
+                sum[i] / count[i] as f64
+            } else {
+                f64::NAN
+            }
+        })
+        .collect()
+}
+
+/// Eq. 7's imputation of an unrated cell: `r̄_u + Δr`, or the bare mean
+/// when the cluster has no signal for the item, clamped to the scale.
+#[inline]
+fn impute(mean_u: f64, d: f64, scale: RatingScale) -> f64 {
+    scale.clamp(if d.is_nan() { mean_u } else { mean_u + d })
+}
+
+/// User `u`'s smoothed dense row under deviation row `dev`, with its
+/// originality flags.
+fn smooth_row(
+    m: &RatingMatrix,
+    u: UserId,
+    dev: &[f64],
+    scale: RatingScale,
+) -> (Vec<f64>, Vec<bool>) {
+    let q = m.num_items();
+    let mean_u = m.user_mean(u);
+    let mut row = vec![f64::NAN; q];
+    let mut original = vec![false; q];
+    for (i, r) in m.user_ratings(u) {
+        row[i.index()] = r;
+        original[i.index()] = true;
+    }
+    for i in 0..q {
+        if !original[i] {
+            row[i] = impute(mean_u, dev[i], scale);
+        }
+    }
+    (row, original)
 }
 
 /// Smoothing engine. Stateless; see [`Smoother::smooth`].
@@ -77,26 +289,8 @@ impl Smoother {
         let k = clusters.k();
 
         // Eq. 8, one row per cluster, in parallel.
-        let deviations: Vec<Vec<f64>> = par_map(k, threads, |c| {
-            let mut sum = vec![0.0f64; q];
-            let mut count = vec![0u32; q];
-            for &u in clusters.members(c) {
-                let mean_u = m.user_mean(u);
-                for (i, r) in m.user_ratings(u) {
-                    sum[i.index()] += r - mean_u;
-                    count[i.index()] += 1;
-                }
-            }
-            (0..q)
-                .map(|i| {
-                    if count[i] > 0 {
-                        sum[i] / count[i] as f64
-                    } else {
-                        f64::NAN
-                    }
-                })
-                .collect()
-        });
+        let deviations: Vec<Vec<f64>> =
+            par_map(k, threads, |c| deviation_row(m, clusters.members(c), q));
 
         // Eq. 7, one row per user, in parallel; rows are disjoint slices
         // of the dense store.
@@ -104,31 +298,10 @@ impl Smoother {
         let rows: Vec<(Vec<f64>, Vec<bool>, usize, usize)> =
             par_map(m.num_users(), threads, |ui| {
                 let u = UserId::from(ui);
-                let c = clusters.cluster_of(u);
-                let dev = &deviations[c];
-                let mean_u = m.user_mean(u);
-                let mut row = vec![f64::NAN; q];
-                let mut original = vec![false; q];
-                for (i, r) in m.user_ratings(u) {
-                    row[i.index()] = r;
-                    original[i.index()] = true;
-                }
-                let mut from_cluster = 0usize;
-                let mut from_fallback = 0usize;
-                for i in 0..q {
-                    if original[i] {
-                        continue;
-                    }
-                    let d = dev[i];
-                    let v = if d.is_nan() {
-                        from_fallback += 1;
-                        mean_u
-                    } else {
-                        from_cluster += 1;
-                        mean_u + d
-                    };
-                    row[i] = scale.clamp(v);
-                }
+                let dev = &deviations[clusters.cluster_of(u)];
+                let (row, original) = smooth_row(m, u, dev, scale);
+                let from_fallback = (0..q).filter(|&i| !original[i] && dev[i].is_nan()).count();
+                let from_cluster = q - m.user_count(u) - from_fallback;
                 (row, original, from_cluster, from_fallback)
             });
 

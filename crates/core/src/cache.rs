@@ -197,6 +197,20 @@ impl<S: Shim, V: Clone + Send + Sync + 'static> ShardedCacheCore<S, V> {
             .sum()
     }
 
+    /// Every cached `(key, value)` pair, shard by shard, each shard read
+    /// under its read lock. Read-only: reference bits are left alone and
+    /// a poisoned shard contributes nothing (it stays for the next
+    /// writer to reset).
+    pub fn snapshot(&self) -> Vec<(u32, V)> {
+        let mut out = Vec::new();
+        for lock in &self.shards {
+            if let Ok(shard) = lock.read() {
+                out.extend(shard.slots.iter().map(|s| (s.key, s.value.clone())));
+            }
+        }
+        out
+    }
+
     /// True when no entry is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -305,6 +319,16 @@ impl ShardedCache {
     /// Number of cached selections across all shards.
     pub(crate) fn len(&self) -> usize {
         self.core.len()
+    }
+
+    /// Every cached `(user, selection)` pair (see
+    /// [`ShardedCacheCore::snapshot`]).
+    pub(crate) fn snapshot(&self) -> Vec<(UserId, Selection)> {
+        self.core
+            .snapshot()
+            .into_iter()
+            .map(|(k, v)| (UserId::new(k), v))
+            .collect()
     }
 
     /// Total entry bound (never exceeded by [`Self::len`]).
@@ -428,6 +452,24 @@ mod tests {
         c.clear();
         assert_eq!(c.len(), 0);
         assert!(c.get(UserId::new(7)).is_none());
+    }
+
+    #[test]
+    fn snapshot_lists_every_entry_and_skips_poisoned_shards() {
+        let c = ShardedCache::new(64);
+        for u in 0..20u32 {
+            c.insert(UserId::new(u), sel(u));
+        }
+        let mut seen: Vec<u32> = c.snapshot().iter().map(|(u, _)| u.raw()).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..20).collect::<Vec<_>>());
+        for (u, v) in c.snapshot() {
+            assert!(Arc::ptr_eq(&v, &c.get(u).unwrap()));
+        }
+        // Shard 3 holds users 3 and 19; a snapshot skips it untouched.
+        poison_shard(&c, 3);
+        assert_eq!(c.snapshot().len(), 18);
+        assert!(c.core.is_shard_poisoned(3), "snapshot is read-only");
     }
 
     #[test]

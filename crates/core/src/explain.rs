@@ -62,9 +62,10 @@ impl Cfsf {
     pub fn explain(&self, user: UserId, item: ItemId) -> Option<Explanation> {
         let breakdown = self.predict_with_breakdown(user, item)?;
         let eps = self.config.w;
+        let dense = self.dense();
 
         // Reconstruct the SIR' terms.
-        let row_b = self.dense.row(user);
+        let row_b = dense.row(user);
         let mut item_evidence: Vec<ItemEvidence> = Vec::new();
         let mut sir_den = 0.0;
         for &(i_s, sim_s) in self.gis.top_m(item, self.config.m) {
@@ -72,7 +73,7 @@ impl Cfsf {
             if r.is_nan() {
                 continue;
             }
-            let original = self.dense.is_original(user, i_s);
+            let original = dense.is_original(user, i_s);
             let w = smoothing_weight(original, eps) * sim_s;
             sir_den += w;
             item_evidence.push(ItemEvidence {
@@ -94,10 +95,10 @@ impl Cfsf {
         let mut user_evidence: Vec<UserEvidence> = Vec::new();
         let mut sur_den = 0.0;
         for &(u_t, sim_t) in self.top_k_users(user).iter() {
-            let Some(r) = self.dense.get(u_t, item) else {
+            let Some(r) = dense.get(u_t, item) else {
                 continue;
             };
-            let original = self.dense.is_original(u_t, item);
+            let original = dense.is_original(u_t, item);
             let w = smoothing_weight(original, eps) * sim_t;
             sur_den += w;
             user_evidence.push(UserEvidence {

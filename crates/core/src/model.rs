@@ -36,12 +36,13 @@ pub struct Cfsf {
     pub(crate) clusters: ClusterAssignment,
     pub(crate) smoothed: Smoothed,
     pub(crate) icluster: ICluster,
-    /// Dense ratings the online phase reads: the smoothed matrix, or the
-    /// raw sparse ratings densified when `use_smoothing` is off.
-    pub(crate) dense: DenseRatings,
-    /// Quantized weight planes over `dense` (ε and provenance folded into
-    /// an exact weight LUT at fit time, ratings stored as u16/u8 codes,
-    /// presence bit-packed) — what the serving fast path actually reads.
+    /// The raw sparse ratings densified, held only when `use_smoothing`
+    /// is off; otherwise [`Self::dense`] is the smoothed store itself.
+    pub(crate) raw_dense: Option<DenseRatings>,
+    /// Quantized weight planes over [`Self::dense`] (ε and provenance
+    /// folded into an exact weight LUT at fit time, ratings stored as
+    /// u16/u8 codes, presence bit-packed) — what the serving fast path
+    /// actually reads.
     pub(crate) planes: WeightPlanes,
     /// Per-item GIS top-`M` lists flattened into structure-of-arrays
     /// strips at fit time for the online kernels.
@@ -83,7 +84,7 @@ impl Cfsf {
     }
 
     /// Derives every serving structure from the offline inputs. Fit,
-    /// load and rebuild all end here (through [`Self::assemble_smoothed`],
+    /// load and full rebuilds end here (through [`Self::assemble_smoothed`],
     /// the one place a model value is written). Smoothing and iCluster
     /// (Eq. 7–9) run over `clusters` with `config.threads`; the dense
     /// store, weight planes and item strips follow from them. `planes`
@@ -99,28 +100,32 @@ impl Cfsf {
     ) -> Self {
         let smoothed = Smoother::smooth(&matrix, &clusters, config.threads);
         let icluster = ICluster::build(&matrix, &smoothed, config.threads);
-        Self::assemble_smoothed(config, matrix, gis, clusters, smoothed, icluster, planes)
+        Self::assemble_smoothed(
+            config,
+            matrix,
+            gis,
+            clusters,
+            smoothed,
+            icluster,
+            |dense, c| planes.unwrap_or_else(|| Self::fold_planes(dense, c)),
+        )
     }
 
     /// [`Self::assemble`] past smoothing and iCluster, for callers that
-    /// already hold both (an online-only reparameterization).
-    fn assemble_smoothed(
+    /// already hold both (an online-only reparameterization, a partial
+    /// rebuild). `planes` derives the weight planes from the dense store
+    /// the model will serve from.
+    pub(crate) fn assemble_smoothed(
         config: CfsfConfig,
         matrix: RatingMatrix,
         gis: Gis,
         clusters: ClusterAssignment,
         smoothed: Smoothed,
         icluster: ICluster,
-        planes: Option<WeightPlanes>,
+        planes: impl FnOnce(&DenseRatings, &CfsfConfig) -> WeightPlanes,
     ) -> Self {
-        let dense = if config.use_smoothing {
-            smoothed.dense.clone()
-        } else {
-            DenseRatings::from_sparse(&matrix)
-        };
-        let planes = planes.unwrap_or_else(|| {
-            WeightPlanes::from_dense_with(&dense, config.w, config.plane_precision)
-        });
+        let raw_dense = (!config.use_smoothing).then(|| DenseRatings::from_sparse(&matrix));
+        let planes = planes(raw_dense.as_ref().unwrap_or(&smoothed.dense), &config);
         let strips = crate::strips::ItemStrips::build(&gis, config.m);
         let model = Self {
             config,
@@ -129,13 +134,26 @@ impl Cfsf {
             clusters,
             smoothed,
             icluster,
-            dense,
+            raw_dense,
             planes,
             strips,
             neighbor_cache: ShardedCache::new(crate::cache::DEFAULT_CAPACITY),
         };
         model.publish_footprint();
         model
+    }
+
+    /// Folds the whole dense store into weight planes.
+    pub(crate) fn fold_planes(dense: &DenseRatings, config: &CfsfConfig) -> WeightPlanes {
+        WeightPlanes::from_dense_with(dense, config.w, config.plane_precision)
+    }
+
+    /// Dense ratings the online phase reads: the smoothed matrix, or the
+    /// raw sparse ratings densified when `use_smoothing` is off. The
+    /// reference kernels, `explain` and the degradation ladder all read
+    /// through here.
+    pub(crate) fn dense(&self) -> &DenseRatings {
+        self.raw_dense.as_ref().unwrap_or(&self.smoothed.dense)
     }
 
     /// The configuration the model was fitted with.
@@ -242,7 +260,7 @@ impl Cfsf {
             self.clusters.clone(),
             self.smoothed.clone(),
             self.icluster.clone(),
-            None,
+            Self::fold_planes,
         ))
     }
 

@@ -118,7 +118,7 @@ impl Cfsf {
         }
     }
 
-    fn select_top_k(&self, user: UserId) -> Vec<(UserId, f64)> {
+    pub(crate) fn select_top_k(&self, user: UserId) -> Vec<(UserId, f64)> {
         #[cfg(feature = "faultinject")]
         {
             if cf_faultinject::fires("online.empty_neighbors") {
@@ -135,28 +135,7 @@ impl Cfsf {
         if items.is_empty() {
             return Vec::new();
         }
-        let want = self
-            .config
-            .k
-            .saturating_mul(self.config.candidate_factor)
-            .min(self.matrix.num_users());
-
-        // Harvest candidates cluster by cluster, best cluster first
-        // (§IV-E2: "selects users from clusters in iCluster one by one").
-        let mut candidates: Vec<UserId> = Vec::with_capacity(want + 32);
-        for &c in self.icluster.ranking(user) {
-            for &u in self.clusters.members(c as usize) {
-                // Users with no original ratings have fully-imputed rows
-                // after smoothing; selecting them as "like-minded users"
-                // would inject cluster consensus disguised as a person.
-                if u != user && self.matrix.user_count(u) > 0 {
-                    candidates.push(u);
-                }
-            }
-            if candidates.len() >= want {
-                break;
-            }
-        }
+        let (candidates, _) = self.harvest_candidates(user);
 
         // Rank candidates with the smoothing-aware weighted PCC (Eq. 10)
         // over the fused planes, keeping the top K via bounded partial
@@ -178,6 +157,36 @@ impl Cfsf {
                 (s > 0.0).then_some((cand, s))
             }),
         )
+    }
+
+    /// The like-minded-user candidates [`Self::top_k_users`] ranks for
+    /// `user`, harvested cluster by cluster, best cluster first (§IV-E2:
+    /// "selects users from clusters in iCluster one by one") until
+    /// `K · candidate_factor` are in hand — plus how many entries of the
+    /// user's iCluster ranking that walked.
+    pub(crate) fn harvest_candidates(&self, user: UserId) -> (Vec<UserId>, usize) {
+        let want = self
+            .config
+            .k
+            .saturating_mul(self.config.candidate_factor)
+            .min(self.matrix.num_users());
+        let mut candidates: Vec<UserId> = Vec::with_capacity(want + 32);
+        let mut walked = 0;
+        for &c in self.icluster.ranking(user) {
+            walked += 1;
+            for &u in self.clusters.members(c as usize) {
+                // Users with no original ratings have fully-imputed rows
+                // after smoothing; selecting them as "like-minded users"
+                // would inject cluster consensus disguised as a person.
+                if u != user && self.matrix.user_count(u) > 0 {
+                    candidates.push(u);
+                }
+            }
+            if candidates.len() >= want {
+                break;
+            }
+        }
+        (candidates, walked)
     }
 
     /// The fast Eq. 12 kernels over the quantized weight planes and the
@@ -350,7 +359,7 @@ impl Cfsf {
         let smoothed_cell = self
             .config
             .use_smoothing
-            .then(|| self.smoothed.dense.get(user, item))
+            .then(|| self.dense().get(user, item))
             .flatten()
             .filter(|v| v.is_finite());
         if let Some(v) = smoothed_cell {
@@ -460,12 +469,13 @@ impl Cfsf {
         }
         let scale = self.matrix.scale();
         let eps = self.config.w;
+        let dense = self.dense();
 
         let similar_items = self.gis.top_m(item, self.config.m);
         let top_users = self.top_k_users(user);
 
         // --- SIR': the active user's (smoothed) ratings on similar items.
-        let row_b = self.dense.row(user);
+        let row_b = dense.row(user);
         let mut sir_num = 0.0;
         let mut sir_den = 0.0;
         let mut m_used = 0usize;
@@ -474,7 +484,7 @@ impl Cfsf {
             if r.is_nan() {
                 continue;
             }
-            let w = smoothing_weight(self.dense.is_original(user, i_s), eps);
+            let w = smoothing_weight(dense.is_original(user, i_s), eps);
             sir_num += w * sim_s * r;
             sir_den += w * sim_s;
             m_used += 1;
@@ -487,10 +497,10 @@ impl Cfsf {
         let mut sur_num = 0.0;
         let mut sur_den = 0.0;
         for &(u_t, sim_t) in top_users.iter() {
-            let Some(r) = self.dense.get(u_t, item) else {
+            let Some(r) = dense.get(u_t, item) else {
                 continue;
             };
-            let w = smoothing_weight(self.dense.is_original(u_t, item), eps);
+            let w = smoothing_weight(dense.is_original(u_t, item), eps);
             sur_num += w * sim_t * (r - self.matrix.user_mean(u_t));
             sur_den += w * sim_t;
         }
@@ -502,7 +512,7 @@ impl Cfsf {
         let mut suir_num = 0.0;
         let mut suir_den = 0.0;
         for &(u_t, sim_t) in top_users.iter() {
-            let row_t = self.dense.row(u_t);
+            let row_t = dense.row(u_t);
             for &(i_s, sim_s) in similar_items {
                 let r = row_t[i_s.index()];
                 if r.is_nan() {
@@ -512,7 +522,7 @@ impl Cfsf {
                 if pw <= 0.0 {
                     continue;
                 }
-                let w = smoothing_weight(self.dense.is_original(u_t, i_s), eps);
+                let w = smoothing_weight(dense.is_original(u_t, i_s), eps);
                 suir_num += w * pw * r;
                 suir_den += w * pw;
             }

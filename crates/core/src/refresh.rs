@@ -22,19 +22,25 @@
 //! - [`SelfHealingCfsf`] — the loop. Ingests live ratings, and when the
 //!   monitor trips (or on [`SelfHealingCfsf::trigger`] /
 //!   [`SelfHealingCfsf::refresh_now`]), rebuilds the next generation —
-//!   a **partial** rebuild patches the GIS rows of the items the pending
-//!   ratings touched and keeps the K-means assignment, then re-derives
-//!   smoothing, iCluster, planes and strips over the whole merged
-//!   matrix; a **full** refit reruns K-means too — and publishes the
-//!   result through the cell. A panicking or failing rebuild is caught,
-//!   counted (`refresh.failed`), and leaves the old generation serving.
+//!   a **partial** rebuild keeps the K-means assignment and patches the
+//!   base generation in proportion to what the pending ratings can
+//!   change (splices them into the matrix, rebuilds the GIS rows of the
+//!   touched items, re-smooths and re-ranks only the clusters holding a
+//!   rating user, re-encodes only the rewritten plane cells) and carries
+//!   over every cached neighbor selection they cannot reach, bit-identical
+//!   to re-deriving everything; a **full** refit reruns K-means too — and
+//!   publishes the result through the cell. Each phase lands in a
+//!   `refresh.phase.*_ns` histogram. A panicking or failing rebuild is
+//!   caught, counted (`refresh.failed`), and leaves the old generation
+//!   serving.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cf_matrix::{ItemId, MatrixBuilder, RatingMatrix, UserId};
+use cf_cluster::SmoothPatch;
+use cf_matrix::{ItemId, RatingMatrix, UserId};
 use cf_obs::sync::{RecoverMutex, Shim, ShimAtomicU64, ShimRwLock, StdShim};
 
 use crate::{Cfsf, CfsfError};
@@ -478,8 +484,13 @@ impl Drop for BusyGuard<'_> {
 /// Which path a rebuild took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefreshKind {
-    /// GIS rows of the touched items patched, K-means assignment kept;
-    /// smoothing, iCluster, planes and strips re-derived in full.
+    /// K-means assignment kept, and everything else patched from the
+    /// base generation in proportion to what the merged ratings can
+    /// change: the matrix spliced, the GIS rows of the touched items
+    /// rebuilt, smoothing and iCluster redone for the clusters holding a
+    /// rating user, only the rewritten plane cells re-encoded, and every
+    /// neighbor selection those ratings cannot reach carried over.
+    /// Bit-identical to re-deriving all of it over the merged matrix.
     Partial,
     /// Full offline refit (K-means included).
     Full,
@@ -496,6 +507,12 @@ pub struct RebuildReport {
     pub merged: usize,
     /// Distinct users among the merged ratings.
     pub dirty_users: usize,
+    /// Clusters re-smoothed: those holding a dirty user on the partial
+    /// path, every cluster on a full refit.
+    pub dirty_clusters: usize,
+    /// Cached neighbor selections carried into the new generation (0 for
+    /// a full refit, or when the weight planes had to be re-folded).
+    pub carried_selections: usize,
     /// The generation number the rebuild published.
     pub generation: u64,
 }
@@ -521,6 +538,9 @@ impl SelfHealingCfsf {
         cf_obs::counter!("refresh.completed").add(0);
         cf_obs::counter!("refresh.failed").add(0);
         cf_obs::counter!("refresh.panicked").add(0);
+        cf_obs::counter!("refresh.cache_carried").add(0);
+        cf_obs::counter!("refresh.cache_dropped").add(0);
+        cf_obs::counter!("refresh.planes_refolded").add(0);
         cf_obs::gauge!("refresh.generation").set(0);
         cf_obs::gauge!("refresh.in_flight").set(0);
         Ok(Self {
@@ -724,7 +744,12 @@ fn run_rebuild(shared: &Shared) -> Result<RebuildReport, CfsfError> {
     }));
 
     match built {
-        Ok(Ok((model, kind))) => {
+        Ok(Ok(Built {
+            model,
+            kind,
+            dirty_clusters,
+            carried_selections,
+        })) => {
             let published = Arc::new(model);
             let generation = shared.cell.publish(Arc::clone(&published));
             {
@@ -749,6 +774,8 @@ fn run_rebuild(shared: &Shared) -> Result<RebuildReport, CfsfError> {
                 kind,
                 merged: pending.len(),
                 dirty_users: dirty_users.len(),
+                dirty_clusters,
+                carried_selections,
                 generation,
             })
         }
@@ -772,46 +799,71 @@ fn run_rebuild(shared: &Shared) -> Result<RebuildReport, CfsfError> {
     }
 }
 
-/// Builds the next generation completely off to the side. The partial
-/// path rebuilds GIS rows only for the items `pending` touches and keeps
-/// `base`'s K-means assignment; everything downstream (smoothing,
-/// iCluster, planes, strips) is re-derived over the whole merged matrix.
-/// Heavy churn since the last full refit escalates to a full refit.
+/// A generation [`build_generation`] built, with what the rebuild
+/// report needs to know about it.
+struct Built {
+    model: Cfsf,
+    kind: RefreshKind,
+    dirty_clusters: usize,
+    carried_selections: usize,
+}
+
+/// Times consecutive rebuild phases with one clock read per boundary:
+/// each lap ends one phase and starts the next.
+struct PhaseClock(Instant);
+
+impl PhaseClock {
+    fn lap(&mut self, phase: &cf_obs::Histogram) {
+        let now = Instant::now();
+        phase.record_duration(now - self.0);
+        self.0 = now;
+    }
+}
+
+/// Builds the next generation completely off to the side, inheriting
+/// the base's neighbor-cache bound. The merged matrix is `base`'s with
+/// `pending` spliced in. Heavy churn since the last full refit (or an
+/// empty `pending`) refits from scratch; otherwise
+/// [`partial_generation`] patches `base`.
 fn build_generation(
     base: &Cfsf,
     cfg: &DriftConfig,
     pending: &[(UserId, ItemId, f64)],
     churn_since_full: usize,
-) -> Result<(Cfsf, RefreshKind), CfsfError> {
+) -> Result<Built, CfsfError> {
     #[cfg(feature = "faultinject")]
     {
         cf_faultinject::maybe_stall("refresh.worker_stall");
         cf_faultinject::maybe_panic("refresh.worker_panic");
     }
 
-    let merged = merged_matrix(base, pending)?;
+    let mut clock = PhaseClock(Instant::now());
+    let merged = base
+        .matrix
+        .with_ratings(pending)
+        .map_err(|e| CfsfError::RefreshFailed {
+            message: format!("merged matrix failed validation: {e}"),
+        })?;
+    clock.lap(cf_obs::histogram!("refresh.phase.merge_ns"));
     let would_be_churn = churn_since_full + pending.len();
     let escalate = would_be_churn as f64 > cfg.full_refit_fraction * merged.num_ratings() as f64;
 
-    let (model, kind) = if escalate || pending.is_empty() {
+    let built = if escalate || pending.is_empty() {
         // An empty rebuild (drift tripped with nothing pending — e.g. a
         // pure fallback-rate trip) refits on the same data: K-means may
-        // land a better local optimum, and the baseline resets.
-        (Cfsf::fit(&merged, base.config.clone())?, RefreshKind::Full)
+        // land a better local optimum, and the baseline resets. New
+        // clusters move every input of every selection: nothing carries.
+        let mut model = Cfsf::fit(&merged, base.config.clone())?;
+        model.set_neighbor_cache_capacity(base.neighbor_cache_capacity());
+        cf_obs::counter!("refresh.cache_dropped").add(base.neighbor_cache_len() as u64);
+        Built {
+            dirty_clusters: model.clusters.k(),
+            model,
+            kind: RefreshKind::Full,
+            carried_selections: 0,
+        }
     } else {
-        let mut stale_items: Vec<ItemId> = pending.iter().map(|&(_, i, _)| i).collect();
-        stale_items.sort_unstable();
-        stale_items.dedup();
-        let mut gis = base.gis.clone();
-        gis.rebuild_items(&merged, &stale_items, &base.config.gis_config());
-        let model = Cfsf::assemble(
-            base.config.clone(),
-            merged,
-            gis,
-            base.clusters.clone(),
-            None,
-        );
-        (model, RefreshKind::Partial)
+        partial_generation(base, merged, pending, clock)
     };
 
     #[cfg(feature = "faultinject")]
@@ -820,25 +872,112 @@ fn build_generation(
             message: "injected fault before generation publish".into(),
         });
     }
-    Ok((model, kind))
+    Ok(built)
 }
 
-fn merged_matrix(
+/// The partial rebuild: `base` with its K-means assignment frozen and
+/// every other structure patched where `pending` can change it — the GIS
+/// rows of the touched items, smoothing and iCluster for the clusters
+/// holding a rating user ([`cf_cluster::Smoothed::patched`],
+/// [`cf_cluster::ICluster::patched`]), and the plane cells smoothing
+/// rewrote, unless the new dense store calibrates another code range
+/// (then the planes are folded in full). The result is bit-identical to
+/// [`Cfsf::assemble`] of the merged matrix, the patched GIS and
+/// `base`'s clusters. Finally every cached selection `pending` cannot
+/// reach is carried over ([`carry_selections`]).
+fn partial_generation(
     base: &Cfsf,
+    merged: RatingMatrix,
     pending: &[(UserId, ItemId, f64)],
-) -> Result<RatingMatrix, CfsfError> {
-    let old = base.matrix();
-    let mut b = MatrixBuilder::with_dims(old.num_users(), old.num_items()).scale(old.scale());
-    b.reserve(old.num_ratings() + pending.len());
-    for (u, i, r) in old.triplets() {
-        b.push(u, i, r);
+    mut clock: PhaseClock,
+) -> Built {
+    let mut stale_items: Vec<ItemId> = pending.iter().map(|&(_, i, _)| i).collect();
+    stale_items.sort_unstable();
+    stale_items.dedup();
+    let mut gis = base.gis.clone();
+    gis.rebuild_items(&merged, &stale_items, &base.config.gis_config());
+    clock.lap(cf_obs::histogram!("refresh.phase.gis_ns"));
+
+    let dirty_users: Vec<UserId> = pending.iter().map(|&(u, _, _)| u).collect();
+    let (smoothed, patch) = base.smoothed.patched(&merged, &base.clusters, &dirty_users);
+    clock.lap(cf_obs::histogram!("refresh.phase.smooth_ns"));
+    let icluster = base.icluster.patched(&merged, &smoothed, &patch);
+    clock.lap(cf_obs::histogram!("refresh.phase.icluster_ns"));
+
+    let num_items = merged.num_items();
+    let mut refolded = false;
+    let mut model = Cfsf::assemble_smoothed(
+        base.config.clone(),
+        merged,
+        gis,
+        base.clusters.clone(),
+        smoothed,
+        icluster,
+        |dense, config| {
+            // Smoothing rewrote the patch's cells; the raw store only
+            // gained the pending cells.
+            let patched = if config.use_smoothing {
+                base.planes
+                    .patched(dense, patch.cells(&base.clusters, num_items))
+            } else {
+                base.planes
+                    .patched(dense, pending.iter().map(|&(u, i, _)| (u, i)))
+            };
+            let planes = patched.unwrap_or_else(|| {
+                refolded = true;
+                Cfsf::fold_planes(dense, config)
+            });
+            clock.lap(cf_obs::histogram!("refresh.phase.planes_ns"));
+            planes
+        },
+    );
+    clock.lap(cf_obs::histogram!("refresh.phase.strips_ns"));
+    model.set_neighbor_cache_capacity(base.neighbor_cache_capacity());
+    let carried_selections = if refolded {
+        cf_obs::counter!("refresh.planes_refolded").inc();
+        cf_obs::counter!("refresh.cache_dropped").add(base.neighbor_cache_len() as u64);
+        0
+    } else {
+        carry_selections(base, &model, &patch)
+    };
+    Built {
+        model,
+        kind: RefreshKind::Partial,
+        dirty_clusters: patch.dirty_clusters.len(),
+        carried_selections,
     }
-    for &(u, i, r) in pending {
-        b.push(u, i, r);
+}
+
+/// Copies into `next`'s neighbor cache each of `base`'s cached
+/// selections that `next` would compute bit for bit, and returns how
+/// many it copied. A selection for user `u` reads `u`'s ratings and
+/// mean, `u`'s iCluster ranking, and — for every member of each cluster
+/// the harvest walks — the member's rating count, mean and plane row.
+/// With the clusters frozen and the planes patched (not re-folded, so
+/// every code outside the rewritten cells is unchanged), all of that is
+/// bitwise unchanged when `u` is not dirty, `u`'s ranking is unchanged,
+/// and no walked cluster holds a dirty user (only dirty clusters had
+/// rows rewritten).
+fn carry_selections(base: &Cfsf, next: &Cfsf, patch: &SmoothPatch) -> usize {
+    let mut carried = 0;
+    let mut dropped = 0;
+    for (user, selection) in base.neighbor_cache.snapshot() {
+        let ranking = next.icluster.ranking(user);
+        let keeps = !patch.is_dirty_user(user)
+            && ranking == base.icluster.ranking(user)
+            && !ranking[..next.harvest_candidates(user).1]
+                .iter()
+                .any(|&c| patch.is_dirty_cluster(c as usize));
+        if keeps {
+            next.neighbor_cache.insert(user, selection);
+            carried += 1;
+        } else {
+            dropped += 1;
+        }
     }
-    b.build().map_err(|e| CfsfError::RefreshFailed {
-        message: format!("merged matrix failed validation: {e}"),
-    })
+    cf_obs::counter!("refresh.cache_carried").add(carried as u64);
+    cf_obs::counter!("refresh.cache_dropped").add(dropped);
+    carried
 }
 
 #[cfg(test)]
@@ -1111,7 +1250,7 @@ mod tests {
                 let (user, item) = (UserId::from(u), ItemId::from(i));
                 match (partial.predict(user, item), frozen.predict(user, item)) {
                     (Some(a), Some(b)) => {
-                        assert!((a - b).abs() < 1e-9, "({u},{i}): {a} vs {b}");
+                        assert_eq!(a.to_bits(), b.to_bits(), "({u},{i}): {a} vs {b}");
                         compared += 1;
                     }
                     (None, None) => {}
@@ -1120,6 +1259,311 @@ mod tests {
             }
         }
         assert!(compared > 0);
+    }
+
+    /// A bounded neighbor cache keeps its bound across every swap: a
+    /// rebuilt generation inherits the served one's capacity instead of
+    /// the default.
+    #[test]
+    fn rebuilds_keep_the_neighbor_cache_bound() {
+        let _serial = windows_lock();
+        for full_refit_fraction in [1.0, 0.0] {
+            let (d, mut model) = fitted();
+            model.set_neighbor_cache_capacity(16);
+            let cfg = DriftConfig {
+                full_refit_fraction,
+                ..DriftConfig::manual()
+            };
+            let healing = SelfHealingCfsf::new(model, cfg).unwrap();
+            let (u, i) = unrated_cell(&d.matrix, 2);
+            healing.add_rating(u, i, 4.0).unwrap();
+            let report = healing.refresh_now().unwrap();
+            let expected = if full_refit_fraction > 0.5 {
+                RefreshKind::Partial
+            } else {
+                RefreshKind::Full
+            };
+            assert_eq!(report.kind, expected);
+            assert_eq!(
+                healing.model().neighbor_cache_capacity(),
+                16,
+                "{expected:?}"
+            );
+        }
+    }
+
+    /// Predicts one item for every user, so every user's selection is
+    /// cached.
+    fn warm_every_user(model: &Cfsf) {
+        for u in 0..model.matrix().num_users() {
+            let _ = model.predict(UserId::from(u), ItemId::new(0));
+        }
+    }
+
+    /// Right after a swap nothing has predicted on the new generation, so
+    /// its cache holds exactly the carried selections; each must equal
+    /// what the new generation selects itself, bit for bit.
+    fn assert_carried_selections_are_fresh(next: &Cfsf) -> Result<usize, String> {
+        let carried = next.neighbor_cache.snapshot();
+        for (user, selection) in &carried {
+            let fresh = next.select_top_k(*user);
+            let bits =
+                |s: &[(UserId, f64)]| s.iter().map(|&(u, v)| (u, v.to_bits())).collect::<Vec<_>>();
+            if bits(selection) != bits(&fresh) {
+                return Err(format!(
+                    "{user:?}: carried {selection:?} vs fresh {fresh:?}"
+                ));
+            }
+        }
+        Ok(carried.len())
+    }
+
+    #[test]
+    fn carried_selections_equal_fresh_ones() {
+        let _serial = windows_lock();
+        let (d, model) = fitted();
+        let cfg = DriftConfig {
+            full_refit_fraction: 1.0,
+            ..DriftConfig::manual()
+        };
+        let healing = SelfHealingCfsf::new(model, cfg).unwrap();
+        warm_every_user(&healing.model());
+        let carried_before = cf_obs::counter!("refresh.cache_carried").get();
+        let (u, i) = unrated_cell(&d.matrix, 11);
+        healing.add_rating(u, i, 2.0).unwrap();
+        let report = healing.refresh_now().unwrap();
+        assert_eq!(report.kind, RefreshKind::Partial);
+        assert_eq!(report.dirty_clusters, 1);
+        let next = healing.model();
+        let carried = assert_carried_selections_are_fresh(&next).unwrap();
+        assert_eq!(carried, report.carried_selections);
+        assert!(
+            carried > 0,
+            "one rating must leave most selections untouched"
+        );
+        assert!(
+            carried < d.matrix.num_users(),
+            "the dirty user is never carried"
+        );
+        assert!(next.neighbor_cache.get(u).is_none());
+        assert!(cf_obs::counter!("refresh.cache_carried").get() >= carried_before + carried as u64);
+    }
+
+    /// A rating below every stored value moves the planes' calibrated
+    /// minimum, so every code moves: the planes re-fold and no selection
+    /// may survive.
+    #[test]
+    fn a_rating_that_moves_the_plane_range_carries_nothing() {
+        let _serial = windows_lock();
+        let d = SyntheticConfig::small().generate();
+        // Ratings squeezed into {3, 4}: smoothed cells stay within [2, 5].
+        let mut b = cf_matrix::MatrixBuilder::with_dims(d.matrix.num_users(), d.matrix.num_items());
+        for (u, i, r) in d.matrix.triplets() {
+            b.push(u, i, if r >= 3.5 { 4.0 } else { 3.0 });
+        }
+        let squeezed = b.build().unwrap();
+        let model = Cfsf::fit(&squeezed, CfsfConfig::small()).unwrap();
+        let cfg = DriftConfig {
+            full_refit_fraction: 1.0,
+            ..DriftConfig::manual()
+        };
+        let healing = SelfHealingCfsf::new(model, cfg).unwrap();
+        warm_every_user(&healing.model());
+        let refolded_before = cf_obs::counter!("refresh.planes_refolded").get();
+        let (u, i) = unrated_cell(&squeezed, 0);
+        healing.add_rating(u, i, 1.0).unwrap();
+        let report = healing.refresh_now().unwrap();
+        assert_eq!(report.kind, RefreshKind::Partial);
+        assert_eq!(report.carried_selections, 0);
+        assert_eq!(healing.model().neighbor_cache_len(), 0);
+        assert!(cf_obs::counter!("refresh.planes_refolded").get() > refolded_before);
+    }
+
+    #[test]
+    fn a_full_refit_carries_nothing() {
+        let _serial = windows_lock();
+        let (d, model) = fitted();
+        let cfg = DriftConfig {
+            full_refit_fraction: 0.0,
+            ..DriftConfig::manual()
+        };
+        let healing = SelfHealingCfsf::new(model, cfg).unwrap();
+        warm_every_user(&healing.model());
+        let dropped_before = cf_obs::counter!("refresh.cache_dropped").get();
+        let (u, i) = unrated_cell(&d.matrix, 4);
+        healing.add_rating(u, i, 3.0).unwrap();
+        let report = healing.refresh_now().unwrap();
+        assert_eq!(report.kind, RefreshKind::Full);
+        assert_eq!(report.carried_selections, 0);
+        assert_eq!(healing.model().neighbor_cache_len(), 0);
+        let dropped = cf_obs::counter!("refresh.cache_dropped").get() - dropped_before;
+        assert!(dropped >= d.matrix.num_users() as u64);
+    }
+
+    /// Every structure of two generations, compared bit for bit: the
+    /// matrix (CSR, CSC, means), the dense store and the smoothed one
+    /// (values and provenance), the deviations and imputation counts,
+    /// the iCluster rankings and similarities, the encoded planes
+    /// (cells, presence, min, step) and every prediction.
+    fn assert_generations_identical(a: &Cfsf, b: &Cfsf) -> Result<(), String> {
+        fn bits(v: &[f64]) -> Vec<u64> {
+            v.iter().map(|x| x.to_bits()).collect()
+        }
+        fn check(ok: bool, what: impl FnOnce() -> String) -> Result<(), String> {
+            if ok {
+                Ok(())
+            } else {
+                Err(what())
+            }
+        }
+        let (ma, mb) = (a.matrix(), b.matrix());
+        check(
+            (ma.num_users(), ma.num_items()) == (mb.num_users(), mb.num_items()),
+            || "dimensions".into(),
+        )?;
+        for u in ma.users() {
+            let ((ia, va), (ib, vb)) = (ma.user_row(u), mb.user_row(u));
+            check(ia == ib && bits(va) == bits(vb), || {
+                format!("CSR row {u:?}")
+            })?;
+        }
+        for i in ma.items() {
+            let ((ua, va), (ub, vb)) = (ma.item_col(i), mb.item_col(i));
+            check(ua == ub && bits(va) == bits(vb), || {
+                format!("CSC col {i:?}")
+            })?;
+        }
+        check(bits(ma.user_means()) == bits(mb.user_means()), || {
+            "user means".into()
+        })?;
+        check(bits(ma.item_means()) == bits(mb.item_means()), || {
+            "item means".into()
+        })?;
+        check(
+            ma.global_mean().to_bits() == mb.global_mean().to_bits(),
+            || "global mean".into(),
+        )?;
+        for (da, db, name) in [
+            (a.dense(), b.dense(), "dense"),
+            (&a.smoothed.dense, &b.smoothed.dense, "smoothed"),
+        ] {
+            for u in ma.users() {
+                check(bits(da.row(u)) == bits(db.row(u)), || {
+                    format!("{name} row {u:?}: {:?} vs {:?}", da.row(u), db.row(u))
+                })?;
+                for i in ma.items() {
+                    check(da.is_original(u, i) == db.is_original(u, i), || {
+                        format!("{name} provenance ({u:?}, {i:?})")
+                    })?;
+                }
+            }
+        }
+        let (sa, sb) = (&a.smoothed, &b.smoothed);
+        for c in 0..sb.num_clusters() {
+            check(
+                bits(sa.deviation_row(c)) == bits(sb.deviation_row(c)),
+                || format!("deviations of cluster {c}"),
+            )?;
+        }
+        check(
+            (sa.cells_from_cluster, sa.cells_from_fallback)
+                == (sb.cells_from_cluster, sb.cells_from_fallback),
+            || "imputation counts".into(),
+        )?;
+        for u in ma.users() {
+            check(
+                a.icluster.ranking(u) == b.icluster.ranking(u)
+                    && bits(a.icluster.similarities(u)) == bits(b.icluster.similarities(u)),
+                || format!("iCluster of {u:?}"),
+            )?;
+        }
+        check(a.planes.encode() == b.planes.encode(), || "planes".into())?;
+        for u in ma.users() {
+            for i in ma.items() {
+                let (pa, pb) = (a.predict(u, i), b.predict(u, i));
+                check(pa.map(f64::to_bits) == pb.map(f64::to_bits), || {
+                    format!("predict ({u:?}, {i:?}): {pa:?} vs {pb:?}")
+                })?;
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+        /// A chain of partial rebuilds on small random matrices — with a
+        /// capped or uncapped GIS, smoothing on or off — publishes, at
+        /// every link, exactly the frozen-cluster `assemble` of the
+        /// builder-merged matrix, and carries only selections equal to
+        /// fresh ones.
+        #[test]
+        fn partial_rebuild_chains_are_bit_identical_to_frozen_cluster_assembly(
+            base in proptest::collection::btree_map((0u32..30, 0u32..14), 1u32..=5, 60..180),
+            batches in proptest::collection::vec(
+                proptest::collection::vec(((0u32..30, 0u32..14), 1u32..=5), 1..5),
+                3..6,
+            ),
+            variant in 0u32..4
+        ) {
+            let _serial = windows_lock();
+            let mut b = cf_matrix::MatrixBuilder::with_dims(30, 14);
+            for (&(u, i), &r) in &base {
+                b.push(UserId::new(u), ItemId::new(i), f64::from(r));
+            }
+            let matrix = b.build().unwrap();
+            let mut config = CfsfConfig {
+                clusters: 5,
+                k: 2,
+                candidate_factor: 2,
+                m: 5,
+                threads: Some(1),
+                ..CfsfConfig::small()
+            };
+            config.gis.max_neighbors = (variant & 1 == 1).then_some(3);
+            config.use_smoothing = variant & 2 == 0;
+            let model = Cfsf::fit(&matrix, config.clone()).unwrap();
+            let cfg = DriftConfig {
+                full_refit_fraction: 1.0,
+                ..DriftConfig::manual()
+            };
+            let healing = SelfHealingCfsf::new(model, cfg).unwrap();
+            for batch in batches {
+                let before = healing.model();
+                warm_every_user(&before);
+                for ((u, i), r) in batch {
+                    // Refused cells (already rated or pending) just drop out.
+                    let _ = healing.add_rating(UserId::new(u), ItemId::new(i), f64::from(r));
+                }
+                let pending = healing.pending();
+                if pending == 0 {
+                    continue; // nothing to merge would be a full refit
+                }
+                let report = healing.refresh_now().map_err(|e| e.to_string())?;
+                proptest::prop_assert_eq!(report.kind, RefreshKind::Partial);
+                proptest::prop_assert_eq!(report.merged, pending);
+                let next = healing.model();
+                let carried = assert_carried_selections_are_fresh(&next)?;
+                proptest::prop_assert_eq!(carried, report.carried_selections);
+
+                let mut b = cf_matrix::MatrixBuilder::with_dims(30, 14);
+                for (u, i, r) in before.matrix().triplets() {
+                    b.push(u, i, r);
+                }
+                for (u, i, r) in next.matrix().triplets() {
+                    if before.matrix().get(u, i).is_none() {
+                        b.push(u, i, r);
+                    }
+                }
+                let frozen = Cfsf::assemble(
+                    config.clone(),
+                    b.build().unwrap(),
+                    next.gis.clone(),
+                    before.clusters.clone(),
+                    None,
+                );
+                assert_generations_identical(&next, &frozen)?;
+            }
+        }
     }
 
     #[test]

@@ -177,22 +177,7 @@ impl MatrixBuilder {
         } = self;
 
         for &(u, i, r) in &triplets {
-            if !r.is_finite() {
-                return Err(MatrixError::NonFiniteRating {
-                    user: u,
-                    item: i,
-                    value: r,
-                });
-            }
-            if !scale.contains(r) {
-                return Err(MatrixError::RatingOutOfScale {
-                    user: u,
-                    item: i,
-                    value: r,
-                    min: scale.min,
-                    max: scale.max,
-                });
-            }
+            check_rating(u, i, r, scale)?;
         }
         if triplets.is_empty() && (min_users == 0 || min_items == 0) {
             return Err(MatrixError::Empty);
@@ -251,45 +236,37 @@ impl MatrixBuilder {
             cursor[i.index()] += 1;
         }
 
-        let total: f64 = user_vals.iter().sum();
-        let global_mean = if nnz == 0 {
-            scale.midpoint()
-        } else {
-            total / nnz as f64
-        };
-
-        let mut user_means = vec![global_mean; num_users];
-        for u in 0..num_users {
-            let lo = user_ptr[u] as usize;
-            let hi = user_ptr[u + 1] as usize;
-            if hi > lo {
-                user_means[u] = user_vals[lo..hi].iter().sum::<f64>() / (hi - lo) as f64;
-            }
-        }
-        let mut item_means = vec![global_mean; num_items];
-        for i in 0..num_items {
-            let lo = item_ptr[i] as usize;
-            let hi = item_ptr[i + 1] as usize;
-            if hi > lo {
-                item_means[i] = item_vals[lo..hi].iter().sum::<f64>() / (hi - lo) as f64;
-            }
-        }
-
-        Ok(RatingMatrix {
+        Ok(RatingMatrix::from_storage(
             num_users,
             num_items,
             scale,
-            user_ptr,
-            user_items,
-            user_vals,
-            item_ptr,
-            item_users,
-            item_vals,
-            user_means,
-            item_means,
-            global_mean,
-        })
+            (user_ptr, user_items, user_vals),
+            (item_ptr, item_users, item_vals),
+        ))
     }
+}
+
+/// The per-rating validation [`MatrixBuilder::build`] and
+/// [`RatingMatrix::with_ratings`] share: finite, then on `scale`.
+pub(crate) fn check_rating(
+    user: UserId,
+    item: ItemId,
+    value: f64,
+    scale: RatingScale,
+) -> Result<(), MatrixError> {
+    if !value.is_finite() {
+        return Err(MatrixError::NonFiniteRating { user, item, value });
+    }
+    if !scale.contains(value) {
+        return Err(MatrixError::RatingOutOfScale {
+            user,
+            item,
+            value,
+            min: scale.min,
+            max: scale.max,
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

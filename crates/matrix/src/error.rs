@@ -40,6 +40,18 @@ pub enum MatrixError {
         /// Second, conflicting value.
         second: f64,
     },
+    /// A cell addressed a user or item outside the matrix's fixed
+    /// dimensions.
+    CellOutOfRange {
+        /// The offending user.
+        user: UserId,
+        /// The offending item.
+        item: ItemId,
+        /// Users in the matrix.
+        num_users: usize,
+        /// Items in the matrix.
+        num_items: usize,
+    },
     /// The builder produced no ratings at all.
     Empty,
 }
@@ -68,6 +80,15 @@ impl fmt::Display for MatrixError {
             } => write!(
                 f,
                 "cell ({user:?}, {item:?}) rated twice with different values: {first} then {second}"
+            ),
+            Self::CellOutOfRange {
+                user,
+                item,
+                num_users,
+                num_items,
+            } => write!(
+                f,
+                "cell ({user:?}, {item:?}) is outside the {num_users}×{num_items} matrix"
             ),
             Self::Empty => write!(f, "matrix has no ratings"),
         }

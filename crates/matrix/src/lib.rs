@@ -6,8 +6,10 @@
 //! - [`RatingMatrix`] — an immutable sparse rating matrix stored in both
 //!   user-major (CSR) and item-major (CSC) order, with precomputed user and
 //!   item means,
-//! - [`MatrixBuilder`] — the only way to construct a [`RatingMatrix`];
-//!   deduplicates, sorts, and validates triplets,
+//! - [`MatrixBuilder`] — constructs a [`RatingMatrix`] from triplets;
+//!   deduplicates, sorts, and validates them
+//!   ([`RatingMatrix::with_ratings`] splices new ratings into an
+//!   existing matrix under the same checks),
 //! - [`DenseRatings`] — a dense user×item matrix with an "originally rated"
 //!   bitset; used for cluster-smoothed ratings (Eq. 7 of the paper),
 //! - [`WeightPlanes`] — the serving fast path's quantized weight planes:

@@ -2,11 +2,16 @@
 //!
 //! Stored twice: user-major (CSR — every CF algorithm walks user profiles)
 //! and item-major (CSC — item-item PCC and item means walk columns). Both
-//! views are built once by [`MatrixBuilder`](crate::MatrixBuilder) and never
+//! views are built once — by [`MatrixBuilder`](crate::MatrixBuilder), or by
+//! [`RatingMatrix::with_ratings`] from an existing matrix — and never
 //! mutated, so a shared reference can be handed to any number of worker
 //! threads.
 
-use crate::{ItemId, RatingScale, UserId};
+use crate::{ItemId, MatrixError, RatingScale, UserId};
+
+/// One compressed view: `(ptr, keys, vals)`, where major index `k` owns
+/// `keys/vals[ptr[k]..ptr[k + 1]]`, keys strictly increasing.
+type Compressed<K> = (Vec<u32>, Vec<K>, Vec<f64>);
 
 /// An immutable sparse user×item rating matrix.
 ///
@@ -37,6 +42,118 @@ pub struct RatingMatrix {
 }
 
 impl RatingMatrix {
+    /// Wraps finished CSR and CSC storage and derives every mean from it.
+    /// The only place means are computed, so a matrix spliced by
+    /// [`Self::with_ratings`] carries bitwise the means a fresh
+    /// [`MatrixBuilder`](crate::MatrixBuilder) build would.
+    pub(crate) fn from_storage(
+        num_users: usize,
+        num_items: usize,
+        scale: RatingScale,
+        (user_ptr, user_items, user_vals): Compressed<ItemId>,
+        (item_ptr, item_users, item_vals): Compressed<UserId>,
+    ) -> Self {
+        let nnz = user_vals.len();
+        let total: f64 = user_vals.iter().sum();
+        let global_mean = if nnz == 0 {
+            scale.midpoint()
+        } else {
+            total / nnz as f64
+        };
+        let user_means = segment_means(&user_ptr, &user_vals, global_mean);
+        let item_means = segment_means(&item_ptr, &item_vals, global_mean);
+        Self {
+            num_users,
+            num_items,
+            scale,
+            user_ptr,
+            user_items,
+            user_vals,
+            item_ptr,
+            item_users,
+            item_vals,
+            user_means,
+            item_means,
+            global_mean,
+        }
+    }
+
+    /// This matrix plus `cells`, without a rebuild: the new cells are
+    /// sorted and spliced into the CSR rows and CSC columns, and the
+    /// means recomputed — `O(ratings + cells·log cells)`, a few memcpys
+    /// where a [`MatrixBuilder`](crate::MatrixBuilder) re-sorts every
+    /// triplet.
+    ///
+    /// The result and the errors are those of building `self`'s triplets
+    /// followed by `cells` with the dimensions fixed: non-finite and
+    /// off-scale ratings fail in push order, a cell rated twice with
+    /// different values (within `cells` or against a stored rating) is a
+    /// [`MatrixError::ConflictingDuplicate`], and exact repeats collapse.
+    /// The one difference is that an id outside the dimensions is
+    /// [`MatrixError::CellOutOfRange`] instead of growing the matrix.
+    pub fn with_ratings(
+        &self,
+        cells: &[(UserId, ItemId, f64)],
+    ) -> Result<RatingMatrix, MatrixError> {
+        for &(u, i, r) in cells {
+            crate::builder::check_rating(u, i, r, self.scale)?;
+        }
+        if let Some(&(user, item, _)) = cells
+            .iter()
+            .find(|(u, i, _)| u.index() >= self.num_users || i.index() >= self.num_items)
+        {
+            return Err(MatrixError::CellOutOfRange {
+                user,
+                item,
+                num_users: self.num_users,
+                num_items: self.num_items,
+            });
+        }
+        if self.num_ratings() == 0
+            && cells.is_empty()
+            && (self.num_users == 0 || self.num_items == 0)
+        {
+            return Err(MatrixError::Empty);
+        }
+
+        // Stable sort, so among repeats of one cell the first pushed is
+        // the one the others are checked against.
+        let mut sorted = cells.to_vec();
+        sorted.sort_by_key(|&(u, i, _)| (u, i));
+        let mut fresh: Vec<(UserId, ItemId, f64)> = Vec::with_capacity(sorted.len());
+        for (u, i, r) in sorted {
+            let kept = match fresh.last() {
+                Some(&(pu, pi, pr)) if (pu, pi) == (u, i) => Some(pr),
+                _ => self.get(u, i),
+            };
+            match kept {
+                None => fresh.push((u, i, r)),
+                Some(first) if first != r => {
+                    return Err(MatrixError::ConflictingDuplicate {
+                        user: u,
+                        item: i,
+                        first,
+                        second: r,
+                    });
+                }
+                Some(_) => {}
+            }
+        }
+
+        let by_user: Vec<(usize, ItemId, f64)> =
+            fresh.iter().map(|&(u, i, r)| (u.index(), i, r)).collect();
+        let mut by_item: Vec<(usize, UserId, f64)> =
+            fresh.iter().map(|&(u, i, r)| (i.index(), u, r)).collect();
+        by_item.sort_unstable_by_key(|&(i, u, _)| (i, u));
+        Ok(Self::from_storage(
+            self.num_users,
+            self.num_items,
+            self.scale,
+            splice(&self.user_ptr, &self.user_items, &self.user_vals, &by_user),
+            splice(&self.item_ptr, &self.item_users, &self.item_vals, &by_item),
+        ))
+    }
+
     /// Number of users (`P` in the paper).
     #[inline]
     pub fn num_users(&self) -> usize {
@@ -211,6 +328,52 @@ impl RatingMatrix {
     }
 }
 
+/// Mean of each compressed segment in storage order; an empty segment
+/// gets `fallback`.
+fn segment_means(ptr: &[u32], vals: &[f64], fallback: f64) -> Vec<f64> {
+    ptr.windows(2)
+        .map(|w| {
+            let (lo, hi) = (w[0] as usize, w[1] as usize);
+            if hi > lo {
+                vals[lo..hi].iter().sum::<f64>() / (hi - lo) as f64
+            } else {
+                fallback
+            }
+        })
+        .collect()
+}
+
+/// Merges `adds` — `(major, key, value)` sorted by `(major, key)`, no key
+/// already stored — into one compressed view.
+fn splice<K: Copy + Ord>(
+    ptr: &[u32],
+    keys: &[K],
+    vals: &[f64],
+    adds: &[(usize, K, f64)],
+) -> Compressed<K> {
+    let mut out_ptr = Vec::with_capacity(ptr.len());
+    let mut out_keys = Vec::with_capacity(keys.len() + adds.len());
+    let mut out_vals = Vec::with_capacity(vals.len() + adds.len());
+    out_ptr.push(0u32);
+    let mut a = 0;
+    for (major, w) in ptr.windows(2).enumerate() {
+        let (mut s, hi) = (w[0] as usize, w[1] as usize);
+        while let Some(&(_, key, v)) = adds.get(a).filter(|add| add.0 == major) {
+            let end = s + keys[s..hi].partition_point(|&k| k < key);
+            out_keys.extend_from_slice(&keys[s..end]);
+            out_vals.extend_from_slice(&vals[s..end]);
+            out_keys.push(key);
+            out_vals.push(v);
+            s = end;
+            a += 1;
+        }
+        out_keys.extend_from_slice(&keys[s..hi]);
+        out_vals.extend_from_slice(&vals[s..hi]);
+        out_ptr.push(out_keys.len() as u32);
+    }
+    (out_ptr, out_keys, out_vals)
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
@@ -330,6 +493,139 @@ mod tests {
         assert_eq!(h.get(UserId::new(0), ItemId::new(1)), None);
         assert_eq!(h.get(UserId::new(2), ItemId::new(3)), None);
         assert_eq!(h.get(UserId::new(0), ItemId::new(0)), Some(5.0));
+    }
+
+    /// Every stored field, compared bit for bit.
+    fn assert_identical(a: &RatingMatrix, b: &RatingMatrix) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!((a.num_users, a.num_items), (b.num_users, b.num_items));
+        assert_eq!(a.user_ptr, b.user_ptr);
+        assert_eq!(a.user_items, b.user_items);
+        assert_eq!(bits(&a.user_vals), bits(&b.user_vals));
+        assert_eq!(a.item_ptr, b.item_ptr);
+        assert_eq!(a.item_users, b.item_users);
+        assert_eq!(bits(&a.item_vals), bits(&b.item_vals));
+        assert_eq!(bits(&a.user_means), bits(&b.user_means));
+        assert_eq!(bits(&a.item_means), bits(&b.item_means));
+        assert_eq!(a.global_mean.to_bits(), b.global_mean.to_bits());
+    }
+
+    /// What `with_ratings` must reproduce: a fresh build of the stored
+    /// triplets followed by `cells`.
+    fn rebuilt(
+        m: &RatingMatrix,
+        cells: &[(UserId, ItemId, f64)],
+    ) -> Result<RatingMatrix, MatrixError> {
+        let mut b = MatrixBuilder::with_dims(m.num_users(), m.num_items()).scale(m.scale());
+        for (u, i, r) in m.triplets() {
+            b.push(u, i, r);
+        }
+        for &(u, i, r) in cells {
+            b.push(u, i, r);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn splice_equals_a_fresh_build() {
+        let m = small();
+        let cells = [
+            (UserId::new(1), ItemId::new(2), 2.0),
+            (UserId::new(0), ItemId::new(2), 4.0),
+            (UserId::new(1), ItemId::new(1), 5.0),
+            (UserId::new(2), ItemId::new(0), 3.0),
+            // exact repeats collapse, against `cells` and the store
+            (UserId::new(1), ItemId::new(2), 2.0),
+            (UserId::new(0), ItemId::new(0), 5.0),
+        ];
+        assert_identical(
+            &m.with_ratings(&cells).unwrap(),
+            &rebuilt(&m, &cells).unwrap(),
+        );
+        assert_identical(&m.with_ratings(&[]).unwrap(), &m);
+    }
+
+    #[test]
+    fn splice_rejects_what_the_builder_rejects() {
+        let m = small();
+        let (u, i) = (UserId::new(1), ItemId::new(2));
+        for bad in [f64::NAN, f64::INFINITY, 0.5, 9.0] {
+            let cells = [(UserId::new(2), ItemId::new(0), 3.0), (u, i, bad)];
+            assert_eq!(
+                format!("{:?}", m.with_ratings(&cells).unwrap_err()),
+                format!("{:?}", rebuilt(&m, &cells).unwrap_err()),
+            );
+        }
+        // Conflicts within the new cells and against a stored rating.
+        for cells in [
+            vec![(u, i, 2.0), (u, i, 3.0)],
+            vec![(UserId::new(0), ItemId::new(1), 4.0)],
+        ] {
+            let (spliced, built) = (m.with_ratings(&cells), rebuilt(&m, &cells));
+            let (
+                Err(MatrixError::ConflictingDuplicate {
+                    user,
+                    item,
+                    first,
+                    second,
+                }),
+                Err(MatrixError::ConflictingDuplicate {
+                    user: bu,
+                    item: bi,
+                    first: bf,
+                    second: bs,
+                }),
+            ) = (spliced, built)
+            else {
+                panic!("both must reject {cells:?} as a conflicting duplicate");
+            };
+            assert_eq!((user, item), (bu, bi));
+            // The builder's sort is unstable, so only the pair is fixed.
+            assert_eq!(
+                [first.min(second), first.max(second)],
+                [bf.min(bs), bf.max(bs)]
+            );
+        }
+        // Fixed dimensions: an id past them is an error, not growth.
+        assert!(matches!(
+            m.with_ratings(&[(UserId::new(3), ItemId::new(0), 3.0)]),
+            Err(MatrixError::CellOutOfRange {
+                num_users: 3,
+                num_items: 4,
+                ..
+            })
+        ));
+        assert!(matches!(
+            m.with_ratings(&[(UserId::new(0), ItemId::new(4), 3.0)]),
+            Err(MatrixError::CellOutOfRange { .. })
+        ));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        #[test]
+        fn splice_matches_the_builder_on_random_matrices(
+            base in proptest::collection::btree_map((0u32..12, 0u32..15), 1u32..=5, 0..90),
+            added in proptest::collection::vec(((0u32..12, 0u32..15), 1u32..=5), 0..25)
+        ) {
+            let mut b = MatrixBuilder::with_dims(12, 15);
+            for (&(u, i), &r) in &base {
+                b.push(UserId::new(u), ItemId::new(i), f64::from(r));
+            }
+            let m = b.build().unwrap();
+            let cells: Vec<(UserId, ItemId, f64)> = added
+                .iter()
+                .map(|&((u, i), r)| (UserId::new(u), ItemId::new(i), f64::from(r)))
+                .collect();
+            match (m.with_ratings(&cells), rebuilt(&m, &cells)) {
+                (Ok(a), Ok(b)) => assert_identical(&a, &b),
+                (Err(MatrixError::ConflictingDuplicate { user, item, .. }),
+                 Err(MatrixError::ConflictingDuplicate { user: bu, item: bi, .. })) => {
+                    proptest::prop_assert_eq!((user, item), (bu, bi));
+                }
+                (a, b) => proptest::prop_assert!(false, "splice {a:?} vs builder {b:?}"),
+            }
+        }
     }
 
     #[test]

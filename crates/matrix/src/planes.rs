@@ -291,31 +291,16 @@ impl WeightPlanes {
         let words_per_row = q.div_ceil(64);
 
         // Pass 1: self-calibrate the code range over the present cells.
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for ui in 0..p {
-            for &r in dense.row(UserId::from(ui)) {
-                if !r.is_nan() {
-                    lo = lo.min(r);
-                    hi = hi.max(r);
-                }
-            }
-        }
-        let (min, span) = if lo.is_finite() && hi > lo {
-            (lo, hi - lo)
-        } else if lo.is_finite() {
-            (lo, 0.0)
-        } else {
-            (0.0, 0.0)
-        };
+        let (min, step) = calibrate(dense, precision);
 
-        let (cells, present, step) = match precision {
+        let (cells, present) = match precision {
             PlanePrecision::U16 => {
-                let (c, pr, s) = build_cells::<u16>(dense, min, span, words_per_row);
-                (Cells::U16(c), pr, s)
+                let (c, pr) = build_cells::<u16>(dense, min, step, words_per_row);
+                (Cells::U16(c), pr)
             }
             PlanePrecision::U8 => {
-                let (c, pr, s) = build_cells::<u8>(dense, min, span, words_per_row);
-                (Cells::U8(c), pr, s)
+                let (c, pr) = build_cells::<u8>(dense, min, step, words_per_row);
+                (Cells::U8(c), pr)
             }
         };
 
@@ -332,6 +317,35 @@ impl WeightPlanes {
             cells,
             present,
         }
+    }
+
+    /// These planes with `cells` re-encoded from `dense`: what
+    /// [`WeightPlanes::from_dense_with`] would fold from `dense`, at the
+    /// cost of one range scan plus the listed cells, provided every cell
+    /// *not* listed holds the value and provenance it was folded from.
+    ///
+    /// `None` when `dense` calibrates a different code range — a new
+    /// extreme rating moves `min` or `step`, and with them every code —
+    /// or has other dimensions; the caller must then fold in full.
+    pub fn patched(
+        &self,
+        dense: &DenseRatings,
+        cells: impl IntoIterator<Item = (UserId, ItemId)>,
+    ) -> Option<Self> {
+        if (dense.num_users(), dense.num_items()) != (self.num_users, self.num_items) {
+            return None;
+        }
+        let (min, step) = calibrate(dense, self.precision);
+        if min.to_bits() != self.dq.min.to_bits() || step.to_bits() != self.dq.step.to_bits() {
+            return None;
+        }
+        let mut out = self.clone();
+        let wpr = out.words_per_row;
+        match &mut out.cells {
+            Cells::U16(c) => reencode(c, &mut out.present, wpr, dense, min, step, cells),
+            Cells::U8(c) => reencode(c, &mut out.present, wpr, dense, min, step, cells),
+        }
+        Some(out)
     }
 
     /// Number of user rows.
@@ -539,22 +553,82 @@ impl WeightPlanes {
     }
 }
 
-/// Quantizes every present cell of `dense` into `C` codes and packs the
-/// presence bits. Returns `(cells, present_words, step)`.
-fn build_cells<C: QuantCell>(
-    dense: &DenseRatings,
-    min: f64,
-    span: f64,
-    words_per_row: usize,
-) -> (Vec<C>, Vec<u64>, f64) {
-    let (p, q) = (dense.num_users(), dense.num_items());
-    let max_code = C::MAX_CODE;
+/// The code range a plane over `dense` self-calibrates to: `(min, step)`
+/// from the present cells' `[lo, hi]`, with `step = 0` for a constant or
+/// empty plane.
+fn calibrate(dense: &DenseRatings, precision: PlanePrecision) -> (f64, f64) {
+    // Eight independent lanes of compare-selects, which vectorize; an
+    // absent (NaN) cell compares false both ways, so it is skipped.
+    const LANES: usize = 8;
+    let (mut lo, mut hi) = ([f64::INFINITY; LANES], [f64::NEG_INFINITY; LANES]);
+    for ui in 0..dense.num_users() {
+        let row = dense.row(UserId::from(ui));
+        let mut chunks = row.chunks_exact(LANES);
+        for chunk in &mut chunks {
+            for l in 0..LANES {
+                lo[l] = if chunk[l] < lo[l] { chunk[l] } else { lo[l] };
+                hi[l] = if chunk[l] > hi[l] { chunk[l] } else { hi[l] };
+            }
+        }
+        for &r in chunks.remainder() {
+            lo[0] = if r < lo[0] { r } else { lo[0] };
+            hi[0] = if r > hi[0] { r } else { hi[0] };
+        }
+    }
+    let lo = lo
+        .into_iter()
+        .fold(f64::INFINITY, |a, b| if b < a { b } else { a });
+    let hi = hi
+        .into_iter()
+        .fold(f64::NEG_INFINITY, |a, b| if b > a { b } else { a });
+    let (min, span) = if lo.is_finite() && hi > lo {
+        (lo, hi - lo)
+    } else if lo.is_finite() {
+        (lo, 0.0)
+    } else {
+        (0.0, 0.0)
+    };
+    let max_code = match precision {
+        PlanePrecision::U16 => u16::MAX_CODE,
+        PlanePrecision::U8 => u8::MAX_CODE,
+    };
     let step = if span > 0.0 {
         span / max_code as f64
     } else {
         0.0
     };
-    let inv_step = if step > 0.0 { 1.0 / step } else { 0.0 };
+    (min, step)
+}
+
+/// The cell code of a present rating `r` under the affine map
+/// `(min, step)`.
+#[inline]
+fn encode<C: QuantCell>(r: f64, original: bool, min: f64, inv_step: f64) -> C {
+    // (r − min) ≥ 0 by construction of min; clamp guards the
+    // floating-point overshoot of round() at the top of the range.
+    let code = (((r - min) * inv_step).round() as u32).min(C::MAX_CODE);
+    C::pack((code << 2) | 0b10 | u32::from(original))
+}
+
+#[inline]
+fn inv_step(step: f64) -> f64 {
+    if step > 0.0 {
+        1.0 / step
+    } else {
+        0.0
+    }
+}
+
+/// Quantizes every present cell of `dense` into `C` codes and packs the
+/// presence bits. Returns `(cells, present_words)`.
+fn build_cells<C: QuantCell>(
+    dense: &DenseRatings,
+    min: f64,
+    step: f64,
+    words_per_row: usize,
+) -> (Vec<C>, Vec<u64>) {
+    let (p, q) = (dense.num_users(), dense.num_items());
+    let inv_step = inv_step(step);
 
     let mut cells = vec![C::pack(0); p * q];
     let mut present = vec![0u64; p * words_per_row];
@@ -567,15 +641,40 @@ fn build_cells<C: QuantCell>(
             if r.is_nan() {
                 continue;
             }
-            // (r − min) ≥ 0 by construction of min; clamp guards the
-            // floating-point overshoot of round() at the top of the range.
-            let code = (((r - min) * inv_step).round() as u32).min(max_code);
-            let prov = u32::from(dense.is_original(u, ItemId::from(ii)));
-            cells[base + ii] = C::pack((code << 2) | 0b10 | prov);
+            let original = dense.is_original(u, ItemId::from(ii));
+            cells[base + ii] = encode(r, original, min, inv_step);
             present[wbase + (ii >> 6)] |= 1u64 << (ii & 63);
         }
     }
-    (cells, present, step)
+    (cells, present)
+}
+
+/// [`build_cells`] for the listed cells only, in place.
+fn reencode<C: QuantCell>(
+    cells: &mut [C],
+    present: &mut [u64],
+    words_per_row: usize,
+    dense: &DenseRatings,
+    min: f64,
+    step: f64,
+    listed: impl IntoIterator<Item = (UserId, ItemId)>,
+) {
+    let q = dense.num_items();
+    let inv_step = inv_step(step);
+    for (u, i) in listed {
+        let (c, ii) = (u.index() * q + i.index(), i.index());
+        let word = &mut present[u.index() * words_per_row + (ii >> 6)];
+        match dense.get(u, i) {
+            Some(r) => {
+                cells[c] = encode(r, dense.is_original(u, i), min, inv_step);
+                *word |= 1u64 << (ii & 63);
+            }
+            None => {
+                cells[c] = C::pack(0);
+                *word &= !(1u64 << (ii & 63));
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -712,6 +811,40 @@ mod tests {
         let mut bad = clean;
         bad[33..41].copy_from_slice(&7.5f64.to_le_bytes());
         assert!(WeightPlanes::decode(&bad).is_err());
+    }
+
+    /// Re-encoding just the rewritten cells reproduces a full fold bit
+    /// for bit while the calibrated range holds, and refuses once a new
+    /// extreme moves it.
+    #[test]
+    fn patched_planes_equal_a_full_fold_or_refuse() {
+        for precision in [PlanePrecision::U16, PlanePrecision::U8] {
+            let mut d = DenseRatings::new(3, 70);
+            for u in 0..3u32 {
+                for i in (0..70u32).step_by(2) {
+                    d.set_smoothed(UserId::new(u), ItemId::new(i), 1.0 + f64::from(i % 9) * 0.5);
+                }
+            }
+            let base = WeightPlanes::from_dense_with(&d, 0.35, precision);
+            let mut next = d.clone();
+            let touched = [
+                (UserId::new(1), ItemId::new(3)),  // value moves inside the range
+                (UserId::new(2), ItemId::new(69)), // absent → original
+                (UserId::new(0), ItemId::new(5)),  // absent → smoothed
+            ];
+            next.set_smoothed(touched[0].0, touched[0].1, 2.25);
+            next.set_original(touched[1].0, touched[1].1, 3.0);
+            next.set_smoothed(touched[2].0, touched[2].1, 4.75);
+            let patched = base.patched(&next, touched).expect("range unchanged");
+            let full = WeightPlanes::from_dense_with(&next, 0.35, precision);
+            assert_eq!(patched.encode(), full.encode(), "{precision:?}");
+
+            next.set_smoothed(UserId::new(0), ItemId::new(7), 5.5); // new max
+            assert!(base
+                .patched(&next, [(UserId::new(0), ItemId::new(7))])
+                .is_none());
+            assert!(base.patched(&DenseRatings::new(3, 69), []).is_none());
+        }
     }
 
     #[test]
