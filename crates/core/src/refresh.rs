@@ -36,7 +36,7 @@
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Condvar};
 use std::time::{Duration, Instant};
 
 use cf_cluster::SmoothPatch;
@@ -467,17 +467,63 @@ struct Shared {
     ingest: RecoverMutex<Ingest>,
     monitor: RecoverMutex<DriftMonitor>,
     cfg: DriftConfig,
-    /// A rebuild worker is in flight (authoritative single-flight guard).
+    /// A rebuild is in flight (authoritative single-flight guard).
     busy: AtomicBool,
+    /// `busy` is cleared under this lock and `idle` notified, so
+    /// [`SelfHealingCfsf::wait_idle`] cannot miss the wake-up.
+    idle_lock: RecoverMutex<()>,
+    idle: Condvar,
+}
+
+impl Shared {
+    /// Clears the in-flight flag and wakes [`SelfHealingCfsf::wait_idle`].
+    fn clear_busy(&self) {
+        cf_obs::gauge!("refresh.in_flight").set(0);
+        let _idle = self.idle_lock.lock();
+        self.busy.store(false, Ordering::Release);
+        self.idle.notify_all();
+    }
 }
 
 /// Clears the in-flight flag even if the rebuild path panics.
-struct BusyGuard<'a>(&'a AtomicBool);
+struct BusyGuard<'a>(&'a Shared);
 
 impl Drop for BusyGuard<'_> {
     fn drop(&mut self) {
-        cf_obs::gauge!("refresh.in_flight").set(0);
-        self.0.store(false, Ordering::Release);
+        self.0.clear_busy();
+    }
+}
+
+/// The model's one background rebuild thread and its request channel.
+/// It starts on the first background rebuild and runs until the
+/// [`SelfHealingCfsf`] is dropped. One long-lived thread, rather than one
+/// per rebuild, means every generation is allocated by the same thread
+/// that freed its predecessors' memory: with a fresh thread per rebuild
+/// the allocator could hand each one a different arena, and peak memory
+/// then varied by about a generation between identical runs.
+struct Worker {
+    requests: mpsc::Sender<()>,
+    handle: std::thread::JoinHandle<()>,
+}
+
+impl Worker {
+    fn start(shared: &Arc<Shared>) -> std::io::Result<Self> {
+        let (requests, inbox) = mpsc::channel::<()>();
+        let shared = Arc::clone(shared);
+        let handle = std::thread::Builder::new()
+            .name("cfsf-refresh".into())
+            .spawn(move || {
+                for () in inbox {
+                    let _guard = BusyGuard(&shared);
+                    // `run_rebuild` catches a panicking build; this keeps
+                    // the worker serving later requests whatever else
+                    // unwinds.
+                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        run_rebuild(&shared)
+                    }));
+                }
+            })?;
+        Ok(Self { requests, handle })
     }
 }
 
@@ -523,7 +569,7 @@ pub struct RebuildReport {
 /// never pauses and a failed rebuild leaves the old generation up.
 pub struct SelfHealingCfsf {
     shared: Arc<Shared>,
-    worker: RecoverMutex<Option<std::thread::JoinHandle<()>>>,
+    worker: RecoverMutex<Option<Worker>>,
 }
 
 impl SelfHealingCfsf {
@@ -553,6 +599,8 @@ impl SelfHealingCfsf {
                 monitor: RecoverMutex::new(DriftMonitor::new(cfg.clone())),
                 cfg,
                 busy: AtomicBool::new(false),
+                idle_lock: RecoverMutex::new(()),
+                idle: Condvar::new(),
             }),
             worker: RecoverMutex::new(None),
         })
@@ -635,7 +683,7 @@ impl SelfHealingCfsf {
     /// blocks on a rebuild.
     pub fn tick(&self) {
         if self.shared.monitor.lock().evaluate() {
-            self.spawn_rebuild();
+            self.request_rebuild();
         }
     }
 
@@ -643,7 +691,7 @@ impl SelfHealingCfsf {
     /// override, chaos drills). Returns `false` when one is already in
     /// flight.
     pub fn trigger(&self) -> bool {
-        self.spawn_rebuild()
+        self.request_rebuild()
     }
 
     /// Runs one rebuild synchronously on the caller's thread (tests,
@@ -655,62 +703,58 @@ impl SelfHealingCfsf {
                 message: "a rebuild is already in flight".into(),
             });
         }
-        let _guard = BusyGuard(&self.shared.busy);
+        let _guard = BusyGuard(&self.shared);
         cf_obs::gauge!("refresh.in_flight").set(1);
         self.shared.monitor.lock().note_rebuild_started();
         run_rebuild(&self.shared)
     }
 
-    fn spawn_rebuild(&self) -> bool {
+    fn request_rebuild(&self) -> bool {
         if self.shared.busy.swap(true, Ordering::AcqRel) {
             return false;
         }
         cf_obs::gauge!("refresh.in_flight").set(1);
         self.shared.monitor.lock().note_rebuild_started();
-        let shared = Arc::clone(&self.shared);
-        let spawned = std::thread::Builder::new()
-            .name("cfsf-refresh".into())
-            .spawn(move || {
-                let _guard = BusyGuard(&shared.busy);
-                let _ = run_rebuild(&shared);
-            });
-        match spawned {
-            Ok(handle) => {
-                let mut slot = self.worker.lock();
-                // Reap the previous worker (already finished: `busy` was
-                // clear) so handles don't accumulate.
-                if let Some(old) = slot.take() {
-                    let _ = old.join();
-                }
-                *slot = Some(handle);
-                true
-            }
-            Err(_) => {
-                // Could not even spawn: count it as a failed refresh and
-                // leave the old generation serving.
-                cf_obs::counter!("refresh.failed").inc();
-                cf_obs::gauge!("refresh.in_flight").set(0);
-                self.shared.busy.store(false, Ordering::Release);
-                self.shared.monitor.lock().note_rebuild_finished(false);
-                false
-            }
+        let mut worker = self.worker.lock();
+        if worker.is_none() {
+            *worker = Worker::start(&self.shared).ok();
         }
+        if worker.as_ref().is_some_and(|w| w.requests.send(()).is_ok()) {
+            return true;
+        }
+        // Could not start the worker, or it is gone: count a failed
+        // refresh, leave the old generation serving, and start a worker
+        // afresh next time.
+        *worker = None;
+        drop(worker);
+        cf_obs::counter!("refresh.failed").inc();
+        self.shared.monitor.lock().note_rebuild_finished(false);
+        self.shared.clear_busy();
+        false
     }
 
-    /// Blocks until no background rebuild is in flight (tests, shutdown).
+    /// Blocks until no rebuild is in flight (tests, shutdown).
     pub fn wait_idle(&self) {
-        if let Some(handle) = self.worker.lock().take() {
-            let _ = handle.join();
-        }
+        let mut idle = self.shared.idle_lock.lock();
         while self.shared.busy.load(Ordering::Acquire) {
-            std::thread::sleep(Duration::from_millis(1));
+            idle = self
+                .shared
+                .idle
+                .wait(idle)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
     }
 }
 
 impl Drop for SelfHealingCfsf {
     fn drop(&mut self) {
-        self.wait_idle();
+        // Closing the channel lets the worker finish the rebuild it was
+        // asked for, if any, and exit.
+        let worker = self.worker.lock().take();
+        if let Some(Worker { requests, handle }) = worker {
+            drop(requests);
+            let _ = handle.join();
+        }
     }
 }
 
@@ -1612,6 +1656,26 @@ mod tests {
             assert!(healing.generation() <= 2);
         }
         assert!(cf_obs::counter!("refresh.completed").get() >= 1);
+    }
+
+    #[test]
+    fn background_rebuilds_chain_and_the_worker_stops_on_drop() {
+        let _serial = windows_lock();
+        let (_, model) = fitted();
+        let healing = SelfHealingCfsf::new(model, DriftConfig::manual()).unwrap();
+        for k in 0..3u32 {
+            let (u, i) = unrated_cell(healing.model().matrix(), 5 + k);
+            healing.add_rating(u, i, 4.0).unwrap();
+            assert!(healing.trigger(), "rebuild {k} must start");
+            healing.wait_idle();
+            assert_eq!(healing.model().matrix().get(u, i), Some(4.0));
+        }
+        assert_eq!(healing.generation(), 3);
+        let cell = healing.cell();
+        drop(healing);
+        // The worker shares the model's state; once it has exited, this
+        // handle is the last owner of the cell.
+        assert_eq!(Arc::strong_count(&cell), 1);
     }
 
     #[test]
