@@ -49,7 +49,12 @@ where
     if k == 0 {
         return Vec::new();
     }
-    let mut heap: BinaryHeap<Worst<T>> = BinaryHeap::with_capacity(k + 1);
+    // `k` may come off the wire: size the heap by the candidates that can
+    // actually arrive, never by `k` alone.
+    let scored = scored.into_iter();
+    let (lower, upper) = scored.size_hint();
+    let mut heap: BinaryHeap<Worst<T>> =
+        BinaryHeap::with_capacity(k.min(upper.unwrap_or(lower)).saturating_add(1));
     for (id, score) in scored {
         if heap.len() < k {
             heap.push(Worst(id, score));
@@ -114,6 +119,20 @@ mod tests {
             .flat_map(|c| c.iter().copied())
             .collect();
         assert_eq!(top_k_by_score(10, interleaved), expect);
+    }
+
+    #[test]
+    fn huge_k_is_sized_by_the_candidates() {
+        let scored = vec![(4u32, 1.5), (1, 3.0), (7, 1.5)];
+        assert_eq!(
+            top_k_by_score(usize::MAX, scored.iter().copied()),
+            reference(usize::MAX, scored.clone())
+        );
+        // A filtered stream knows only an upper bound on its length.
+        assert_eq!(
+            top_k_by_score(usize::MAX, scored.iter().copied().filter(|c| c.0 != 1)),
+            reference(usize::MAX, vec![(4, 1.5), (7, 1.5)])
+        );
     }
 
     #[test]

@@ -40,6 +40,12 @@ pub const VERSION: u16 = 1;
 /// profile frame (8 MiB of user means), small enough that a corrupt
 /// length field cannot balloon allocation.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
+/// Hard cap on the pairs of one [`Request::PredictBatch`]. The answer
+/// costs 11 bytes per pair, so a batch much above this would soon answer
+/// with a frame over [`MAX_FRAME_BYTES`]; at this size the answer is
+/// 0.7 MiB and takes well under a second to compute even on one thread,
+/// inside the router's request deadline.
+pub const MAX_BATCH_PAIRS: usize = 1 << 16;
 /// Fixed header size: magic + version + kind + len.
 pub const HEADER_LEN: usize = 12;
 
@@ -162,7 +168,10 @@ pub enum Request {
     /// shard runs them through [`cfsf_core::Cfsf::predict_batch_with_breakdown`]
     /// (strip-sorted for locality), so amortized per-request cost beats a
     /// stream of [`Request::Predict`] frames while answers stay
-    /// bit-identical and in request order.
+    /// bit-identical and in request order. At most [`MAX_BATCH_PAIRS`]
+    /// pairs: decoding a larger batch fails as
+    /// [`FrameError::Malformed`], which a server answers with
+    /// [`ERR_BAD_REQUEST`].
     PredictBatch {
         /// 0-based `(user, item)` pairs, answered in this order.
         pairs: Vec<(u32, u32)>,
@@ -558,6 +567,9 @@ impl Request {
             },
             KIND_PREDICT_BATCH => {
                 let count = c.u32()? as usize;
+                if count > MAX_BATCH_PAIRS {
+                    return Err(FrameError::Malformed("batch exceeds MAX_BATCH_PAIRS"));
+                }
                 // Sanity-bound against the payload that actually arrived
                 // (8 bytes per pair) before allocating.
                 if count > payload.len() / 8 + 1 {
@@ -1403,6 +1415,19 @@ mod tests {
         client.write_all(&raw).unwrap();
         assert!(matches!(
             read_request(&mut server, Duration::from_secs(1)),
+            Err(FrameError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn batches_above_the_pair_cap_are_malformed() {
+        let payload = |pairs: usize| Request::predict_batch(vec![(1, 2); pairs]).payload();
+        match Request::decode(KIND_PREDICT_BATCH, &payload(MAX_BATCH_PAIRS)).unwrap() {
+            Request::PredictBatch { pairs, .. } => assert_eq!(pairs.len(), MAX_BATCH_PAIRS),
+            other => panic!("{other:?}"),
+        }
+        assert!(matches!(
+            Request::decode(KIND_PREDICT_BATCH, &payload(MAX_BATCH_PAIRS + 1)),
             Err(FrameError::Malformed(_))
         ));
     }

@@ -13,7 +13,8 @@
 //! - [`router`] — [`router::Router`] and [`router::RouterServer`]: the
 //!   front tier. Hashes users across shards, bounds in-flight work per
 //!   shard, and load-sheds failures onto the model's degradation ladder
-//!   (`online.degrade.*`) instead of returning errors; recommends via
+//!   (`online.degrade.*`) instead of returning errors; forwards each
+//!   batch as one frame per owning shard; recommends via
 //!   scatter-gather whose merged result is bit-for-bit the
 //!   single-process answer when every shard is up.
 //!

@@ -14,6 +14,14 @@
 //!   and redirecting a dead shard's traffic at them turns one failure
 //!   into a cascade. A dead shard's users degrade — bounded blast
 //!   radius — until it returns.
+//! - `predict_batch(pairs)` groups the pairs by owning shard and sends
+//!   each group as one `PredictBatch` frame, so a batch costs one
+//!   exchange per shard it touches, not one per pair; groups on
+//!   different shards go out in parallel, and the answers come back in
+//!   request order. Each shard answers its group through its
+//!   strip-sorted batch engine. Degradation stays per pair: a group
+//!   whose shard is down, saturated or failing is answered pair by pair
+//!   from the fallback table.
 //! - `recommend_top_n(user, n)` scatter-gathers: the item space is cut
 //!   into one fixed stripe per configured shard, each live shard scores
 //!   its stripe ([`Cfsf::recommend_top_n_in_range`]), and the router
@@ -37,7 +45,9 @@ use cf_matrix::RatingScale;
 use cfsf_core::DegradeLevel;
 
 use crate::client::{ClientOptions, ShardClient};
-use crate::frame::{FrameError, HealthInfo, Request, Response, WireProfile, WireStats};
+use crate::frame::{
+    FrameError, HealthInfo, Request, Response, WirePrediction, WireProfile, WireStats,
+};
 
 /// Tuning for the router tier.
 #[derive(Debug, Clone)]
@@ -79,9 +89,14 @@ enum ShardUnavailable {
     Down,
     /// At its in-flight bound (admission control shed).
     Busy,
-    /// All attempts failed; the shard has just been marked down.
+    /// All attempts failed and the shard has just been marked down, or
+    /// the scatter thread running the exchange panicked.
     Failed,
 }
+
+/// The outcome of one shard exchange: the answer plus the remote spans
+/// the shard shipped back on it.
+type Exchange = Result<(Response, Vec<cf_obs::trace::RemoteSpan>), ShardUnavailable>;
 
 /// The compact model summary the router serves fallback answers from:
 /// the bottom rungs of the degradation ladder need only means and the
@@ -190,6 +205,27 @@ pub struct RouterPrediction {
     /// Index of the shard that answered; `None` means the router's own
     /// fallback table did (shard down or shed).
     pub shard: Option<usize>,
+}
+
+impl RouterPrediction {
+    /// A shard's wire answer, attributed to the shard that gave it.
+    fn from_shard(p: WirePrediction, shard: usize) -> Self {
+        Self {
+            fused: p.fused,
+            level: DegradeLevel::from_code(p.level).unwrap_or(DegradeLevel::GlobalMean),
+            fallback: p.fallback,
+            shard: Some(shard),
+        }
+    }
+
+    /// The wire form the router front answers with.
+    fn to_wire(self) -> WirePrediction {
+        WirePrediction {
+            fused: self.fused,
+            level: self.level.code(),
+            fallback: self.fallback,
+        }
+    }
 }
 
 /// One top-N answer from the router.
@@ -484,7 +520,7 @@ impl Router {
     /// shard's completed spans come back stitched under the same trace
     /// id — so `/traces` on the router shows the cross-process tree.
     pub fn predict(&self, user: u32, item: u32) -> Option<RouterPrediction> {
-        if u64::from(user) >= self.num_users || u64::from(item) >= self.num_items {
+        if !self.in_range(user, item) {
             return None;
         }
         cf_obs::counter!("router.requests").inc();
@@ -502,13 +538,7 @@ impl Router {
             Ok((Response::Prediction(p), spans)) => {
                 cf_obs::trace::attach_remote_spans(&format!("shard{shard}"), spans);
                 cf_obs::counter!("router.ok").inc();
-                let level = DegradeLevel::from_code(p.level).unwrap_or(DegradeLevel::GlobalMean);
-                RouterPrediction {
-                    fused: p.fused,
-                    level,
-                    fallback: p.fallback,
-                    shard: Some(shard),
-                }
+                RouterPrediction::from_shard(p, shard)
             }
             Ok(_) => {
                 // Decodable but wrong frame: a confused shard. Absorb it
@@ -526,6 +556,95 @@ impl Router {
             fused: pred.fused,
         });
         Some(pred)
+    }
+
+    /// Predicts a batch of `(user, item)` pairs, element `k` answering
+    /// pair `k`. The pairs are grouped by owning shard and each group
+    /// travels as one [`Request::PredictBatch`] frame, answered by the
+    /// shard's strip-sorted batch engine; groups on different shards are
+    /// scattered in parallel. Out-of-range pairs answer `None` without
+    /// touching a shard, as in [`Router::predict`].
+    ///
+    /// Degradation stays per pair. When a group's exchange is shed,
+    /// fails, or answers anything but one prediction per pair, every
+    /// pair of that group is served from the fallback table; a `None`
+    /// element for an in-range pair (a panicked batch worker on the
+    /// shard) falls back for that pair alone. A group of more than
+    /// [`crate::frame::MAX_BATCH_PAIRS`] pairs is refused by its shard
+    /// and so falls back whole; the router front never forms one, since
+    /// it decodes no larger batch.
+    ///
+    /// The whole batch is one request to the router's accounting: one
+    /// `router.requests`, one `router.request_ns` sample and one request
+    /// trace, with each group's shard spans stitched under it.
+    pub fn predict_batch(&self, pairs: &[(u32, u32)]) -> Vec<Option<RouterPrediction>> {
+        cf_obs::counter!("router.requests").inc();
+        cf_obs::time_scope!("router.request_ns");
+        // A batch has no single user or item to label its trace with.
+        let trace_req = cf_obs::trace::begin_request(u32::MAX, u32::MAX);
+        // Request positions of each shard's pairs.
+        let mut owned: Vec<Vec<usize>> = vec![Vec::new(); self.slots.len()];
+        for (k, &(user, item)) in pairs.iter().enumerate() {
+            if self.in_range(user, item) {
+                owned[shard_for_user(user, self.slots.len())].push(k);
+            }
+        }
+        let groups: Vec<(usize, Vec<usize>)> = owned
+            .into_iter()
+            .enumerate()
+            .filter(|(_, ks)| !ks.is_empty())
+            .collect();
+        // Built on this thread so every frame carries this trace's
+        // context (see `scatter`).
+        let calls: Vec<(usize, Request)> = groups
+            .iter()
+            .map(|(s, ks)| {
+                let group = ks.iter().map(|&k| pairs[k]).collect();
+                (*s, Request::predict_batch(group))
+            })
+            .collect();
+
+        let mut out = vec![None; pairs.len()];
+        let mut worst = DegradeLevel::Full;
+        let mut fell_back = false;
+        for ((s, ks), outcome) in groups.iter().zip(self.scatter(&calls)) {
+            let answers = match outcome {
+                Ok((Response::Predictions(answers), spans)) if answers.len() == ks.len() => {
+                    cf_obs::trace::attach_remote_spans(&format!("shard{s}"), spans);
+                    answers
+                }
+                Ok(_) => {
+                    // A wrong frame kind or length: a confused shard,
+                    // absorbed the same way as an I/O failure.
+                    cf_obs::counter!("router.shard_io_errors").inc();
+                    vec![None; ks.len()]
+                }
+                Err(_) => vec![None; ks.len()],
+            };
+            for (&k, answer) in ks.iter().zip(answers) {
+                let p = match answer {
+                    Some(p) => RouterPrediction::from_shard(p, *s),
+                    None => {
+                        fell_back = true;
+                        self.fallback_predict(pairs[k].0)
+                    }
+                };
+                worst = worst.max(p.level);
+                out[k] = Some(p);
+            }
+        }
+        if !fell_back {
+            cf_obs::counter!("router.ok").inc();
+        }
+        // The trace carries the batch's worst rung.
+        trace_req.finish(cf_obs::trace::Outcome {
+            level: worst.as_str(),
+            fallback: worst.is_fallback(),
+            k_used: 0,
+            m_used: 0,
+            fused: f64::NAN,
+        });
+        out
     }
 
     /// Top-`n` via scatter-gather over all shard stripes (see module
@@ -557,8 +676,7 @@ impl Router {
         // Fixed stripes over the requested range, one per configured
         // shard — liveness-independent, so results are deterministic.
         // Stripe requests are built here, on the tracing thread, so every
-        // frame carries this trace's context; the scatter threads have no
-        // trace TLS of their own.
+        // frame carries this trace's context (see `scatter`).
         let span = end - start;
         let stripes: Vec<(usize, Request)> = (0..shards)
             .map(|s| {
@@ -572,40 +690,19 @@ impl Router {
 
         let mut complete = true;
         let mut candidates: Vec<(u32, f64)> = Vec::new();
-        std::thread::scope(|scope| {
-            let scatter_span = cf_obs::trace::span("router.scatter");
-            let handles: Vec<_> = stripes
-                .into_iter()
-                .map(|(s, req)| {
-                    let h = scope.spawn(move || match self.request_on_shard(s, &req) {
-                        Ok((Response::TopN(items), spans)) => (Some(items), spans),
-                        Ok(_) => {
-                            cf_obs::counter!("router.shard_io_errors").inc();
-                            (None, Vec::new())
-                        }
-                        Err(_) => (None, Vec::new()),
-                    });
-                    (s, h)
-                })
-                .collect();
-            for (s, h) in handles {
-                match h.join() {
-                    Ok((Some(items), spans)) => {
-                        // Stitching happens back on the tracing thread:
-                        // the scatter threads cannot see this trace's TLS.
-                        cf_obs::trace::attach_remote_spans(&format!("shard{s}"), spans);
-                        candidates.extend(items);
-                    }
-                    Ok((None, _)) => complete = false,
-                    Err(_) => {
-                        // A panicking scatter thread is absorbed like a
-                        // dead stripe, never propagated to the caller.
-                        complete = false;
-                    }
+        for ((s, _), outcome) in stripes.iter().zip(self.scatter(&stripes)) {
+            match outcome {
+                Ok((Response::TopN(items), spans)) => {
+                    cf_obs::trace::attach_remote_spans(&format!("shard{s}"), spans);
+                    candidates.extend(items);
                 }
+                Ok(_) => {
+                    cf_obs::counter!("router.shard_io_errors").inc();
+                    complete = false;
+                }
+                Err(_) => complete = false,
             }
-            drop(scatter_span);
-        });
+        }
         if complete {
             cf_obs::counter!("router.ok").inc();
         } else {
@@ -668,14 +765,40 @@ impl Router {
         guard.is_some_and(|t| Instant::now() < t)
     }
 
+    /// Whether `(user, item)` lies inside the served model.
+    fn in_range(&self, user: u32, item: u32) -> bool {
+        u64::from(user) < self.num_users && u64::from(item) < self.num_items
+    }
+
+    /// Runs each `(shard, frame)` exchange through
+    /// [`Router::request_on_shard`] under one `router.scatter` span and
+    /// returns the outcomes in call order. Two or more exchanges run in
+    /// parallel, one scoped thread each; a single exchange runs inline.
+    /// Scatter threads have no trace TLS, so callers build the frames
+    /// (which capture the trace context) and stitch the returned spans
+    /// on their own thread. A panicking scatter thread is absorbed as
+    /// [`ShardUnavailable::Failed`], never propagated to the caller.
+    fn scatter(&self, calls: &[(usize, Request)]) -> Vec<Exchange> {
+        let _span = cf_obs::trace::span("router.scatter");
+        if let [(shard, req)] = calls {
+            return vec![self.request_on_shard(*shard, req)];
+        }
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = calls
+                .iter()
+                .map(|(shard, req)| scope.spawn(move || self.request_on_shard(*shard, req)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or(Err(ShardUnavailable::Failed)))
+                .collect()
+        })
+    }
+
     /// One request against one shard with admission control, pooled
     /// connections, retry + backoff, and down-marking. Also returns any
     /// remote spans the shard shipped back on the response frame.
-    fn request_on_shard(
-        &self,
-        shard: usize,
-        req: &Request,
-    ) -> Result<(Response, Vec<cf_obs::trace::RemoteSpan>), ShardUnavailable> {
+    fn request_on_shard(&self, shard: usize, req: &Request) -> Exchange {
         let slot = &self.slots[shard];
         // Down and inside cooldown: shed immediately, zero socket cost.
         {
@@ -861,30 +984,15 @@ impl Handler for RouterHandler {
                 generation: self.router.profile_generation(),
                 snapshot: cf_obs::merge::MergeSnapshot::of(cf_obs::global()).to_bytes(),
             }),
-            // The front answers batches pair by pair so each pair gets
-            // the full failover/degradation ladder independently; the
-            // locality win from strip-sorted batching happens on the
-            // shards, which see the per-pair requests of their own users.
             Request::PredictBatch { pairs, .. } => Response::Predictions(
-                pairs
+                self.router
+                    .predict_batch(&pairs)
                     .into_iter()
-                    .map(|(user, item)| {
-                        self.router
-                            .predict(user, item)
-                            .map(|p| crate::frame::WirePrediction {
-                                fused: p.fused,
-                                level: p.level.code(),
-                                fallback: p.fallback,
-                            })
-                    })
+                    .map(|p| p.map(RouterPrediction::to_wire))
                     .collect(),
             ),
             Request::Predict { user, item, .. } => match self.router.predict(user, item) {
-                Some(p) => Response::Prediction(crate::frame::WirePrediction {
-                    fused: p.fused,
-                    level: p.level.code(),
-                    fallback: p.fallback,
-                }),
+                Some(p) => Response::Prediction(p.to_wire()),
                 None => Response::Error {
                     code: ERR_OUT_OF_RANGE,
                     message: format!("user {user} or item {item} outside the model"),

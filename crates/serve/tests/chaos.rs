@@ -102,14 +102,36 @@ fn dropped_connections_cost_retries_not_errors() {
             }
         }
     }
+    // Batch frames take the same exchange path: a dropped batch costs a
+    // retry, and every answer a shard gives is still exact.
+    let fired_on_predicts = cf_faultinject::fired_count("serve.shard.drop_conn");
+    let items = model.matrix().num_items() as u32;
+    for round in 0..16u32 {
+        let pairs: Vec<(u32, u32)> = (0..users)
+            .map(|user| (user, (user * 7 + round) % items))
+            .collect();
+        for (&(user, item), p) in pairs.iter().zip(router.predict_batch(&pairs)) {
+            let p = p.expect("in-range pairs always answer");
+            assert!(p.fused.is_finite());
+            if p.shard.is_some() {
+                let local = model
+                    .predict_with_breakdown(UserId::new(user), ItemId::new(item))
+                    .unwrap();
+                assert_eq!(p.fused.to_bits(), local.fused.to_bits());
+                exact += 1;
+            } else {
+                degraded += 1;
+            }
+        }
+    }
     // Read the counts before disarming: disarm drops the point (and its
     // counters) from the registry.
     let fired = cf_faultinject::fired_count("serve.shard.drop_conn");
     cf_faultinject::disarm("serve.shard.drop_conn");
 
     assert!(
-        fired > 0,
-        "the chaos point must actually fire for this test to mean anything"
+        fired_on_predicts > 0 && fired > fired_on_predicts,
+        "the chaos point must fire on predicts and on batches for this test to mean anything"
     );
     assert!(exact > 0, "most requests should survive via retry");
     // Some requests may degrade (drop exhausted the retries) — that is

@@ -2,18 +2,28 @@
 //! sockets, real threads, one process. Shards and router run against the
 //! same loaded model, so every remote answer can be compared bit-for-bit
 //! with the in-process API.
+//!
+//! Every test serves through the process-global metrics registry, and
+//! some assert exact counter deltas, so each test holds [`serial`] for
+//! its whole run.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use cf_matrix::{ItemId, UserId};
 use cf_serve::client::{ClientOptions, ShardClient};
-use cf_serve::frame::{Request, Response};
-use cf_serve::router::{shard_for_user, Router, RouterConfig, RouterServer};
+use cf_serve::frame::{Request, Response, WirePrediction, ERR_BAD_REQUEST, MAX_BATCH_PAIRS};
+use cf_serve::router::{shard_for_user, Router, RouterConfig, RouterPrediction, RouterServer};
 use cf_serve::server::{ServerOptions, ShardOptions, ShardServer};
 use cfsf_core::{Cfsf, CfsfConfig, DegradeLevel};
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn model() -> Arc<Cfsf> {
     let d = cf_data::SyntheticConfig::small().generate();
@@ -61,8 +71,60 @@ fn degrade_total() -> u64 {
     counter("online.degrade.user_mean") + counter("online.degrade.global_mean")
 }
 
+/// A top-N list as `(item, score bits)`, for bit-for-bit comparison.
+fn topn_bits(items: &[(u32, f64)]) -> Vec<(u32, u64)> {
+    items.iter().map(|(i, s)| (*i, s.to_bits())).collect()
+}
+
+/// The in-process top-`n` for `user`, as [`topn_bits`].
+fn local_topn_bits(model: &Cfsf, user: u32, n: usize) -> Vec<(u32, u64)> {
+    model
+        .recommend_top_n(UserId::new(user), n)
+        .iter()
+        .map(|(i, s)| (i.raw(), s.to_bits()))
+        .collect()
+}
+
+/// The in-process answer for a pair as `(fused bits, level code,
+/// fallback)`; `None` out of range.
+fn local_answer(model: &Cfsf, (user, item): (u32, u32)) -> Option<(u64, u8, bool)> {
+    model
+        .predict_with_breakdown(UserId::new(user), ItemId::new(item))
+        .map(|b| (b.fused.to_bits(), b.level.code(), b.used_fallback))
+}
+
+fn router_answer(p: &RouterPrediction) -> (u64, u8, bool) {
+    (p.fused.to_bits(), p.level.code(), p.fallback)
+}
+
+fn wire_answer(p: &WirePrediction) -> (u64, u8, bool) {
+    (p.fused.to_bits(), p.level, p.fallback)
+}
+
+/// A shuffled batch whose users span both shards of a two-shard fleet,
+/// with one pair repeated and one pair each with an out-of-range user
+/// and an out-of-range item.
+fn mixed_batch(model: &Cfsf) -> Vec<(u32, u32)> {
+    let users = model.matrix().num_users() as u32;
+    let items = model.matrix().num_items() as u32;
+    let mut pairs: Vec<(u32, u32)> = (0..60u32)
+        .map(|k| ((k * 37 + 11) % users, (k * 13 + 5) % items))
+        .collect();
+    pairs.push(pairs[3]);
+    pairs.insert(17, (users + 999, 0));
+    pairs.insert(31, (0, items + 999));
+    let owners: std::collections::BTreeSet<usize> = pairs
+        .iter()
+        .filter(|&&(u, _)| u < users)
+        .map(|&(u, _)| shard_for_user(u, 2))
+        .collect();
+    assert_eq!(owners.len(), 2, "the batch must span both shards");
+    pairs
+}
+
 #[test]
 fn shard_answers_bit_for_bit() {
+    let _serial = serial();
     let model = model();
     let shard = ShardServer::bind(
         "127.0.0.1:0",
@@ -111,20 +173,30 @@ fn shard_answers_bit_for_bit() {
                 other => panic!("predict answered {other:?}"),
             }
         }
-        let local = model.recommend_top_n(UserId::new(user), 5);
         match client
             .request(&Request::recommend_top_n(user, 5, 0, u32::MAX))
             .unwrap()
         {
             Response::TopN(remote) => {
-                let local: Vec<(u32, u64)> =
-                    local.iter().map(|(i, s)| (i.raw(), s.to_bits())).collect();
-                let remote: Vec<(u32, u64)> =
-                    remote.iter().map(|(i, s)| (*i, s.to_bits())).collect();
-                assert_eq!(remote, local);
+                assert_eq!(topn_bits(&remote), local_topn_bits(&model, user, 5))
             }
             other => panic!("recommend answered {other:?}"),
         }
+    }
+
+    // A wire-supplied `n` far beyond the catalogue asks for every
+    // unrated item, and must not size an allocation by itself.
+    match client
+        .request(&Request::recommend_top_n(0, u32::MAX, 0, u32::MAX))
+        .unwrap()
+    {
+        Response::TopN(remote) => {
+            assert_eq!(
+                topn_bits(&remote),
+                local_topn_bits(&model, 0, items as usize)
+            )
+        }
+        other => panic!("unbounded recommend answered {other:?}"),
     }
 
     // Out-of-range ids get a typed error, not a closed connection: the
@@ -143,6 +215,7 @@ fn shard_answers_bit_for_bit() {
 
 #[test]
 fn shard_batch_answers_match_in_process_breakdowns_bit_for_bit() {
+    let _serial = serial();
     let model = model();
     let shard = ShardServer::bind(
         "127.0.0.1:0",
@@ -182,11 +255,21 @@ fn shard_batch_answers_match_in_process_breakdowns_bit_for_bit() {
         Response::Health(_)
     ));
 
+    // A batch over the protocol's pair cap is refused as a bad request.
+    match client
+        .request(&Request::predict_batch(vec![(0, 0); MAX_BATCH_PAIRS + 1]))
+        .unwrap()
+    {
+        Response::Error { code, .. } => assert_eq!(code, ERR_BAD_REQUEST),
+        other => panic!("oversized batch answered {other:?}"),
+    }
+
     shard.shutdown();
 }
 
 #[test]
 fn router_matches_local_model_bit_for_bit() {
+    let _serial = serial();
     let model = model();
     let shards = spawn_shards(&model, 2);
     let router = Router::connect(fast_cfg(&shards)).unwrap();
@@ -206,19 +289,9 @@ fn router_matches_local_model_bit_for_bit() {
         }
         // Scatter-gather over the stripes merges to exactly the
         // single-process top-N.
-        let local: Vec<(u32, u64)> = model
-            .recommend_top_n(UserId::new(user), 7)
-            .iter()
-            .map(|(i, s)| (i.raw(), s.to_bits()))
-            .collect();
         let remote = router.recommend_top_n(user, 7).unwrap();
         assert!(remote.complete);
-        let remote: Vec<(u32, u64)> = remote
-            .items
-            .iter()
-            .map(|(i, s)| (*i, s.to_bits()))
-            .collect();
-        assert_eq!(remote, local);
+        assert_eq!(topn_bits(&remote.items), local_topn_bits(&model, user, 7));
     }
 
     assert!(router.predict(users + 1, 0).is_none());
@@ -232,6 +305,7 @@ fn router_matches_local_model_bit_for_bit() {
 
 #[test]
 fn dead_shard_degrades_and_never_errors() {
+    let _serial = serial();
     let model = model();
     let mut shards = spawn_shards(&model, 2);
     let router = Router::connect(fast_cfg(&shards)).unwrap();
@@ -274,6 +348,39 @@ fn dead_shard_degrades_and_never_errors() {
     );
     assert!(counter("router.fallback_served") >= fallback_before + u64::from(dead_users));
 
+    // A batch spanning both shards: the dead shard's group falls back
+    // pair by pair, the live shard's group stays exact.
+    let pairs = mixed_batch(&model);
+    let fallback_before = counter("router.fallback_served");
+    let served = router.predict_batch(&pairs);
+    let mut dead_pairs = 0u64;
+    for (k, (&(user, item), p)) in pairs.iter().zip(&served).enumerate() {
+        let Some(local) = local_answer(&model, (user, item)) else {
+            assert!(p.is_none(), "pair {k} is out of range");
+            continue;
+        };
+        let p = p.expect("in-range pairs always answer");
+        if shard_for_user(user, 2) == 1 {
+            dead_pairs += 1;
+            assert!(p.fallback, "pair {k} on the dead shard must degrade");
+            assert!(
+                matches!(p.level, DegradeLevel::UserMean | DegradeLevel::GlobalMean),
+                "pair {k} got {:?}",
+                p.level
+            );
+            assert_eq!(p.shard, None, "pair {k}");
+        } else {
+            assert_eq!(router_answer(&p), local, "pair {k}");
+            assert_eq!(p.shard, Some(0), "pair {k}");
+        }
+    }
+    assert!(dead_pairs > 0, "the batch must put pairs on the dead shard");
+    assert_eq!(
+        counter("router.fallback_served"),
+        fallback_before + dead_pairs,
+        "exactly the dead shard's pairs fall back"
+    );
+
     // Recommend still answers from the surviving stripe: partial,
     // ordered, never an error.
     let partial_before = counter("router.recommend.partial");
@@ -300,6 +407,7 @@ fn dead_shard_degrades_and_never_errors() {
 
 #[test]
 fn admission_bound_sheds_to_fallback() {
+    let _serial = serial();
     let model = model();
     let shards = spawn_shards(&model, 1);
     let mut cfg = fast_cfg(&shards);
@@ -326,6 +434,7 @@ fn admission_bound_sheds_to_fallback() {
 
 #[test]
 fn router_front_speaks_the_shard_protocol() {
+    let _serial = serial();
     let model = model();
     let shards = spawn_shards(&model, 2);
     let router = Arc::new(Router::connect(fast_cfg(&shards)).unwrap());
@@ -351,22 +460,98 @@ fn router_front_speaks_the_shard_protocol() {
             Response::Prediction(p) => assert_eq!(p.fused.to_bits(), local.fused.to_bits()),
             other => panic!("predict answered {other:?}"),
         }
-        let local: Vec<(u32, u64)> = model
-            .recommend_top_n(UserId::new(user), 3)
-            .iter()
-            .map(|(i, s)| (i.raw(), s.to_bits()))
-            .collect();
         match client
             .request(&Request::recommend_top_n(user, 3, 0, u32::MAX))
             .unwrap()
         {
             Response::TopN(remote) => {
-                let remote: Vec<(u32, u64)> =
-                    remote.iter().map(|(i, s)| (*i, s.to_bits())).collect();
-                assert_eq!(remote, local);
+                assert_eq!(topn_bits(&remote), local_topn_bits(&model, user, 3))
             }
             other => panic!("recommend answered {other:?}"),
         }
+    }
+
+    // An unbounded `n` through the front: every stripe answers its whole
+    // unrated catalogue and the merge keeps all of it.
+    let items = model.matrix().num_items();
+    match client
+        .request(&Request::recommend_top_n(0, u32::MAX, 0, u32::MAX))
+        .unwrap()
+    {
+        Response::TopN(remote) => {
+            assert_eq!(topn_bits(&remote), local_topn_bits(&model, 0, items))
+        }
+        other => panic!("unbounded recommend answered {other:?}"),
+    }
+    assert!(matches!(
+        client.request(&Request::Health).unwrap(),
+        Response::Health(_)
+    ));
+
+    front.shutdown();
+    for s in shards {
+        s.shutdown();
+    }
+}
+
+#[test]
+fn router_batches_match_in_process_breakdowns_bit_for_bit() {
+    let _serial = serial();
+    let model = model();
+    let shards = spawn_shards(&model, 2);
+    let router = Arc::new(Router::connect(fast_cfg(&shards)).unwrap());
+    let pairs = mixed_batch(&model);
+    let want: Vec<Option<(u64, u8, bool)>> =
+        pairs.iter().map(|&p| local_answer(&model, p)).collect();
+    assert_eq!(want.iter().filter(|w| w.is_none()).count(), 2);
+
+    let served = router.predict_batch(&pairs);
+    assert_eq!(served.len(), pairs.len());
+    for (k, (&(user, _), p)) in pairs.iter().zip(&served).enumerate() {
+        assert_eq!(p.as_ref().map(router_answer), want[k], "pair {k}");
+        if let Some(p) = p {
+            assert_eq!(p.shard, Some(shard_for_user(user, 2)), "pair {k}");
+        }
+    }
+
+    // The same batch through the router front, as one wire frame.
+    let front =
+        RouterServer::bind("127.0.0.1:0", Arc::clone(&router), ServerOptions::default()).unwrap();
+    let mut client = ShardClient::connect(front.local_addr(), ClientOptions::default()).unwrap();
+    let served = client.predict_batch(pairs.clone()).unwrap();
+    let got: Vec<Option<(u64, u8, bool)>> =
+        served.iter().map(|p| p.as_ref().map(wire_answer)).collect();
+    assert_eq!(got, want);
+    assert_eq!(counter("router.request_errors"), 0);
+
+    front.shutdown();
+    for s in shards {
+        s.shutdown();
+    }
+}
+
+#[test]
+fn router_forwards_one_batch_frame_per_owning_shard() {
+    let _serial = serial();
+    let model = model();
+    let shards = spawn_shards(&model, 2);
+    let router = Arc::new(Router::connect(fast_cfg(&shards)).unwrap());
+    let front =
+        RouterServer::bind("127.0.0.1:0", Arc::clone(&router), ServerOptions::default()).unwrap();
+    let mut client = ShardClient::connect(front.local_addr(), ClientOptions::default()).unwrap();
+
+    let items = model.matrix().num_items() as u32;
+    let single_user: Vec<(u32, u32)> = (0..128).map(|k| (3, k % items)).collect();
+    for (pairs, frames) in [(single_user, 1), (mixed_batch(&model), 2)] {
+        let before = counter("serve.shard.requests");
+        let served = client.predict_batch(pairs.clone()).unwrap();
+        assert_eq!(served.len(), pairs.len());
+        assert_eq!(
+            counter("serve.shard.requests") - before,
+            frames,
+            "a batch of {} pairs must cost one shard request per owning shard",
+            pairs.len()
+        );
     }
 
     front.shutdown();

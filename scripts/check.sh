@@ -52,6 +52,15 @@ cargo test --offline -q --test sharded_serving
 echo "==> fleet observability: trace propagation + merged metrics + SLOs"
 cargo test --offline -q --test fleet_tracing
 
+# Benchmark self-test: every cfbench workload runs briefly, untraced and
+# traced, against real router and shard processes. It is the one check
+# that compares router batches, top-N and point answers across processes
+# bit for bit against the in-process model (a mismatch fails the run),
+# and it checks that every metric BENCHMARK.json names is emitted. About
+# 45 s once built.
+echo "==> benchmark self-test: cross-process answers vs the in-process model"
+python3 cfbench/test_quick.py
+
 # Chaos job: the deterministic fault-injection suite. The faultinject
 # feature compiles the injection points into cfsf-core, so this runs as
 # its own pass (and lints the gated code the default pass never sees).

@@ -216,6 +216,32 @@ fn sharded_fleet_round_trips_and_survives_shard_kill() {
         }
     }
 
+    // Batches through the router: answered bit-for-bit, in request
+    // order, with out-of-range pairs as `None`.
+    let pairs: Vec<(u32, u32)> = (0..users)
+        .step_by(3)
+        .flat_map(|user| (0..items).step_by(97).map(move |item| (user, item)))
+        .chain([(users + 5, 0), (0, items + 5)])
+        .collect();
+    let served = client.predict_batch(pairs.clone()).expect("batch answered");
+    assert_eq!(served.len(), pairs.len());
+    for (&(user, item), remote) in pairs.iter().zip(&served) {
+        let local = model.predict_with_breakdown(UserId::new(user), ItemId::new(item));
+        match (remote, local) {
+            (Some(p), Some(l)) => {
+                assert_eq!(
+                    p.fused.to_bits(),
+                    l.fused.to_bits(),
+                    "remote batch pair ({user},{item}) must be bit-for-bit"
+                );
+                assert_eq!(p.level, l.level.code());
+                assert_eq!(p.fallback, l.used_fallback);
+            }
+            (None, None) => {}
+            other => panic!("batch pair ({user},{item}): remote vs local disagree: {other:?}"),
+        }
+    }
+
     let stats = scrape_stats(metrics_addr);
     assert_eq!(counter_in(&stats, "router.request_errors"), 0);
     let degrade_before = degrade_total_in(&stats);
@@ -241,6 +267,33 @@ fn sharded_fleet_round_trips_and_survives_shard_kill() {
     }
     assert!(dead_users > 0, "the hash must place users on shard 1");
 
+    // A batch over every user: the dead shard's pairs degrade, the live
+    // shard's pairs stay bit-for-bit.
+    let pairs: Vec<(u32, u32)> = (0..users).map(|user| (user, (user * 7) % items)).collect();
+    let served = client.predict_batch(pairs.clone()).expect("batch answered");
+    assert_eq!(served.len(), pairs.len());
+    let mut dead_pairs = 0u64;
+    for (&(user, item), remote) in pairs.iter().zip(&served) {
+        let p = remote.expect("in-range batch pairs always answer");
+        assert!(p.fused.is_finite());
+        if shard_for_user(user, 2) == 1 {
+            dead_pairs += 1;
+            assert!(
+                p.fallback,
+                "batch pair ({user},{item}) lives on the dead shard: must be served degraded"
+            );
+        } else {
+            let local = model
+                .predict_with_breakdown(UserId::new(user), ItemId::new(item))
+                .unwrap();
+            assert_eq!(
+                p.fused.to_bits(),
+                local.fused.to_bits(),
+                "live-shard batch pair ({user},{item}) must stay bit-for-bit"
+            );
+        }
+    }
+
     // Recommends still answer from the surviving stripe.
     match client
         .request(&Request::recommend_top_n(0, 5, 0, u32::MAX))
@@ -260,10 +313,10 @@ fn sharded_fleet_round_trips_and_survives_shard_kill() {
         "a dead shard must cost zero router errors"
     );
     assert!(
-        degrade_total_in(&stats) >= degrade_before + dead_users,
+        degrade_total_in(&stats) >= degrade_before + dead_users + dead_pairs,
         "every dead-shard user must step down the online.degrade.* ladder"
     );
-    assert!(counter_in(&stats, "router.fallback_served") >= dead_users);
+    assert!(counter_in(&stats, "router.fallback_served") >= dead_users + dead_pairs);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
