@@ -51,28 +51,10 @@ pub const RULES: &[RuleInfo] = &[
                   unwind capture can observe broken invariants)",
     },
     RuleInfo {
-        id: "quant-plane-raw-read",
-        summary: "no raw quantized-cell reads (.bits() or the weight LUT) outside \
-                  crates/matrix/src/planes.rs; go through PlaneDequant::pair",
-    },
-    RuleInfo {
         id: "model-access-outside-generation",
         summary: "no naming the concrete model type (Cfsf) in crates/serve/src \
                   outside live.rs; serve paths load snapshots through ModelHandle \
                   so generation swaps stay zero-pause",
-    },
-    RuleInfo {
-        id: "trace-context-dropped",
-        summary: "no literal Request::Predict/PredictBatch/RecommendTopN struct \
-                  construction outside frame.rs; the frame helpers capture the \
-                  ambient trace context, a literal silently drops it",
-    },
-    RuleInfo {
-        id: "bounded-frame-alloc",
-        summary: "every length-driven allocation in frame.rs decode paths \
-                  (Vec::with_capacity / vec![0; n] / Cursor::take of a decoded \
-                  length) must sit within a few lines of a dominating bound \
-                  check (MAX_FRAME_BYTES, payload.len(), remaining(), .min())",
     },
 ];
 
@@ -118,10 +100,7 @@ pub fn check_file(scan: &FileScan, out: &mut Vec<Diagnostic>) {
     float_eq(scan, out);
     bare_sync_prim(scan, out);
     unwind_safe_mut(scan, out);
-    quant_plane_raw_read(scan, out);
     model_access_outside_generation(scan, out);
-    trace_context_dropped(scan, out);
-    bounded_frame_alloc(scan, out);
 }
 
 // --------------------------------------------------------------------------
@@ -438,50 +417,6 @@ fn unwind_safe_mut(scan: &FileScan, out: &mut Vec<Diagnostic>) {
 }
 
 // --------------------------------------------------------------------------
-// quant-plane-raw-read
-// --------------------------------------------------------------------------
-
-/// The one file allowed to touch quantized cell encodings directly.
-const PLANES_FILE: &str = "crates/matrix/src/planes.rs";
-
-/// Quantized plane cells carry `(code << 1) | provenance` plus a weight
-/// LUT; decoding them anywhere but `planes.rs` duplicates the encoding
-/// and silently diverges when it changes. `QuantCell::bits()` calls
-/// (`.bits()` is a word distinct from `f64::to_bits()`) and the `wlut`
-/// table must stay inside [`PLANES_FILE`] — kernels consume
-/// `PlaneDequant::pair` / `present_bit` instead.
-fn quant_plane_raw_read(scan: &FileScan, out: &mut Vec<Diagnostic>) {
-    if scan.path.ends_with(PLANES_FILE) {
-        return;
-    }
-    for (i, l) in scan.lines.iter().enumerate() {
-        if l.in_test {
-            continue;
-        }
-        if l.code.contains(".bits()") {
-            out.push(Diagnostic {
-                rule: "quant-plane-raw-read",
-                path: scan.path.clone(),
-                line: i + 1,
-                message: "raw `.bits()` read of a quantized plane cell outside \
-                          planes.rs; dequantize through PlaneDequant::pair"
-                    .to_string(),
-            });
-        }
-        if find_token(&l.code, "wlut").is_some() {
-            out.push(Diagnostic {
-                rule: "quant-plane-raw-read",
-                path: scan.path.clone(),
-                line: i + 1,
-                message: "the plane weight LUT is private to planes.rs; use \
-                          PlaneDequant::pair instead of reading `wlut`"
-                    .to_string(),
-            });
-        }
-    }
-}
-
-// --------------------------------------------------------------------------
 // model-access-outside-generation
 // --------------------------------------------------------------------------
 
@@ -524,200 +459,6 @@ fn model_access_outside_generation(scan: &FileScan, out: &mut Vec<Diagnostic>) {
                           must load generation snapshots through ModelHandle"
                     .to_string(),
             });
-        }
-    }
-}
-
-// --------------------------------------------------------------------------
-// trace-context-dropped
-// --------------------------------------------------------------------------
-
-/// The one file allowed to build traced request frames field by field.
-const FRAME_FILE: &str = "crates/serve/src/frame.rs";
-
-/// Request variants that carry a trailing trace context.
-const TRACED_VARIANTS: &[&str] = &[
-    "Request::Predict",
-    "Request::PredictBatch",
-    "Request::RecommendTopN",
-];
-
-/// The frame helpers (`Request::predict` & co.) capture the ambient
-/// trace context at construction; a literal `Request::Predict { ... }`
-/// built elsewhere almost always writes `trace: None` (or forgets the
-/// capture), silently severing the cross-process span tree. Match
-/// *patterns* over the same variants are fine — destructuring drops
-/// nothing — so a brace group that is a rest pattern (`..`), sits in a
-/// `let`/`if let`, or is followed by `=>` is exempt, as is test code.
-fn trace_context_dropped(scan: &FileScan, out: &mut Vec<Diagnostic>) {
-    if scan.path.ends_with(FRAME_FILE) {
-        return;
-    }
-    for (i, l) in scan.lines.iter().enumerate() {
-        if l.in_test {
-            continue;
-        }
-        for variant in TRACED_VARIANTS {
-            let Some(pos) = find_token(&l.code, variant) else {
-                continue;
-            };
-            // Only struct syntax counts; `Request::Predict(..)` does not
-            // exist and helper calls are lowercase.
-            let rest = l.code[pos + variant.len()..].trim_start();
-            if !rest.starts_with('{') {
-                continue;
-            }
-            // `let Request::Predict { .. } = req` destructures; but a
-            // `let r = Request::Predict { .. }` binding (an `=` between
-            // the `let` and the variant) is still a construction.
-            if let Some(let_pos) = find_token(&l.code[..pos], "let") {
-                if !l.code[let_pos..pos].contains('=') {
-                    continue;
-                }
-            }
-            // Collect the brace group (possibly across lines) and what
-            // follows it, to tell a pattern from a construction.
-            let mut depth = 0i32;
-            let mut group = String::new();
-            let mut after = ' ';
-            'outer: for (j, line) in scan.lines.iter().enumerate().skip(i).take(20) {
-                let start = if j == i { pos + variant.len() } else { 0 };
-                let mut chars = line.code[start..].chars().peekable();
-                while let Some(c) = chars.next() {
-                    match c {
-                        '{' => depth += 1,
-                        '}' => {
-                            depth -= 1;
-                            if depth == 0 {
-                                after = chars.find(|c| !c.is_whitespace()).unwrap_or(' ');
-                                break 'outer;
-                            }
-                        }
-                        _ => {}
-                    }
-                    if depth > 0 {
-                        group.push(c);
-                    }
-                }
-                group.push('\n');
-            }
-            if group.contains("..") || after == '=' {
-                continue;
-            }
-            out.push(Diagnostic {
-                rule: "trace-context-dropped",
-                path: scan.path.clone(),
-                line: i + 1,
-                message: format!(
-                    "literal `{variant} {{ ... }}` outside frame.rs drops the \
-                     ambient trace context; build the frame through the \
-                     Request helper constructors"
-                ),
-            });
-        }
-    }
-}
-
-// --------------------------------------------------------------------------
-// bounded-frame-alloc
-// --------------------------------------------------------------------------
-
-/// How many lines above a length-driven allocation its bound check may
-/// sit.
-const ALLOC_BOUND_WINDOW: usize = 6;
-
-/// Evidence that a decoded length was dominated before use: the frame
-/// cap, the arrived payload, the cursor's remaining bytes, or an
-/// explicit clamp.
-const ALLOC_BOUND_TOKENS: &[&str] = &["MAX_FRAME_BYTES", "payload.len()", "remaining()", ".min("];
-
-/// Allocation shapes whose argument is a decoded length when it is a
-/// bare identifier.
-const ALLOC_TOKENS: &[&str] = &["Vec::with_capacity(", "vec![0u8; ", "vec![0; ", ".take("];
-
-/// True when `code` contains `word` as a whole identifier (both ends at
-/// word boundaries).
-fn contains_word(code: &str, word: &str) -> bool {
-    let mut from = 0;
-    while let Some(off) = code[from..].find(word) {
-        let pos = from + off;
-        from = pos + 1;
-        if !at_word_boundary(code, pos) {
-            continue;
-        }
-        let after = code[pos + word.len()..].chars().next();
-        if !after.is_some_and(|c| c.is_alphanumeric() || c == '_') {
-            return true;
-        }
-    }
-    false
-}
-
-/// Extracts the argument of `token` at `pos` up to the closing `)`/`]`,
-/// stripping integer casts and `?`; returns it only when what remains is
-/// a bare identifier (a decoded length variable). Literals (`take(4)`)
-/// and compound expressions (`with_capacity(a + b)`) are inherently
-/// sized by the caller, not the wire.
-fn length_identifier<'a>(code: &'a str, pos: usize, token: &str) -> Option<&'a str> {
-    let rest = &code[pos + token.len()..];
-    let end = rest.find([')', ']'])?;
-    let mut arg = rest[..end].trim();
-    for cast in [" as usize", " as u64", " as u32"] {
-        arg = arg.strip_suffix(cast).unwrap_or(arg);
-    }
-    let arg = arg.trim();
-    (!arg.is_empty()
-        && arg.chars().next().is_some_and(|c| c.is_ascii_alphabetic())
-        && arg.chars().all(|c| c.is_alphanumeric() || c == '_'))
-    .then_some(arg)
-}
-
-/// Frame decode paths allocate buffers sized by lengths an untrusted
-/// peer declared. [`FRAME_FILE`]'s contract is that every such length is
-/// dominated — by the 64 MiB frame cap, by the payload that actually
-/// arrived, or by an explicit clamp — **before** the allocation, so a
-/// corrupt length costs a `Malformed` error, never a multi-gigabyte
-/// `Vec`. This rule enforces the pattern structurally: a length-driven
-/// allocation with no dominating bound within the previous
-/// [`ALLOC_BOUND_WINDOW`] lines is a diagnostic.
-fn bounded_frame_alloc(scan: &FileScan, out: &mut Vec<Diagnostic>) {
-    if !scan.path.ends_with(FRAME_FILE) {
-        return;
-    }
-    for (i, l) in scan.lines.iter().enumerate() {
-        if l.in_test {
-            continue;
-        }
-        for token in ALLOC_TOKENS {
-            let mut from = 0;
-            while let Some(off) = l.code[from..].find(token) {
-                let pos = from + off;
-                from = pos + token.len();
-                let Some(ident) = length_identifier(&l.code, pos, token) else {
-                    continue;
-                };
-                let bounded = scan.lines[i.saturating_sub(ALLOC_BOUND_WINDOW)..=i]
-                    .iter()
-                    .any(|g| {
-                        !g.in_test
-                            && contains_word(&g.code, ident)
-                            && ALLOC_BOUND_TOKENS.iter().any(|t| g.code.contains(t))
-                    });
-                if !bounded {
-                    out.push(Diagnostic {
-                        rule: "bounded-frame-alloc",
-                        path: scan.path.clone(),
-                        line: i + 1,
-                        message: format!(
-                            "`{}{ident}…` sized by a decoded length with no dominating \
-                             bound within the previous {ALLOC_BOUND_WINDOW} lines; \
-                             check against MAX_FRAME_BYTES / payload.len() / \
-                             remaining() before allocating",
-                            token.trim_end()
-                        ),
-                    });
-                }
-            }
         }
     }
 }
@@ -877,26 +618,6 @@ mod tests {
     }
 
     #[test]
-    fn quant_raw_reads_flagged_outside_planes() {
-        let bits = "fn f(c: u16) -> u32 { QuantCell::bits(c) + x.bits() }\n";
-        let d = lint_one("crates/core/src/online.rs", bits);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "quant-plane-raw-read");
-        let lut = "fn f(dq: &D) -> f64 { dq.wlut[2] }\n";
-        let d = lint_one("crates/similarity/src/weighted.rs", lut);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "quant-plane-raw-read");
-        // planes.rs itself owns the encoding.
-        assert!(lint_one("crates/matrix/src/planes.rs", bits).is_empty());
-        assert!(lint_one("crates/matrix/src/planes.rs", lut).is_empty());
-        // f64 bit-twiddling (rsqrt) is a different token; tests may peek.
-        let to_bits = "fn f(x: f64) -> u64 { x.to_bits() }\n";
-        assert!(lint_one("crates/core/src/online.rs", to_bits).is_empty());
-        let in_test = "#[cfg(test)]\nmod tests {\n    fn g(c: u16) -> u32 { c.bits() }\n}\n";
-        assert!(lint_one("crates/core/src/online.rs", in_test).is_empty());
-    }
-
-    #[test]
     fn model_type_flagged_in_serve_outside_live() {
         let bad = "fn f(m: &Cfsf) { m.predict(u, i); }\n";
         let d = lint_one("crates/serve/src/server.rs", bad);
@@ -918,81 +639,6 @@ mod tests {
         assert!(lint_one("crates/serve/tests/roundtrip.rs", bad).is_empty());
         let in_test = "#[cfg(test)]\nmod tests {\n    fn g(m: &Cfsf) {}\n}\n";
         assert!(lint_one("crates/serve/src/server.rs", in_test).is_empty());
-    }
-
-    #[test]
-    fn literal_traced_request_flagged_outside_frame() {
-        let bad = "fn f() -> Request { Request::Predict { user: 1, item: 2, trace: None } }\n";
-        let d = lint_one("crates/serve/src/router.rs", bad);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "trace-context-dropped");
-        let bad_let =
-            "fn f() { let r = Request::RecommendTopN { user, n, item_start, item_end, trace };\n}\n";
-        let d = lint_one("src/bin/cfsf_cli.rs", bad_let);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "trace-context-dropped");
-        let multiline = "fn f() -> Request {\n    Request::PredictBatch {\n        pairs,\n        trace: None,\n    }\n}\n";
-        let d = lint_one("crates/serve/src/client.rs", multiline);
-        assert_eq!(d.len(), 1, "{d:?}");
-
-        // Patterns destructure — nothing is dropped.
-        let arm = "fn f(r: &Request) {\n    match r {\n        Request::Predict { user, item, .. } => go(*user, *item),\n        _ => {}\n    }\n}\n";
-        assert!(lint_one("crates/serve/src/server.rs", arm).is_empty());
-        let full_arm = "fn f(r: Request) -> u32 {\n    match r {\n        Request::Predict { user, item, trace } => user,\n        _ => 0,\n    }\n}\n";
-        assert!(lint_one("crates/serve/src/server.rs", full_arm).is_empty());
-        let if_let = "fn f(r: &Request) {\n    if let Request::Predict { user, item, trace } = r {\n        go(*user);\n    }\n}\n";
-        assert!(lint_one("crates/serve/src/server.rs", if_let).is_empty());
-        let matches = "fn f(r: &Request) -> bool { matches!(r, Request::Predict { .. }) }\n";
-        assert!(lint_one("crates/serve/src/router.rs", matches).is_empty());
-
-        // The helper calls and untraced variants are fine everywhere.
-        let helper = "fn f() -> Request { Request::predict(1, 2) }\n";
-        assert!(lint_one("crates/serve/src/router.rs", helper).is_empty());
-        let stats = "fn f() -> Request { Request::Stats }\n";
-        assert!(lint_one("crates/serve/src/router.rs", stats).is_empty());
-
-        // frame.rs owns the wire form; tests may build frames by hand.
-        assert!(lint_one("crates/serve/src/frame.rs", bad).is_empty());
-        assert!(lint_one("crates/serve/tests/roundtrip.rs", bad).is_empty());
-        let in_test = format!("#[cfg(test)]\nmod tests {{\n    {bad}}}\n");
-        assert!(lint_one("crates/serve/src/router.rs", &in_test).is_empty());
-    }
-
-    #[test]
-    fn unbounded_decode_alloc_flagged_in_frame_rs() {
-        let bad = "fn d(c: &mut Cursor) -> R {\n    let len = c.u32()? as usize;\n    let bytes = c.take(len)?;\n}\n";
-        let d = lint_one("crates/serve/src/frame.rs", bad);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "bounded-frame-alloc");
-        assert_eq!(d[0].line, 3);
-
-        let bad_cap = "fn d(c: &mut Cursor) -> R {\n    let count = c.u32()? as usize;\n    let mut v = Vec::with_capacity(count);\n}\n";
-        let d = lint_one("crates/serve/src/frame.rs", bad_cap);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "bounded-frame-alloc");
-
-        // A dominating bound within the window passes: the arrived
-        // payload, the frame cap, remaining(), or an explicit clamp.
-        for good in [
-            "fn d(c: &mut Cursor, payload: &[u8]) -> R {\n    let count = c.u32()? as usize;\n    if count > payload.len() / 8 + 1 {\n        return Err(FrameError::Malformed(\"count\"));\n    }\n    let mut v = Vec::with_capacity(count);\n}\n",
-            "fn d(c: &mut Cursor) -> R {\n    let len = c.u32()? as usize;\n    if len as usize > MAX_FRAME_BYTES {\n        return Err(FrameError::TooLarge(len));\n    }\n    let mut payload = vec![0u8; len as usize];\n}\n",
-            "fn d(c: &mut Cursor) -> R {\n    let len = c.u16()? as usize;\n    if len > c.remaining() {\n        return Err(FrameError::Malformed(\"len\"));\n    }\n    let bytes = c.take(len)?;\n}\n",
-            "fn d(c: &mut Cursor) -> R {\n    let n = c.u32()?.min(64) as usize;\n    let mut v = Vec::with_capacity(n);\n}\n",
-        ] {
-            assert!(
-                lint_one("crates/serve/src/frame.rs", good).is_empty(),
-                "false positive on {good:?}"
-            );
-        }
-
-        // Literal and compound-expression sizes are caller-controlled,
-        // not wire-controlled; other files are out of scope.
-        let literal = "fn d(c: &mut Cursor) -> R { let b = c.take(4)?; }\n";
-        assert!(lint_one("crates/serve/src/frame.rs", literal).is_empty());
-        let compound =
-            "fn e(payload: &[u8]) { let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + 4); }\n";
-        assert!(lint_one("crates/serve/src/frame.rs", compound).is_empty());
-        assert!(lint_one("crates/serve/src/router.rs", bad).is_empty());
     }
 
     #[test]

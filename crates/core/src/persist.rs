@@ -3,13 +3,14 @@
 //!
 //! What is stored: the configuration, the training matrix, the GIS
 //! neighbor lists (the `O(Q·nnz)` part of the offline phase), the
-//! K-means assignment (the iterative part), and — since version 3 — the
-//! quantized serving planes. What is *recomputed* on load: smoothing,
+//! K-means assignment (the iterative part), and the quantized serving
+//! planes. What is *recomputed* on load: smoothing,
 //! iCluster, and the dense online store — all linear passes that take
 //! milliseconds and would dominate the file size if stored
 //! (`P×Q` doubles).
 //!
-//! Format (version 3): little-endian, checksummed sections:
+//! Format (version 3, the only one this build reads or writes):
+//! little-endian, checksummed sections:
 //!
 //! ```text
 //! magic "CFSF"  | u32 version | u64 generation
@@ -41,8 +42,11 @@
 //! recovered model predicts identically. Every load, like every fit,
 //! ends in the one model constructor, which recomputes smoothing,
 //! iCluster and strips and folds the planes when none were read.
-//! Version 2 streams (no generation, no planes section) and version 1
-//! streams (unchecksummed, same payloads laid end to end) still load.
+//!
+//! Every count a section declares is checked against the bytes the
+//! section actually carries before anything is allocated for it, and
+//! every section must decode exactly: a short field or trailing bytes is
+//! [`PersistError::Format`].
 
 use std::io::{self, Read, Write};
 
@@ -54,8 +58,6 @@ use crate::{Cfsf, CfsfConfig, CfsfError};
 
 const MAGIC: &[u8; 4] = b"CFSF";
 const VERSION: u32 = 3;
-const V2: u32 = 2;
-const V1: u32 = 1;
 
 const TAG_CONFIG: u32 = 1;
 const TAG_MATRIX: u32 = 2;
@@ -113,8 +115,8 @@ pub struct RecoveryReport {
     /// parse/validation) and the planes were refolded from the smoothed
     /// sheet — deterministic, so bit-identical to what the file stored.
     pub planes_rebuilt: bool,
-    /// The refresh generation id from the stream header (0 for V1/V2
-    /// streams and offline-fitted models).
+    /// The refresh generation id from the stream header (0 for
+    /// offline-fitted models).
     pub generation: u64,
 }
 
@@ -218,12 +220,7 @@ const LIMIT: u64 = 1 << 32;
 
 // --- section payload encoders ------------------------------------------
 
-/// `with_precision` appends the serving-plane precision as a trailing
-/// byte — an append-only payload extension the V2 section framing allows
-/// (old readers never saw it; new readers treat its absence as the
-/// pre-quantization default). The legacy V1 stream has no framing, so its
-/// writer/reader must agree on the exact field list and skip it.
-fn encode_config(c: &CfsfConfig, with_precision: bool) -> io::Result<Vec<u8>> {
+fn encode_config(c: &CfsfConfig) -> io::Result<Vec<u8>> {
     let mut w = Vec::new();
     put_u64(&mut w, c.clusters as u64)?;
     put_u64(&mut w, c.k as u64)?;
@@ -237,9 +234,7 @@ fn encode_config(c: &CfsfConfig, with_precision: bool) -> io::Result<Vec<u8>> {
     put_u64(&mut w, c.gis.max_neighbors.map_or(u64::MAX, |n| n as u64))?;
     put_u64(&mut w, c.seed)?;
     put_u8(&mut w, u8::from(c.use_smoothing))?;
-    if with_precision {
-        put_u8(&mut w, c.plane_precision.code())?;
-    }
+    put_u8(&mut w, c.plane_precision.code())?;
     Ok(w)
 }
 
@@ -284,12 +279,7 @@ fn encode_clusters(clusters: &ClusterAssignment) -> io::Result<Vec<u8>> {
 
 // --- section payload decoders ------------------------------------------
 
-/// `with_precision` mirrors [`encode_config`]: when set (V2 sections),
-/// an optional trailing precision byte is consumed — EOF there means the
-/// payload predates quantized planes (the section checksum already
-/// validated the payload, so a short read is a genuine old writer, not
-/// truncation) and defaults to [`cf_matrix::PlanePrecision::U16`].
-fn decode_config<R: Read>(r: &mut R, with_precision: bool) -> Result<CfsfConfig, PersistError> {
+fn decode_config(r: &mut &[u8]) -> Result<CfsfConfig, PersistError> {
     let clusters = get_usize(r, "clusters", LIMIT)?;
     let k = get_usize(r, "k", LIMIT)?;
     let m_param = get_usize(r, "m", LIMIT)?;
@@ -302,16 +292,9 @@ fn decode_config<R: Read>(r: &mut R, with_precision: bool) -> Result<CfsfConfig,
     let cap_raw = get_u64(r)?;
     let seed = get_u64(r)?;
     let use_smoothing = get_u8(r)? != 0;
-    let plane_precision = if with_precision {
-        match get_u8(r) {
-            Ok(code) => cf_matrix::PlanePrecision::from_code(code).ok_or_else(|| {
-                PersistError::Format(format!("unknown plane precision code {code}"))
-            })?,
-            Err(_) => cf_matrix::PlanePrecision::U16,
-        }
-    } else {
-        cf_matrix::PlanePrecision::U16
-    };
+    let code = get_u8(r)?;
+    let plane_precision = cf_matrix::PlanePrecision::from_code(code)
+        .ok_or_else(|| PersistError::Format(format!("unknown plane precision code {code}")))?;
     let config = CfsfConfig {
         clusters,
         lambda,
@@ -335,7 +318,7 @@ fn decode_config<R: Read>(r: &mut R, with_precision: bool) -> Result<CfsfConfig,
     Ok(config)
 }
 
-fn decode_matrix<R: Read>(r: &mut R) -> Result<RatingMatrix, PersistError> {
+fn decode_matrix(r: &mut &[u8]) -> Result<RatingMatrix, PersistError> {
     let num_users = get_usize(r, "num_users", LIMIT)?;
     let num_items = get_usize(r, "num_items", LIMIT)?;
     let nnz = get_usize(r, "nnz", LIMIT)?;
@@ -349,6 +332,14 @@ fn decode_matrix<R: Read>(r: &mut R) -> Result<RatingMatrix, PersistError> {
     if !(scale_min.is_finite() && scale_max.is_finite() && scale_min < scale_max) {
         return Err(PersistError::Format(format!(
             "invalid scale [{scale_min}, {scale_max}]"
+        )));
+    }
+    // 16 bytes per stored triplet: a count the section cannot hold must
+    // not size the reservation.
+    if nnz > r.len() / 16 {
+        return Err(PersistError::Format(format!(
+            "matrix section declares {nnz} ratings but carries {} bytes",
+            r.len()
         )));
     }
     let mut b = MatrixBuilder::with_dims(num_users, num_items)
@@ -371,11 +362,18 @@ fn decode_matrix<R: Read>(r: &mut R) -> Result<RatingMatrix, PersistError> {
     Ok(matrix)
 }
 
-fn decode_gis<R: Read>(r: &mut R, num_items: usize) -> Result<Gis, PersistError> {
+fn decode_gis(r: &mut &[u8], num_items: usize) -> Result<Gis, PersistError> {
     let mut lists = Vec::with_capacity(num_items);
     for item in 0..num_items {
         let len = get_usize(r, "gis list length", LIMIT)?;
-        let mut list = Vec::with_capacity(len.min(num_items));
+        // 12 bytes per stored neighbor.
+        if len > r.len() / 12 {
+            return Err(PersistError::Format(format!(
+                "gis list of item {item} declares {len} neighbors but {} bytes remain",
+                r.len()
+            )));
+        }
+        let mut list = Vec::with_capacity(len);
         for _ in 0..len {
             let i = get_u32(r)?;
             if i as usize >= num_items {
@@ -401,10 +399,7 @@ fn decode_gis<R: Read>(r: &mut R, num_items: usize) -> Result<Gis, PersistError>
     Ok(Gis::from_lists(lists))
 }
 
-fn decode_clusters<R: Read>(
-    r: &mut R,
-    num_users: usize,
-) -> Result<ClusterAssignment, PersistError> {
+fn decode_clusters(r: &mut &[u8], num_users: usize) -> Result<ClusterAssignment, PersistError> {
     let stored_k = get_usize(r, "cluster count", LIMIT)?;
     let iterations = get_usize(r, "kmeans iterations run", LIMIT)?;
     let converged = get_u8(r)? != 0;
@@ -465,15 +460,19 @@ fn read_section<R: Read>(r: &mut R, tag: u32, what: &str) -> Result<Vec<u8>, Per
     Ok(payload)
 }
 
-/// Decodes a whole section payload, rejecting trailing garbage — a
-/// payload that checksums clean but decodes short is still corrupt.
+/// Decodes a whole section payload. A payload that checksums clean but
+/// ends before its last field, or runs past it, is still corrupt: both
+/// are [`PersistError::Format`].
 fn decode_section<'p, T>(
     payload: &'p [u8],
     what: &str,
     decode: impl FnOnce(&mut &'p [u8]) -> Result<T, PersistError>,
 ) -> Result<T, PersistError> {
     let mut r = payload;
-    let value = decode(&mut r)?;
+    let value = decode(&mut r).map_err(|e| match e {
+        PersistError::Io(e) => PersistError::Format(format!("{what} section ends early: {e}")),
+        e => e,
+    })?;
     if !r.is_empty() {
         return Err(PersistError::Format(format!(
             "{what} section has {} trailing bytes",
@@ -499,7 +498,7 @@ impl Cfsf {
         w.write_all(MAGIC)?;
         put_u32(&mut w, VERSION)?;
         put_u64(&mut w, generation)?;
-        write_section(&mut w, TAG_CONFIG, &encode_config(&self.config, true)?)?;
+        write_section(&mut w, TAG_CONFIG, &encode_config(&self.config)?)?;
         write_section(&mut w, TAG_MATRIX, &encode_matrix(&self.matrix)?)?;
         write_section(&mut w, TAG_GIS, &encode_gis(&self.gis, &self.matrix)?)?;
         write_section(&mut w, TAG_CLUSTERS, &encode_clusters(&self.clusters)?)?;
@@ -513,35 +512,8 @@ impl Cfsf {
         self.save(io::BufWriter::new(f))
     }
 
-    /// Writes the legacy unchecksummed version-1 stream — kept only so
-    /// the compatibility tests can exercise the V1 load path.
-    #[cfg(test)]
-    pub(crate) fn save_v1<W: Write>(&self, mut w: W) -> io::Result<()> {
-        w.write_all(MAGIC)?;
-        put_u32(&mut w, V1)?;
-        w.write_all(&encode_config(&self.config, false)?)?;
-        w.write_all(&encode_matrix(&self.matrix)?)?;
-        w.write_all(&encode_gis(&self.gis, &self.matrix)?)?;
-        w.write_all(&encode_clusters(&self.clusters)?)?;
-        w.flush()
-    }
-
-    /// Writes the previous checksummed version-2 stream (no generation,
-    /// no planes section) — kept only so the compatibility tests can
-    /// exercise the V2 load path.
-    #[cfg(test)]
-    pub(crate) fn save_v2<W: Write>(&self, mut w: W) -> io::Result<()> {
-        w.write_all(MAGIC)?;
-        put_u32(&mut w, V2)?;
-        write_section(&mut w, TAG_CONFIG, &encode_config(&self.config, true)?)?;
-        write_section(&mut w, TAG_MATRIX, &encode_matrix(&self.matrix)?)?;
-        write_section(&mut w, TAG_GIS, &encode_gis(&self.gis, &self.matrix)?)?;
-        write_section(&mut w, TAG_CLUSTERS, &encode_clusters(&self.clusters)?)?;
-        w.flush()
-    }
-
-    /// Deserializes a model saved by [`Cfsf::save`] (or a legacy V1/V2
-    /// stream), verifying every section checksum. Predictions of the
+    /// Deserializes a model saved by [`Cfsf::save`], verifying every
+    /// section checksum. Predictions of the
     /// loaded model are bit-identical to the original's. Any corruption
     /// is an error here; see [`Cfsf::load_with_recovery`] for the
     /// rebuild-what-can-be-rebuilt policy.
@@ -550,7 +522,7 @@ impl Cfsf {
     }
 
     /// [`Cfsf::load`] also returning the refresh generation id stamped in
-    /// the stream header (0 for V1/V2 streams and offline-fitted models).
+    /// the stream header (0 for offline-fitted models).
     pub fn load_with_generation<R: Read>(r: R) -> Result<(Self, u64), PersistError> {
         load_impl(r, false).map(|(model, report)| (model, report.generation))
     }
@@ -561,8 +533,7 @@ impl Cfsf {
     /// it is recomputed exactly as [`Cfsf::fit`] would (seeded K-means,
     /// deterministic plane folding) instead of failing the load. The
     /// config and matrix sections are ground truth — corruption there is
-    /// unrecoverable and errors like [`Cfsf::load`]. Legacy V1 streams
-    /// carry no checksums; they load strictly with an empty report.
+    /// unrecoverable and errors like [`Cfsf::load`].
     pub fn load_with_recovery<R: Read>(r: R) -> Result<(Self, RecoveryReport), PersistError> {
         load_impl(r, true)
     }
@@ -582,22 +553,20 @@ impl Cfsf {
     }
 }
 
-/// Checks the magic and returns the stream version plus the generation
-/// id (V3 carries it in the header; earlier versions read as 0).
-fn read_header<R: Read>(r: &mut R) -> Result<(u32, u64), PersistError> {
+/// Checks the magic and version and returns the generation id.
+fn read_header<R: Read>(r: &mut R) -> Result<u64, PersistError> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
         return Err(PersistError::Format("bad magic (not a CFSF model)".into()));
     }
     let version = get_u32(r)?;
-    match version {
-        V1 | V2 => Ok((version, 0)),
-        VERSION => Ok((VERSION, get_u64(r)?)),
-        _ => Err(PersistError::Format(format!(
-            "unsupported version {version} (this build reads {V1}, {V2} and {VERSION})"
-        ))),
+    if version != VERSION {
+        return Err(PersistError::Format(format!(
+            "unsupported version {version} (this build reads {VERSION})"
+        )));
     }
+    Ok(get_u64(r)?)
 }
 
 /// The shared decode behind [`Cfsf::load`] and
@@ -605,14 +574,11 @@ fn read_header<R: Read>(r: &mut R) -> Result<(u32, u64), PersistError> {
 /// derivable section (gis / clusters / planes) is rebuilt from the
 /// matrix or fails the load.
 fn load_impl<R: Read>(mut r: R, recover: bool) -> Result<(Cfsf, RecoveryReport), PersistError> {
-    let (version, generation) = read_header(&mut r)?;
-    if version == V1 {
-        return Ok((load_v1(&mut r)?, RecoveryReport::default()));
-    }
+    let generation = read_header(&mut r)?;
     let config = decode_section(
         &read_section(&mut r, TAG_CONFIG, "config")?,
         "config",
-        |r| decode_config(r, true),
+        decode_config,
     )?;
     let matrix = decode_section(
         &read_section(&mut r, TAG_MATRIX, "matrix")?,
@@ -647,22 +613,16 @@ fn load_impl<R: Read>(mut r: R, recover: bool) -> Result<(Cfsf, RecoveryReport),
             KMeans::fit(&matrix, &config.kmeans_config())
         }
     };
-    let planes = if version >= VERSION {
-        match read_section(&mut r, TAG_PLANES, "planes")
-            .and_then(|p| decode_planes(&p, &config, &matrix))
-        {
-            Ok(planes) => Some(planes),
-            Err(e) if !recover => return Err(e),
-            Err(_) => {
-                cf_obs::counter!("persist.recovered.planes").inc();
-                report.planes_rebuilt = true;
-                None
-            }
+    let planes = match read_section(&mut r, TAG_PLANES, "planes")
+        .and_then(|p| decode_planes(&p, &config, &matrix))
+    {
+        Ok(planes) => Some(planes),
+        Err(e) if !recover => return Err(e),
+        Err(_) => {
+            cf_obs::counter!("persist.recovered.planes").inc();
+            report.planes_rebuilt = true;
+            None
         }
-    } else {
-        // V2 streams never stored planes; recomputing them is the
-        // normal load path, not a recovery.
-        None
     };
     Ok((
         Cfsf::assemble(config, matrix, gis, clusters, planes),
@@ -702,16 +662,6 @@ fn decode_planes(
         ));
     }
     Ok(planes)
-}
-
-/// The legacy sequential-stream decode: the same payloads as V2, laid
-/// end to end with no framing or checksums.
-fn load_v1<R: Read>(r: &mut R) -> Result<Cfsf, PersistError> {
-    let config = decode_config(r, false)?;
-    let matrix = decode_matrix(r)?;
-    let gis = decode_gis(r, matrix.num_items())?;
-    let clusters = decode_clusters(r, matrix.num_users())?;
-    Ok(Cfsf::assemble(config, matrix, gis, clusters, None))
 }
 
 #[cfg(test)]
@@ -826,92 +776,34 @@ mod tests {
         assert_predictions_match(&original, &loaded);
     }
 
-    /// A V2 stream (no generation in the header, no planes section) must
-    /// still load, strictly and through recovery, with an empty report.
-    #[test]
-    fn legacy_v2_streams_still_load() {
-        let original = model();
-        let mut v2 = Vec::new();
-        original.save_v2(&mut v2).unwrap();
-        let loaded = Cfsf::load(v2.as_slice()).unwrap();
-        assert_predictions_match(&original, &loaded);
-
-        let (recovered, report) = Cfsf::load_with_recovery(v2.as_slice()).unwrap();
-        assert_eq!(report, RecoveryReport::default());
-        assert!(
-            !report.planes_rebuilt,
-            "a V2 stream never stored planes; recomputing them is not a recovery"
-        );
-        assert_predictions_match(&original, &recovered);
-    }
-
-    /// A V2 stream whose config payload predates the trailing precision
-    /// byte (written by an older build) must load with the U16 default.
-    #[test]
-    fn v2_config_without_precision_byte_defaults_to_u16() {
-        let original = model();
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        put_u32(&mut buf, V2).unwrap();
-        write_section(
-            &mut buf,
-            TAG_CONFIG,
-            &encode_config(&original.config, false).unwrap(),
-        )
-        .unwrap();
-        write_section(
-            &mut buf,
-            TAG_MATRIX,
-            &encode_matrix(&original.matrix).unwrap(),
-        )
-        .unwrap();
-        write_section(
-            &mut buf,
-            TAG_GIS,
-            &encode_gis(&original.gis, &original.matrix).unwrap(),
-        )
-        .unwrap();
-        write_section(
-            &mut buf,
-            TAG_CLUSTERS,
-            &encode_clusters(&original.clusters).unwrap(),
-        )
-        .unwrap();
-        let loaded = Cfsf::load(buf.as_slice()).unwrap();
-        assert_eq!(
-            loaded.config().plane_precision,
-            cf_matrix::PlanePrecision::U16
-        );
-        assert_predictions_match(&original, &loaded);
-    }
-
-    #[test]
-    fn unknown_plane_precision_code_is_rejected() {
-        let original = model();
-        let mut payload = encode_config(&original.config, false).unwrap();
-        payload.push(7); // no such precision
+    /// A V3 stream of the given `(tag, payload)` sections.
+    fn stream(sections: &[(u32, &[u8])]) -> Vec<u8> {
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
         put_u32(&mut buf, VERSION).unwrap();
         put_u64(&mut buf, 0).unwrap(); // generation
-        write_section(&mut buf, TAG_CONFIG, &payload).unwrap();
-        let e = Cfsf::load(buf.as_slice()).unwrap_err();
-        assert!(e.to_string().contains("plane precision"), "{e}");
+        for &(tag, payload) in sections {
+            write_section(&mut buf, tag, payload).unwrap();
+        }
+        buf
     }
 
     #[test]
-    fn legacy_v1_streams_still_load() {
-        let original = model();
-        let mut v1 = Vec::new();
-        original.save_v1(&mut v1).unwrap();
-        let loaded = Cfsf::load(v1.as_slice()).unwrap();
-        assert_predictions_match(&original, &loaded);
+    fn unknown_plane_precision_code_is_rejected() {
+        let mut payload = encode_config(&model().config).unwrap();
+        *payload.last_mut().unwrap() = 7; // no such precision
+        let e = Cfsf::load(stream(&[(TAG_CONFIG, &payload)]).as_slice()).unwrap_err();
+        assert!(e.to_string().contains("plane precision"), "{e}");
+    }
 
-        // And through the recovery entry point, with an empty report.
-        let (recovered, report) = Cfsf::load_with_recovery(v1.as_slice()).unwrap();
-        assert_eq!(report, RecoveryReport::default());
-        assert!(!report.any());
-        assert_predictions_match(&original, &recovered);
+    /// Every V3 writer writes the precision byte, so a config payload
+    /// without it is corrupt, not an older layout.
+    #[test]
+    fn v3_config_without_precision_byte_is_format() {
+        let mut payload = encode_config(&model().config).unwrap();
+        payload.pop();
+        let e = Cfsf::load(stream(&[(TAG_CONFIG, &payload)]).as_slice()).unwrap_err();
+        assert!(matches!(e, PersistError::Format(_)), "{e}");
     }
 
     #[test]
@@ -922,9 +814,47 @@ mod tests {
         let original = model();
         let mut buf = Vec::new();
         original.save(&mut buf).unwrap();
-        buf[4] = 99; // corrupt the version
-        let e = Cfsf::load(buf.as_slice()).unwrap_err();
-        assert!(e.to_string().contains("version"), "{e}");
+        // The retired V1 and V2 layouts, and a future one.
+        for version in [1u8, 2, 99] {
+            buf[4] = version;
+            let e = Cfsf::load(buf.as_slice()).unwrap_err();
+            assert!(matches!(e, PersistError::Format(_)), "{e}");
+            assert!(e.to_string().contains("version"), "{e}");
+        }
+    }
+
+    /// A count a section cannot hold is refused before anything is
+    /// reserved for it. The 194-byte stream declaring 2^32 ratings and
+    /// carrying one used to reserve 64 GiB and abort the process.
+    #[test]
+    fn declared_counts_beyond_their_section_are_format() {
+        let original = model();
+        let config = encode_config(&original.config).unwrap();
+        let mut matrix = Vec::new();
+        for v in [1, 1, LIMIT] {
+            put_u64(&mut matrix, v).unwrap(); // users, items, ratings
+        }
+        for v in [1.0, 5.0, 0.0, 3.0] {
+            put_f64(&mut matrix, v).unwrap(); // scale, (user 0, item 0), rating
+        }
+        let ratings = stream(&[(TAG_CONFIG, &config), (TAG_MATRIX, &matrix)]);
+        assert_eq!(ratings.len(), 194);
+        // One GIS list declaring 2^32 neighbors and carrying one.
+        let mut gis = Vec::new();
+        put_u64(&mut gis, LIMIT).unwrap();
+        put_u32(&mut gis, 1).unwrap();
+        put_f64(&mut gis, 0.5).unwrap();
+        let matrix = encode_matrix(&original.matrix).unwrap();
+        let neighbors = stream(&[
+            (TAG_CONFIG, &config),
+            (TAG_MATRIX, &matrix),
+            (TAG_GIS, &gis),
+        ]);
+        for (buf, what) in [(ratings, "ratings"), (neighbors, "neighbors")] {
+            let e = Cfsf::load(buf.as_slice()).unwrap_err();
+            assert!(matches!(e, PersistError::Format(_)), "{e}");
+            assert!(e.to_string().contains(what), "{e}");
+        }
     }
 
     #[test]

@@ -48,7 +48,8 @@ pub use error::MatrixError;
 pub use ids::{ItemId, UserId};
 pub use matrix::RatingMatrix;
 pub use planes::{
-    present_bit, PlaneDequant, PlanePrecision, PlanesView, QuantCell, TypedPlanes, WeightPlanes,
+    present_bit, PlaneDequant, PlanePrecision, PlanesOnly, PlanesView, QuantCell, TypedPlanes,
+    WeightPlanes,
 };
 pub use predictor::{clamp_rating, Predictor, RatingScale};
 pub use stats::MatrixStats;

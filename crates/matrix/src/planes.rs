@@ -36,8 +36,10 @@
 //!   bit-identical to the exact layout.
 //!
 //! All raw code/LUT handling lives in this file behind [`PlaneDequant`]
-//! and the typed row views; kernels never touch cell bits directly (the
-//! `quant-plane-raw-read` cf-analysis lint enforces this).
+//! and the typed row views; kernels never touch cell bits directly. The
+//! type system holds this: [`QuantCell::bits`] and [`QuantCell::pack`]
+//! take a [`PlanesOnly`] that only this file can build, and the LUT is a
+//! private field.
 
 use crate::{DenseRatings, ItemId, UserId};
 
@@ -76,6 +78,36 @@ impl PlanePrecision {
     }
 }
 
+/// The key to a cell's raw bits. Its field is private, so only this file
+/// can build one, and so only this file can call [`QuantCell::bits`] or
+/// [`QuantCell::pack`]: decoding a cell anywhere else would duplicate the
+/// encoding and silently diverge when it changes. Kernels dequantize
+/// through [`PlaneDequant::pair`] instead.
+///
+/// ```compile_fail,E0423
+/// use cf_matrix::{PlanesOnly, QuantCell};
+/// fn raw<C: QuantCell>(cell: C) -> u32 {
+///     cell.bits(PlanesOnly(()))
+/// }
+/// ```
+///
+/// ```
+/// use cf_matrix::{DenseRatings, ItemId, PlaneDequant, PlanesView, QuantCell, UserId, WeightPlanes};
+/// fn weighted<C: QuantCell>(dq: PlaneDequant, cell: C) -> (f64, f64) {
+///     dq.pair(cell)
+/// }
+/// let mut dense = DenseRatings::new(1, 1);
+/// dense.set_original(UserId::new(0), ItemId::new(0), 4.0);
+/// let planes = WeightPlanes::from_dense(&dense, 0.25);
+/// let (w, _) = match planes.view() {
+///     PlanesView::U16(t) => weighted(t.dq(), t.cell_row(UserId::new(0))[0]),
+///     PlanesView::U8(t) => weighted(t.dq(), t.cell_row(UserId::new(0))[0]),
+/// };
+/// assert_eq!(w, 0.25);
+/// ```
+#[derive(Debug)]
+pub struct PlanesOnly(());
+
 /// One quantized plane cell: an unsigned integer holding
 /// `(rating_code << 2) | (present << 1) | provenance`.
 ///
@@ -89,19 +121,19 @@ pub trait QuantCell: Copy + Send + Sync + 'static {
     /// Largest representable rating code.
     const MAX_CODE: u32 = (1u32 << Self::CODE_BITS) - 1;
     /// Packs raw cell bits (code + provenance already combined).
-    fn pack(bits: u32) -> Self;
+    fn pack(bits: u32, key: PlanesOnly) -> Self;
     /// The raw cell bits.
-    fn bits(self) -> u32;
+    fn bits(self, key: PlanesOnly) -> u32;
 }
 
 impl QuantCell for u16 {
     const CODE_BITS: u32 = 14;
     #[inline]
-    fn pack(bits: u32) -> Self {
+    fn pack(bits: u32, _: PlanesOnly) -> Self {
         bits as u16
     }
     #[inline]
-    fn bits(self) -> u32 {
+    fn bits(self, _: PlanesOnly) -> u32 {
         self as u32
     }
 }
@@ -109,11 +141,11 @@ impl QuantCell for u16 {
 impl QuantCell for u8 {
     const CODE_BITS: u32 = 6;
     #[inline]
-    fn pack(bits: u32) -> Self {
+    fn pack(bits: u32, _: PlanesOnly) -> Self {
         bits as u8
     }
     #[inline]
-    fn bits(self) -> u32 {
+    fn bits(self, _: PlanesOnly) -> u32 {
         self as u32
     }
 }
@@ -142,7 +174,7 @@ impl PlaneDequant {
     /// presence-word stream.
     #[inline(always)]
     pub fn pair<C: QuantCell>(&self, cell: C) -> (f64, f64) {
-        let b = cell.bits();
+        let b = cell.bits(PlanesOnly(()));
         let w = self.wlut[(b & 3) as usize];
         let r = (b >> 2) as f64 * self.step + self.min;
         (w, w * r)
@@ -152,7 +184,7 @@ impl PlaneDequant {
     /// kernels that also count overlap (`m_used`, PCC normalization).
     #[inline(always)]
     pub fn triple<C: QuantCell>(&self, cell: C) -> (f64, f64, u64) {
-        let b = cell.bits();
+        let b = cell.bits(PlanesOnly(()));
         let w = self.wlut[(b & 3) as usize];
         let r = (b >> 2) as f64 * self.step + self.min;
         (w, w * r, u64::from((b >> 1) & 1))
@@ -235,7 +267,7 @@ impl<'a, C: QuantCell> TypedPlanes<'a, C> {
         let mut acc = 0u32;
         let mut c = 0;
         while c < row.len() {
-            acc ^= row[c].bits();
+            acc ^= row[c].bits(PlanesOnly(()));
             c += stride;
         }
         std::hint::black_box(acc);
@@ -607,7 +639,7 @@ fn encode<C: QuantCell>(r: f64, original: bool, min: f64, inv_step: f64) -> C {
     // (r − min) ≥ 0 by construction of min; clamp guards the
     // floating-point overshoot of round() at the top of the range.
     let code = (((r - min) * inv_step).round() as u32).min(C::MAX_CODE);
-    C::pack((code << 2) | 0b10 | u32::from(original))
+    C::pack((code << 2) | 0b10 | u32::from(original), PlanesOnly(()))
 }
 
 #[inline]
@@ -630,7 +662,7 @@ fn build_cells<C: QuantCell>(
     let (p, q) = (dense.num_users(), dense.num_items());
     let inv_step = inv_step(step);
 
-    let mut cells = vec![C::pack(0); p * q];
+    let mut cells = vec![C::pack(0, PlanesOnly(())); p * q];
     let mut present = vec![0u64; p * words_per_row];
     for ui in 0..p {
         let u = UserId::from(ui);
@@ -670,7 +702,7 @@ fn reencode<C: QuantCell>(
                 *word |= 1u64 << (ii & 63);
             }
             None => {
-                cells[c] = C::pack(0);
+                cells[c] = C::pack(0, PlanesOnly(()));
                 *word &= !(1u64 << (ii & 63));
             }
         }

@@ -191,12 +191,10 @@ impl MergeSnapshot {
             for _ in 0..nonzero {
                 let idx = c.u16()? as usize;
                 let cnt = c.u64()?;
-                if idx >= h.counts.len() {
-                    // A future layout with more buckets: keep what fits
-                    // rather than rejecting the whole snapshot.
-                    h.counts.resize(idx + 1, 0);
-                }
-                h.counts[idx] = cnt;
+                // Every process shares one bucket layout; a different one
+                // is a different WIRE_VERSION, not a reason to grow.
+                let slot = h.counts.get_mut(idx).ok_or(MergeDecodeError::TooLarge)?;
+                *slot = cnt;
             }
             snap.histograms.insert(name, h);
         }
@@ -357,6 +355,41 @@ mod tests {
             let r = MergeSnapshot::from_bytes(&bytes[..cut]);
             assert!(r.is_err(), "prefix of {cut} bytes must not decode");
         }
+    }
+
+    /// A bucket index past the shared layout used to grow the histogram
+    /// to it: 64 histograms naming bucket 65,535 in a 3,277-byte payload
+    /// decoded into 32 MiB of buckets.
+    #[test]
+    fn bucket_index_past_the_layout_is_rejected() {
+        // `hists` histograms, each with one nonzero bucket at `idx`.
+        let payload = |hists: usize, idx: u16| {
+            let mut b = vec![WIRE_VERSION];
+            for n in [0, 0, hists as u32] {
+                put_u32(&mut b, n); // counters, gauges, histograms
+            }
+            for i in 0..hists {
+                put_name(&mut b, &format!("h{i:02}"));
+                for _ in 0..4 {
+                    put_u64(&mut b, 1); // count, sum, min, max
+                }
+                put_u32(&mut b, 1);
+                put_u16(&mut b, idx);
+                put_u64(&mut b, 1);
+            }
+            b
+        };
+        let crafted = payload(64, u16::MAX);
+        assert_eq!(crafted.len(), 3_277);
+        let last = crate::histogram_bucket_count() - 1;
+        for bytes in [crafted, payload(1, last as u16 + 1)] {
+            assert_eq!(
+                MergeSnapshot::from_bytes(&bytes),
+                Err(MergeDecodeError::TooLarge)
+            );
+        }
+        let snap = MergeSnapshot::from_bytes(&payload(1, last as u16)).unwrap();
+        assert_eq!(snap.histograms["h00"].counts[last], 1);
     }
 
     #[test]

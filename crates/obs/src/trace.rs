@@ -106,9 +106,8 @@ pub struct SpanRec {
 }
 
 /// Cross-process trace context: everything a frame needs to carry so a
-/// downstream process can continue the span tree. Encoded leniently as
-/// trailing frame bytes by `cf-serve` (`frame.rs` attaches it; old peers
-/// ignore it).
+/// downstream process can continue the span tree. `cf-serve` carries it
+/// as an optional field of its traced request frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceContext {
     /// The originating request's trace id; the downstream trace adopts it.

@@ -1,6 +1,5 @@
-//! The CFSF wire protocol: length-framed, versioned, checksummed binary
-//! frames over TCP — persist-V2 style, but per message instead of per
-//! file section.
+//! The CFSF wire protocol (CFWP): length-framed, versioned, checksummed
+//! binary frames over TCP.
 //!
 //! Frame layout (everything little-endian):
 //!
@@ -16,10 +15,16 @@
 //! can't OOM the server.
 //!
 //! Requests and responses share the same framing; kinds below 16 are
-//! requests, 16 and up are responses. Both sides ignore unknown *trailing
-//! payload bytes* within a known kind (append-only evolution), and
-//! reject unknown kinds — version bumps are for layout changes, not
-//! additions.
+//! requests, 16 and up are responses. Every payload has one fixed
+//! layout (DESIGN.md §8b) built from three shapes: fixed-width fields,
+//! optional values (a tag byte, 0 or 1, then the value when the tag is
+//! 1), and lists (a `u32` count, then the elements; strings and blobs
+//! are byte lists). Every response ends with the responder's remote
+//! spans. Decoding is strict: a short field, a tag or boolean byte other
+//! than 0 or 1, a count above its cap or above what the rest of the
+//! payload can hold, a string that is not UTF-8, or bytes left after the
+//! last field is [`FrameError::Malformed`]; an unknown kind is
+//! [`FrameError::UnknownKind`]. Any layout change bumps [`VERSION`].
 //!
 //! Floating-point values travel as `f64::to_bits`, so a prediction
 //! served through a shard is bit-for-bit the prediction the same model
@@ -33,14 +38,15 @@ use cf_obs::trace::{RemoteSpan, TraceContext, REMOTE_SPANS_CAP};
 
 /// Frame magic: CFSF Wire Protocol.
 pub const MAGIC: [u8; 4] = *b"CFWP";
-/// Current protocol version. Bumped only for layout changes; appending
-/// fields to an existing payload is allowed within a version.
-pub const VERSION: u16 = 1;
+/// Current protocol version: every field present, every decode strict.
+/// Any change to a payload layout bumps it.
+pub const VERSION: u16 = 2;
 /// Hard cap on one frame's payload. Generous enough for a 1M-user
 /// profile frame (8 MiB of user means), small enough that a corrupt
 /// length field cannot balloon allocation.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
-/// Hard cap on the pairs of one [`Request::PredictBatch`]. The answer
+/// Hard cap on the pairs of one [`Request::PredictBatch`], and so on the
+/// elements of the [`Response::Predictions`] that answers it. The answer
 /// costs 11 bytes per pair, so a batch much above this would soon answer
 /// with a frame over [`MAX_FRAME_BYTES`]; at this size the answer is
 /// 0.7 MiB and takes well under a second to compute even on one thread,
@@ -128,6 +134,39 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
+/// The trace context a traced [`Request`] carries: the caller's, so the
+/// shard continues the span tree under the same trace id.
+///
+/// Only this module can build one. [`Request::predict`],
+/// [`Request::recommend_top_n`] and [`Request::predict_batch`] capture
+/// the calling thread's context, and decoding reads the peer's, so no
+/// traced request can be built with its context dropped.
+/// [`Request::trace_context`] reads it.
+///
+/// ```compile_fail,E0308
+/// use cf_serve::frame::Request;
+/// let req = Request::Predict { user: 1, item: 2, trace: None };
+/// ```
+///
+/// ```compile_fail,E0423
+/// use cf_serve::frame::{Request, WireTrace};
+/// let req = Request::Predict { user: 1, item: 2, trace: WireTrace(None) };
+/// ```
+///
+/// ```
+/// use cf_serve::frame::Request;
+/// // No request trace is active on this thread, so there is none to carry.
+/// assert_eq!(Request::predict(1, 2).trace_context(), None);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WireTrace(Option<TraceContext>);
+
+impl WireTrace {
+    fn current() -> Self {
+        Self(cf_obs::trace::current_context())
+    }
+}
+
 /// A request frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
@@ -139,11 +178,8 @@ pub enum Request {
         user: u32,
         /// 0-based item id.
         item: u32,
-        /// Caller's trace context, propagated so the shard continues the
-        /// span tree under the same trace id. Travels as appended
-        /// trailing payload — old peers ignore it, and frames from old
-        /// peers decode as `None`.
-        trace: Option<TraceContext>,
+        /// Caller's trace context (see [`WireTrace`]).
+        trace: WireTrace,
     },
     /// Top-`n` recommendations for `user` over the item stripe
     /// `[item_start, item_end)`; `item_end == u32::MAX` means "through
@@ -158,8 +194,8 @@ pub enum Request {
         item_start: u32,
         /// One past the last item of the stripe; `u32::MAX` = item count.
         item_end: u32,
-        /// Caller's trace context (see [`Request::Predict::trace`]).
-        trace: Option<TraceContext>,
+        /// Caller's trace context (see [`WireTrace`]).
+        trace: WireTrace,
     },
     /// Fetch the fallback profile (scale, global/user means) the router
     /// serves degraded answers from when a shard is unreachable.
@@ -175,8 +211,8 @@ pub enum Request {
     PredictBatch {
         /// 0-based `(user, item)` pairs, answered in this order.
         pairs: Vec<(u32, u32)>,
-        /// Caller's trace context (see [`Request::Predict::trace`]).
-        trace: Option<TraceContext>,
+        /// Caller's trace context (see [`WireTrace`]).
+        trace: WireTrace,
     },
     /// Fetch the shard's mergeable metrics snapshot
     /// ([`cf_obs::merge::MergeSnapshot`] wire bytes) for fleet
@@ -186,14 +222,12 @@ pub enum Request {
 
 impl Request {
     /// A [`Request::Predict`] carrying the calling thread's current
-    /// trace context (if a request trace is active). Always build
-    /// predict frames through this — the `trace-context-dropped` lint
-    /// flags literal construction outside this module.
+    /// trace context (if a request trace is active).
     pub fn predict(user: u32, item: u32) -> Self {
         Self::Predict {
             user,
             item,
-            trace: cf_obs::trace::current_context(),
+            trace: WireTrace::current(),
         }
     }
 
@@ -204,7 +238,7 @@ impl Request {
             n,
             item_start,
             item_end,
-            trace: cf_obs::trace::current_context(),
+            trace: WireTrace::current(),
         }
     }
 
@@ -212,7 +246,7 @@ impl Request {
     pub fn predict_batch(pairs: Vec<(u32, u32)>) -> Self {
         Self::PredictBatch {
             pairs,
-            trace: cf_obs::trace::current_context(),
+            trace: WireTrace::current(),
         }
     }
 
@@ -221,7 +255,7 @@ impl Request {
         match self {
             Self::Predict { trace, .. }
             | Self::RecommendTopN { trace, .. }
-            | Self::PredictBatch { trace, .. } => *trace,
+            | Self::PredictBatch { trace, .. } => trace.0,
             Self::Health | Self::Profile | Self::Stats => None,
         }
     }
@@ -251,9 +285,7 @@ pub struct HealthInfo {
     pub num_users: u64,
     /// Items in the loaded model.
     pub num_items: u64,
-    /// Refresh generation currently serving (0 before any live refresh
-    /// and on peers predating the field — appended trailing payload, so
-    /// old and new builds interoperate without a version bump).
+    /// Refresh generation currently serving (0 before any live refresh).
     pub generation: u64,
 }
 
@@ -283,10 +315,9 @@ pub struct WireProfile {
     pub num_items: u64,
     /// Per-user mean ratings, indexed by user id.
     pub user_means: Vec<f64>,
-    /// Refresh generation the profile was cut from (0 on peers predating
-    /// the field — appended trailing payload, no version bump). The
-    /// router compares this against health frames to notice its fallback
-    /// table has gone stale.
+    /// Refresh generation the profile was cut from. The router compares
+    /// this against health frames to notice its fallback table has gone
+    /// stale.
     pub generation: u64,
 }
 
@@ -380,17 +411,103 @@ impl<'a> Cursor<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    /// Reads a `u64` appended after the original payload fields — the
-    /// append-only evolution rule: a short payload (old peer) decodes as
-    /// `default` instead of failing.
-    fn u64_or(&mut self, default: u64) -> u64 {
-        self.u64().unwrap_or(default)
+    fn bool(&mut self) -> Result<bool, FrameError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(FrameError::Malformed("boolean byte is neither 0 nor 1")),
+        }
     }
 
-    /// Bytes left between the read position and the end of the payload —
-    /// the tightest bound any decoded length can honestly claim.
-    fn remaining(&self) -> usize {
-        self.data.len() - self.pos
+    /// An optional value: a tag byte, then the value when the tag is 1.
+    fn option<T>(
+        &mut self,
+        value: impl FnOnce(&mut Self) -> Result<T, FrameError>,
+    ) -> Result<Option<T>, FrameError> {
+        match self.u8()? {
+            0 => Ok(None),
+            1 => value(self).map(Some),
+            _ => Err(FrameError::Malformed("optional tag is neither 0 nor 1")),
+        }
+    }
+
+    /// A list's `u32` count, vetted before anything is sized by it: more
+    /// than `cap` elements, or more than the rest of the payload can hold
+    /// at `min_bytes` wire bytes per element, is `Malformed`. Every
+    /// length read off the wire goes through here.
+    fn count(&mut self, cap: usize, min_bytes: usize) -> Result<usize, FrameError> {
+        let count = self.u32()? as usize;
+        if count > cap || count > (self.data.len() - self.pos) / min_bytes {
+            return Err(FrameError::Malformed(
+                "list count exceeds its cap or the payload",
+            ));
+        }
+        Ok(count)
+    }
+
+    /// A list: a vetted count (see [`Cursor::count`]), then the elements.
+    fn list<T>(
+        &mut self,
+        cap: usize,
+        min_bytes: usize,
+        mut elem: impl FnMut(&mut Self) -> Result<T, FrameError>,
+    ) -> Result<Vec<T>, FrameError> {
+        let count = self.count(cap, min_bytes)?;
+        let mut out = Vec::with_capacity(count);
+        for _ in 0..count {
+            out.push(elem(self)?);
+        }
+        Ok(out)
+    }
+
+    /// A byte list, capped only by the frame.
+    fn bytes(&mut self) -> Result<Vec<u8>, FrameError> {
+        let len = self.count(MAX_FRAME_BYTES, 1)?;
+        Ok(self.take(len)?.to_vec())
+    }
+
+    fn string(&mut self) -> Result<String, FrameError> {
+        String::from_utf8(self.bytes()?).map_err(|_| FrameError::Malformed("string is not UTF-8"))
+    }
+
+    fn trace(&mut self) -> Result<WireTrace, FrameError> {
+        let ctx = self.option(|c| {
+            Ok(TraceContext {
+                trace_id: c.u64()?,
+                parent_span: c.u32()?,
+                sampled: c.bool()?,
+            })
+        })?;
+        Ok(WireTrace(ctx))
+    }
+
+    fn prediction(&mut self) -> Result<WirePrediction, FrameError> {
+        Ok(WirePrediction {
+            fused: self.f64()?,
+            level: self.u8()?,
+            fallback: self.bool()?,
+        })
+    }
+
+    /// One remote span. `origin` is not on the wire — the receiver knows
+    /// which shard it asked.
+    fn span(&mut self) -> Result<RemoteSpan, FrameError> {
+        Ok(RemoteSpan {
+            origin: String::new(),
+            name: self.string()?,
+            start_ns: self.u64()?,
+            dur_ns: self.u64()?,
+            depth: self.u8()?,
+        })
+    }
+
+    /// Ends a decode: bytes after the last field are `Malformed`.
+    fn finish(self) -> Result<(), FrameError> {
+        if self.pos == self.data.len() {
+            Ok(())
+        } else {
+            Err(FrameError::Malformed("bytes left after the last field"))
+        }
     }
 }
 
@@ -406,100 +523,40 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_u64(out, v.to_bits());
 }
-
-// --- trailing telemetry blobs ------------------------------------------
-//
-// Trace context (on Predict/RecommendTopN/PredictBatch requests) and
-// completed remote spans (on Prediction/TopN/Predictions responses)
-// travel as *appended* trailing payload, per the append-only evolution
-// rule: old decoders stop at the original fields and never see them, and
-// this decoder reads them leniently — a short or garbled tail decodes as
-// "no context" / "no spans", never as a frame error, because telemetry
-// must not be able to fail serving.
-
-/// Appends `ctx` after the request's original payload fields.
-fn put_trace_context(out: &mut Vec<u8>, ctx: &Option<TraceContext>) {
-    if let Some(ctx) = ctx {
-        out.push(1);
-        put_u64(out, ctx.trace_id);
-        put_u32(out, ctx.parent_span);
-        out.push(u8::from(ctx.sampled));
-    }
-    // `None` appends nothing: the frame is byte-identical to one from a
-    // build predating trace propagation.
-}
-
-/// Leniently reads a trailing trace context; anything short, absent or
-/// unrecognized is `None`.
-fn take_trace_context(c: &mut Cursor) -> Option<TraceContext> {
-    if c.u8().ok()? != 1 {
-        return None;
-    }
-    let trace_id = c.u64().ok()?;
-    let parent_span = c.u32().ok()?;
-    let sampled = c.u8().ok()? != 0;
-    Some(TraceContext {
-        trace_id,
-        parent_span,
-        sampled,
-    })
-}
-
-/// Appends completed remote spans after a response's original payload.
-fn put_spans(out: &mut Vec<u8>, spans: &[RemoteSpan]) {
-    if spans.is_empty() {
-        return;
-    }
-    let n = spans.len().min(REMOTE_SPANS_CAP);
-    put_u32(out, n as u32);
-    for span in &spans[..n] {
-        let name = span.name.as_bytes();
-        let len = name.len().min(u16::MAX as usize);
-        put_u16(out, len as u16);
-        out.extend_from_slice(&name[..len]);
-        put_u64(out, span.start_ns);
-        put_u64(out, span.dur_ns);
-        out.push(span.depth);
+fn put_list<T>(out: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
+    put_u32(out, items.len() as u32);
+    for item in items {
+        put(out, item);
     }
 }
-
-/// Leniently reads trailing remote spans; a short or garbled tail yields
-/// the spans decoded so far (possibly none). `origin` is not on the wire
-/// — the receiver knows which shard it asked.
-fn take_spans(c: &mut Cursor) -> Vec<RemoteSpan> {
-    let Ok(count) = c.u32() else {
-        return Vec::new();
-    };
-    let mut spans = Vec::new();
-    for _ in 0..count.min(REMOTE_SPANS_CAP as u32) {
-        let Ok(len) = c.u16() else { break };
-        let len = (len as usize).min(c.remaining());
-        let Ok(name) = c.take(len) else {
-            break;
-        };
-        let name = String::from_utf8_lossy(name).into_owned();
-        let (Ok(start_ns), Ok(dur_ns), Ok(depth)) = (c.u64(), c.u64(), c.u8()) else {
-            break;
-        };
-        spans.push(RemoteSpan {
-            origin: String::new(),
-            name,
-            start_ns,
-            dur_ns,
-            depth,
-        });
+fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    put_u32(out, bytes.len() as u32);
+    out.extend_from_slice(bytes);
+}
+fn put_trace(out: &mut Vec<u8>, trace: WireTrace) {
+    match trace.0 {
+        None => out.push(0),
+        Some(ctx) => {
+            out.push(1);
+            put_u64(out, ctx.trace_id);
+            put_u32(out, ctx.parent_span);
+            out.push(u8::from(ctx.sampled));
+        }
     }
-    spans
+}
+fn put_prediction(out: &mut Vec<u8>, p: &WirePrediction) {
+    put_f64(out, p.fused);
+    out.push(p.level);
+    out.push(u8::from(p.fallback));
+}
+fn put_span(out: &mut Vec<u8>, span: &RemoteSpan) {
+    put_bytes(out, span.name.as_bytes());
+    put_u64(out, span.start_ns);
+    put_u64(out, span.dur_ns);
+    out.push(span.depth);
 }
 
-/// Response kinds that may carry a trailing remote-span blob. Profile is
-/// deliberately excluded: its decoder reads a lenient trailing
-/// `generation` u64, which a span blob would corrupt.
-fn span_capable(kind: u16) -> bool {
-    matches!(kind, KIND_R_PREDICTION | KIND_R_TOP_N | KIND_R_PREDICTIONS)
-}
-
-// --- encode ------------------------------------------------------------
+// --- payload codecs ----------------------------------------------------
 
 impl Request {
     fn kind(&self) -> u16 {
@@ -520,7 +577,7 @@ impl Request {
             Self::Predict { user, item, trace } => {
                 put_u32(&mut out, *user);
                 put_u32(&mut out, *item);
-                put_trace_context(&mut out, trace);
+                put_trace(&mut out, *trace);
             }
             Self::RecommendTopN {
                 user,
@@ -533,15 +590,14 @@ impl Request {
                 put_u32(&mut out, *n);
                 put_u32(&mut out, *item_start);
                 put_u32(&mut out, *item_end);
-                put_trace_context(&mut out, trace);
+                put_trace(&mut out, *trace);
             }
             Self::PredictBatch { pairs, trace } => {
-                put_u32(&mut out, pairs.len() as u32);
-                for &(user, item) in pairs {
-                    put_u32(&mut out, user);
-                    put_u32(&mut out, item);
-                }
-                put_trace_context(&mut out, trace);
+                put_list(&mut out, pairs, |out, &(user, item)| {
+                    put_u32(out, user);
+                    put_u32(out, item);
+                });
+                put_trace(&mut out, *trace);
             }
         }
         out
@@ -549,45 +605,30 @@ impl Request {
 
     fn decode(kind: u16, payload: &[u8]) -> Result<Self, FrameError> {
         let mut c = Cursor::new(payload);
-        Ok(match kind {
+        let req = match kind {
             KIND_HEALTH => Self::Health,
             KIND_PROFILE => Self::Profile,
             KIND_STATS => Self::Stats,
             KIND_PREDICT => Self::Predict {
                 user: c.u32()?,
                 item: c.u32()?,
-                trace: take_trace_context(&mut c),
+                trace: c.trace()?,
             },
             KIND_RECOMMEND => Self::RecommendTopN {
                 user: c.u32()?,
                 n: c.u32()?,
                 item_start: c.u32()?,
                 item_end: c.u32()?,
-                trace: take_trace_context(&mut c),
+                trace: c.trace()?,
             },
-            KIND_PREDICT_BATCH => {
-                let count = c.u32()? as usize;
-                if count > MAX_BATCH_PAIRS {
-                    return Err(FrameError::Malformed("batch exceeds MAX_BATCH_PAIRS"));
-                }
-                // Sanity-bound against the payload that actually arrived
-                // (8 bytes per pair) before allocating.
-                if count > payload.len() / 8 + 1 {
-                    return Err(FrameError::Malformed("batch count exceeds payload"));
-                }
-                let mut pairs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let user = c.u32()?;
-                    let item = c.u32()?;
-                    pairs.push((user, item));
-                }
-                Self::PredictBatch {
-                    pairs,
-                    trace: take_trace_context(&mut c),
-                }
-            }
+            KIND_PREDICT_BATCH => Self::PredictBatch {
+                pairs: c.list(MAX_BATCH_PAIRS, 8, |c| Ok((c.u32()?, c.u32()?)))?,
+                trace: c.trace()?,
+            },
             other => return Err(FrameError::UnknownKind(other)),
-        })
+        };
+        c.finish()?;
+        Ok(req)
     }
 }
 
@@ -604,7 +645,8 @@ impl Response {
         }
     }
 
-    fn payload(&self) -> Vec<u8> {
+    /// The kind's fields, then at most [`REMOTE_SPANS_CAP`] of `spans`.
+    fn payload(&self, spans: &[RemoteSpan]) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
             Self::Health(h) => {
@@ -613,177 +655,84 @@ impl Response {
                 put_u64(&mut out, h.num_items);
                 put_u64(&mut out, h.generation);
             }
-            Self::Prediction(p) => {
-                put_f64(&mut out, p.fused);
-                out.push(p.level);
-                out.push(u8::from(p.fallback));
-            }
-            Self::TopN(items) => {
-                put_u32(&mut out, items.len() as u32);
-                for &(item, score) in items {
-                    put_u32(&mut out, item);
-                    put_f64(&mut out, score);
-                }
-            }
+            Self::Prediction(p) => put_prediction(&mut out, p),
+            Self::TopN(items) => put_list(&mut out, items, |out, &(item, score)| {
+                put_u32(out, item);
+                put_f64(out, score);
+            }),
             Self::Profile(p) => {
                 put_f64(&mut out, p.scale_min);
                 put_f64(&mut out, p.scale_max);
                 put_f64(&mut out, p.global_mean);
                 put_u64(&mut out, p.num_items);
-                put_u64(&mut out, p.user_means.len() as u64);
-                for &m in &p.user_means {
-                    put_f64(&mut out, m);
-                }
+                put_list(&mut out, &p.user_means, |out, &m| put_f64(out, m));
                 put_u64(&mut out, p.generation);
             }
             Self::Error { code, message } => {
                 put_u16(&mut out, *code);
-                let msg = message.as_bytes();
-                put_u32(&mut out, msg.len() as u32);
-                out.extend_from_slice(msg);
+                put_bytes(&mut out, message.as_bytes());
             }
-            Self::Predictions(preds) => {
-                put_u32(&mut out, preds.len() as u32);
-                for p in preds {
-                    match p {
-                        Some(p) => {
-                            out.push(1);
-                            put_f64(&mut out, p.fused);
-                            out.push(p.level);
-                            out.push(u8::from(p.fallback));
-                        }
-                        None => out.push(0),
-                    }
+            Self::Predictions(preds) => put_list(&mut out, preds, |out, p| match p {
+                Some(p) => {
+                    out.push(1);
+                    put_prediction(out, p);
                 }
-            }
+                None => out.push(0),
+            }),
             Self::Stats(s) => {
                 put_u32(&mut out, s.shard_id);
                 put_u64(&mut out, s.generation);
-                put_u32(&mut out, s.snapshot.len() as u32);
-                out.extend_from_slice(&s.snapshot);
+                put_bytes(&mut out, &s.snapshot);
             }
         }
+        put_list(
+            &mut out,
+            &spans[..spans.len().min(REMOTE_SPANS_CAP)],
+            put_span,
+        );
         out
     }
 
-    #[cfg(test)]
-    fn decode(kind: u16, payload: &[u8]) -> Result<Self, FrameError> {
-        Ok(Self::decode_with_spans(kind, payload)?.0)
-    }
-
-    /// [`Response::decode`] plus any trailing remote-span blob the
-    /// responder appended (always empty for kinds that cannot carry
-    /// one).
-    fn decode_with_spans(kind: u16, payload: &[u8]) -> Result<(Self, Vec<RemoteSpan>), FrameError> {
+    /// Decodes a response payload into the response and the remote spans
+    /// that end it.
+    fn decode(kind: u16, payload: &[u8]) -> Result<(Self, Vec<RemoteSpan>), FrameError> {
         let mut c = Cursor::new(payload);
-        let resp = Self::decode_body(&mut c, kind, payload)?;
-        let spans = if span_capable(kind) {
-            take_spans(&mut c)
-        } else {
-            Vec::new()
-        };
-        Ok((resp, spans))
-    }
-
-    fn decode_body(c: &mut Cursor, kind: u16, payload: &[u8]) -> Result<Self, FrameError> {
-        Ok(match kind {
+        let resp = match kind {
             KIND_R_HEALTH => Self::Health(HealthInfo {
                 shard_id: c.u32()?,
                 num_users: c.u64()?,
                 num_items: c.u64()?,
-                generation: c.u64_or(0),
+                generation: c.u64()?,
             }),
-            KIND_R_PREDICTION => Self::Prediction(WirePrediction {
-                fused: c.f64()?,
-                level: c.u8()?,
-                fallback: c.u8()? != 0,
+            KIND_R_PREDICTION => Self::Prediction(c.prediction()?),
+            KIND_R_TOP_N => Self::TopN(c.list(MAX_FRAME_BYTES, 12, |c| Ok((c.u32()?, c.f64()?)))?),
+            KIND_R_PROFILE => Self::Profile(WireProfile {
+                scale_min: c.f64()?,
+                scale_max: c.f64()?,
+                global_mean: c.f64()?,
+                num_items: c.u64()?,
+                user_means: c.list(MAX_FRAME_BYTES, 8, Cursor::f64)?,
+                generation: c.u64()?,
             }),
-            KIND_R_TOP_N => {
-                let count = c.u32()? as usize;
-                // Sanity-bound against the payload that actually arrived
-                // (12 bytes per entry) before allocating.
-                if count > payload.len() / 12 + 1 {
-                    return Err(FrameError::Malformed("top-n count exceeds payload"));
-                }
-                let mut items = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let item = c.u32()?;
-                    let score = c.f64()?;
-                    items.push((item, score));
-                }
-                Self::TopN(items)
-            }
-            KIND_R_PROFILE => {
-                let scale_min = c.f64()?;
-                let scale_max = c.f64()?;
-                let global_mean = c.f64()?;
-                let num_items = c.u64()?;
-                let n_users = c.u64()? as usize;
-                if n_users > payload.len() / 8 + 1 {
-                    return Err(FrameError::Malformed("profile count exceeds payload"));
-                }
-                let mut user_means = Vec::with_capacity(n_users);
-                for _ in 0..n_users {
-                    user_means.push(c.f64()?);
-                }
-                let generation = c.u64_or(0);
-                Self::Profile(WireProfile {
-                    scale_min,
-                    scale_max,
-                    global_mean,
-                    num_items,
-                    user_means,
-                    generation,
-                })
-            }
-            KIND_R_ERROR => {
-                let code = c.u16()?;
-                let len = c.u32()? as usize;
-                if len > c.remaining() {
-                    return Err(FrameError::Malformed("error message exceeds payload"));
-                }
-                let bytes = c.take(len)?;
-                Self::Error {
-                    code,
-                    message: String::from_utf8_lossy(bytes).into_owned(),
-                }
-            }
+            KIND_R_ERROR => Self::Error {
+                code: c.u16()?,
+                message: c.string()?,
+            },
+            // A `None` element is its tag byte alone.
             KIND_R_PREDICTIONS => {
-                let count = c.u32()? as usize;
-                // At least one flag byte per element must have arrived.
-                if count > payload.len() + 1 {
-                    return Err(FrameError::Malformed("predictions count exceeds payload"));
-                }
-                let mut preds = Vec::with_capacity(count);
-                for _ in 0..count {
-                    preds.push(if c.u8()? != 0 {
-                        Some(WirePrediction {
-                            fused: c.f64()?,
-                            level: c.u8()?,
-                            fallback: c.u8()? != 0,
-                        })
-                    } else {
-                        None
-                    });
-                }
-                Self::Predictions(preds)
+                Self::Predictions(c.list(MAX_BATCH_PAIRS, 1, |c| c.option(Cursor::prediction))?)
             }
-            KIND_R_STATS => {
-                let shard_id = c.u32()?;
-                let generation = c.u64()?;
-                let len = c.u32()? as usize;
-                if len > payload.len() {
-                    return Err(FrameError::Malformed("stats length exceeds payload"));
-                }
-                let snapshot = c.take(len)?.to_vec();
-                Self::Stats(WireStats {
-                    shard_id,
-                    generation,
-                    snapshot,
-                })
-            }
+            KIND_R_STATS => Self::Stats(WireStats {
+                shard_id: c.u32()?,
+                generation: c.u64()?,
+                snapshot: c.bytes()?,
+            }),
             other => return Err(FrameError::UnknownKind(other)),
-        })
+        };
+        // An empty name list (4), two u64s and the depth byte.
+        let spans = c.list(REMOTE_SPANS_CAP, 21, Cursor::span)?;
+        c.finish()?;
+        Ok((resp, spans))
     }
 }
 
@@ -808,25 +757,15 @@ pub fn write_request(stream: &mut TcpStream, req: &Request) -> std::io::Result<(
     write_frame(stream, req.kind(), &req.payload())
 }
 
-/// Writes `resp` as one frame.
-pub fn write_response(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
-    write_frame(stream, resp.kind(), &resp.payload())
-}
-
-/// Writes `resp` with the responder's completed remote spans appended as
-/// trailing payload (only on kinds that can carry them — spans for any
-/// other kind are dropped, since e.g. an error frame's caller is not
-/// stitching a trace).
-pub fn write_response_with_spans(
+/// Writes `resp` as one frame, ending with the responder's completed
+/// remote spans (empty unless the request carried a trace context). At
+/// most [`REMOTE_SPANS_CAP`] spans are sent.
+pub fn write_response(
     stream: &mut TcpStream,
     resp: &Response,
     spans: &[RemoteSpan],
 ) -> std::io::Result<()> {
-    let mut payload = resp.payload();
-    if span_capable(resp.kind()) {
-        put_spans(&mut payload, spans);
-    }
-    write_frame(stream, resp.kind(), &payload)
+    write_frame(stream, resp.kind(), &resp.payload(spans))
 }
 
 /// How one `fill` call ended.
@@ -940,30 +879,18 @@ pub fn read_request(
     })
 }
 
-/// [`read_frame`] + [`Response::decode`], retrying idle ticks until
+/// [`read_frame`] + [`Response::decode`]: the response and the remote
+/// spans the responder shipped with it. Idle ticks are retried until
 /// `overall_deadline` — a client waiting for its answer treats "no bytes
 /// yet" as waiting, not as an idle connection.
 pub fn read_response(
     stream: &mut TcpStream,
     frame_deadline: Duration,
     overall_deadline: Instant,
-) -> Result<Response, FrameError> {
-    Ok(read_response_with_spans(stream, frame_deadline, overall_deadline)?.0)
-}
-
-/// [`read_response`] that also surfaces any remote spans the responder
-/// appended — the router's path for stitching shard spans into its own
-/// trace.
-pub fn read_response_with_spans(
-    stream: &mut TcpStream,
-    frame_deadline: Duration,
-    overall_deadline: Instant,
 ) -> Result<(Response, Vec<RemoteSpan>), FrameError> {
     loop {
         match read_frame(stream, frame_deadline)? {
-            ReadOutcome::Frame((kind, payload)) => {
-                return Response::decode_with_spans(kind, &payload)
-            }
+            ReadOutcome::Frame((kind, payload)) => return Response::decode(kind, &payload),
             ReadOutcome::Eof => return Err(FrameError::Truncated),
             ReadOutcome::Idle => {
                 if Instant::now() >= overall_deadline {
@@ -996,22 +923,27 @@ mod tests {
 
     fn roundtrip_response(resp: &Response) -> Response {
         let (mut client, mut server) = pair();
-        write_response(&mut client, resp).unwrap();
-        read_response(
+        write_response(&mut client, resp, &[]).unwrap();
+        let (got, spans) = read_response(
             &mut server,
             Duration::from_secs(1),
             Instant::now() + Duration::from_secs(1),
         )
-        .unwrap()
+        .unwrap();
+        assert!(spans.is_empty());
+        got
+    }
+
+    fn ctx(trace_id: u64, parent_span: u32, sampled: bool) -> WireTrace {
+        WireTrace(Some(TraceContext {
+            trace_id,
+            parent_span,
+            sampled,
+        }))
     }
 
     #[test]
     fn requests_round_trip() {
-        let ctx = TraceContext {
-            trace_id: 0xfeed_0000_0000_0042,
-            parent_span: 3,
-            sampled: true,
-        };
         let cases = [
             Request::Health,
             Request::Profile,
@@ -1020,7 +952,7 @@ mod tests {
             Request::Predict {
                 user: 7,
                 item: 42,
-                trace: Some(ctx),
+                trace: ctx(0xfeed_0000_0000_0042, 3, true),
             },
             Request::recommend_top_n(3, 10, 100, u32::MAX),
             Request::RecommendTopN {
@@ -1028,16 +960,12 @@ mod tests {
                 n: 10,
                 item_start: 100,
                 item_end: u32::MAX,
-                trace: Some(ctx),
+                trace: ctx(0xfeed_0000_0000_0042, 3, true),
             },
             Request::predict_batch(vec![]),
             Request::PredictBatch {
                 pairs: vec![(0, 0), (7, 42), (u32::MAX, u32::MAX)],
-                trace: Some(TraceContext {
-                    trace_id: 1,
-                    parent_span: 0,
-                    sampled: false,
-                }),
+                trace: ctx(1, 0, false),
             },
         ];
         for req in cases {
@@ -1050,111 +978,80 @@ mod tests {
         }
     }
 
-    /// A predict frame from a build predating trace propagation (no
-    /// trailing context bytes) must decode with `trace: None` — and a
-    /// garbled tail must degrade to `None`, never to a frame error.
+    /// Version 1 let a trace context, a span block and a `generation`
+    /// trail the fixed fields, and read a short or garbled tail as
+    /// "absent". Version 2 fields are always present, so each of those
+    /// payloads now fails the frame.
     #[test]
-    fn requests_without_trailing_trace_context_decode_as_none() {
-        let mut payload = Vec::new();
-        put_u32(&mut payload, 7);
-        put_u32(&mut payload, 42);
-        match Request::decode(KIND_PREDICT, &payload).unwrap() {
-            Request::Predict { user, item, trace } => {
-                assert_eq!((user, item), (7, 42));
-                assert_eq!(trace, None);
-            }
-            other => panic!("{other:?}"),
-        }
+    fn version_one_tail_payloads_are_malformed() {
+        let malformed = |kind: u16, payload: &[u8]| {
+            let got = if kind < KIND_R_HEALTH {
+                Request::decode(kind, payload).map(|_| ())
+            } else {
+                Response::decode(kind, payload).map(|_| ())
+            };
+            assert!(
+                matches!(got, Err(FrameError::Malformed(_))),
+                "kind {kind}: {got:?}"
+            );
+        };
 
-        // Truncated context tail: flag byte present, id cut short.
-        payload.push(1);
-        payload.extend_from_slice(&[0xaa; 3]);
-        match Request::decode(KIND_PREDICT, &payload).unwrap() {
-            Request::Predict { trace, .. } => assert_eq!(trace, None),
-            other => panic!("{other:?}"),
-        }
+        // A predict without its trace tag, then with a truncated context.
+        let mut predict = Vec::new();
+        put_u32(&mut predict, 7);
+        put_u32(&mut predict, 42);
+        malformed(KIND_PREDICT, &predict);
+        predict.push(1);
+        predict.extend_from_slice(&[0xaa; 3]);
+        malformed(KIND_PREDICT, &predict);
+
+        // A prediction whose span block claims 5 spans and carries half
+        // of one.
+        let mut prediction = Vec::new();
+        put_f64(&mut prediction, 2.0);
+        prediction.extend_from_slice(&[1, 0]);
+        put_u32(&mut prediction, 5);
+        put_u16(&mut prediction, 4);
+        prediction.extend_from_slice(b"se");
+        malformed(KIND_R_PREDICTION, &prediction);
+
+        // Health and profile without the trailing generation.
+        let mut health = Vec::new();
+        put_u32(&mut health, 3);
+        put_u64(&mut health, 80);
+        put_u64(&mut health, 120);
+        malformed(KIND_R_HEALTH, &health);
+        let mut profile = Vec::new();
+        put_f64(&mut profile, 1.0);
+        put_f64(&mut profile, 5.0);
+        put_f64(&mut profile, 3.0);
+        put_u64(&mut profile, 10);
+        put_u64(&mut profile, 2);
+        put_f64(&mut profile, 2.5);
+        put_f64(&mut profile, 4.5);
+        malformed(KIND_R_PROFILE, &profile);
     }
 
+    /// List counts are capped before anything is allocated: a
+    /// `Predictions` frame could claim one element per payload byte, 16×
+    /// its size once decoded.
     #[test]
-    fn response_spans_round_trip_and_profile_stays_span_free() {
-        let spans = vec![
-            RemoteSpan {
-                origin: String::new(),
-                name: "remote.request".to_string(),
-                start_ns: 0,
-                dur_ns: 12_345,
-                depth: 0,
-            },
-            RemoteSpan {
-                origin: String::new(),
-                name: "estimator.sir".to_string(),
-                start_ns: 100,
-                dur_ns: 9_000,
-                depth: 1,
-            },
-        ];
-        let resp = Response::Prediction(WirePrediction {
-            fused: 3.5,
-            level: 0,
-            fallback: false,
-        });
-        let (mut client, mut server) = pair();
-        write_response_with_spans(&mut client, &resp, &spans).unwrap();
-        let (got, got_spans) = read_response_with_spans(
-            &mut server,
-            Duration::from_secs(1),
-            Instant::now() + Duration::from_secs(1),
-        )
-        .unwrap();
-        assert_eq!(got, resp);
-        assert_eq!(got_spans.len(), 2);
-        assert_eq!(got_spans[0].name, "remote.request");
-        assert_eq!(got_spans[1].dur_ns, 9_000);
-        assert_eq!(got_spans[1].depth, 1);
-
-        // A plain read_response on the same bytes just drops the spans.
-        let (mut client, mut server) = pair();
-        write_response_with_spans(&mut client, &resp, &spans).unwrap();
-        assert_eq!(roundtrip_response_on(&mut server), resp);
-
-        // Profile cannot carry spans: its trailing bytes are the
-        // generation field, which must survive untouched.
-        let profile = Response::Profile(WireProfile {
-            scale_min: 1.0,
-            scale_max: 5.0,
-            global_mean: 3.0,
-            num_items: 4,
-            user_means: vec![2.0],
-            generation: 7,
-        });
-        let (mut client, mut server) = pair();
-        write_response_with_spans(&mut client, &profile, &spans).unwrap();
-        let (got, got_spans) = read_response_with_spans(
-            &mut server,
-            Duration::from_secs(1),
-            Instant::now() + Duration::from_secs(1),
-        )
-        .unwrap();
-        assert_eq!(got, profile);
-        assert!(got_spans.is_empty());
-    }
-
-    /// A garbled span tail yields the spans that decoded cleanly — the
-    /// telemetry blob can never fail the serving answer.
-    #[test]
-    fn garbled_span_tail_degrades_to_no_spans() {
-        let resp = Response::Prediction(WirePrediction {
-            fused: 2.0,
-            level: 1,
-            fallback: false,
-        });
-        let mut payload = resp.payload();
-        put_u32(&mut payload, 5); // claims 5 spans, carries half of one
-        put_u16(&mut payload, 4);
-        payload.extend_from_slice(b"se");
-        let (got, spans) = Response::decode_with_spans(KIND_R_PREDICTION, &payload).unwrap();
-        assert_eq!(got, resp);
-        assert!(spans.is_empty());
+    fn counts_above_their_caps_are_malformed() {
+        let mut preds = Vec::new();
+        put_u32(&mut preds, MAX_BATCH_PAIRS as u32 + 1);
+        preds.resize(preds.len() + MAX_BATCH_PAIRS + 1, 0);
+        put_u32(&mut preds, 0);
+        let mut spans = Vec::new();
+        put_f64(&mut spans, 1.0);
+        spans.extend_from_slice(&[0, 0]);
+        put_u32(&mut spans, REMOTE_SPANS_CAP as u32 + 1);
+        spans.resize(spans.len() + 21 * (REMOTE_SPANS_CAP + 1), 0);
+        for (kind, payload) in [(KIND_R_PREDICTIONS, preds), (KIND_R_PREDICTION, spans)] {
+            assert!(matches!(
+                Response::decode(kind, &payload),
+                Err(FrameError::Malformed(_))
+            ));
+        }
     }
 
     #[test]
@@ -1174,19 +1071,11 @@ mod tests {
         put_u32(&mut payload, 3);
         put_u64(&mut payload, 12);
         put_u32(&mut payload, 1_000_000);
+        put_u32(&mut payload, 0);
         assert!(matches!(
             Response::decode(KIND_R_STATS, &payload),
             Err(FrameError::Malformed(_))
         ));
-    }
-
-    fn roundtrip_response_on(server: &mut TcpStream) -> Response {
-        read_response(
-            server,
-            Duration::from_secs(1),
-            Instant::now() + Duration::from_secs(1),
-        )
-        .unwrap()
     }
 
     #[test]
@@ -1282,52 +1171,10 @@ mod tests {
         }
     }
 
-    /// Health and profile frames from a build predating the trailing
-    /// `generation` field must decode with generation 0 — the documented
-    /// append-only evolution rule, exercised both ways: short payloads
-    /// decode leniently, and longer payloads from *newer* builds are
-    /// already ignored by old decoders.
-    #[test]
-    fn frames_without_trailing_generation_decode_as_generation_zero() {
-        // Hand-build the old 20-byte health payload.
-        let mut payload = Vec::new();
-        put_u32(&mut payload, 3);
-        put_u64(&mut payload, 80);
-        put_u64(&mut payload, 120);
-        match Response::decode(KIND_R_HEALTH, &payload).unwrap() {
-            Response::Health(h) => {
-                assert_eq!((h.shard_id, h.num_users, h.num_items), (3, 80, 120));
-                assert_eq!(h.generation, 0);
-            }
-            other => panic!("{other:?}"),
-        }
-
-        // And the old profile payload, without the trailing generation.
-        let mut payload = Vec::new();
-        put_f64(&mut payload, 1.0);
-        put_f64(&mut payload, 5.0);
-        put_f64(&mut payload, 3.0);
-        put_u64(&mut payload, 10);
-        put_u64(&mut payload, 2);
-        put_f64(&mut payload, 2.5);
-        put_f64(&mut payload, 4.5);
-        match Response::decode(KIND_R_PROFILE, &payload).unwrap() {
-            Response::Profile(p) => {
-                assert_eq!(p.user_means.len(), 2);
-                assert_eq!(p.generation, 0);
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
     #[test]
     fn corrupt_payload_fails_crc() {
         let (mut client, mut server) = pair();
-        let req = Request::Predict {
-            user: 1,
-            item: 2,
-            trace: None,
-        };
+        let req = Request::predict(1, 2);
         let mut raw = Vec::new();
         raw.extend_from_slice(&MAGIC);
         raw.extend_from_slice(&VERSION.to_le_bytes());
@@ -1356,19 +1203,21 @@ mod tests {
             Err(FrameError::BadMagic(_))
         ));
 
-        // Future version.
-        let (mut client, mut server) = pair();
-        let mut raw = Vec::new();
-        raw.extend_from_slice(&MAGIC);
-        raw.extend_from_slice(&99u16.to_le_bytes());
-        raw.extend_from_slice(&KIND_HEALTH.to_le_bytes());
-        raw.extend_from_slice(&0u32.to_le_bytes());
-        raw.extend_from_slice(&cfsf_core::crc32(&[]).to_le_bytes());
-        client.write_all(&raw).unwrap();
-        assert!(matches!(
-            read_request(&mut server, Duration::from_secs(1)),
-            Err(FrameError::BadVersion(99))
-        ));
+        // Past and future versions.
+        for version in [1u16, 99] {
+            let (mut client, mut server) = pair();
+            let mut raw = Vec::new();
+            raw.extend_from_slice(&MAGIC);
+            raw.extend_from_slice(&version.to_le_bytes());
+            raw.extend_from_slice(&KIND_HEALTH.to_le_bytes());
+            raw.extend_from_slice(&0u32.to_le_bytes());
+            raw.extend_from_slice(&cfsf_core::crc32(&[]).to_le_bytes());
+            client.write_all(&raw).unwrap();
+            assert!(matches!(
+                read_request(&mut server, Duration::from_secs(1)),
+                Err(FrameError::BadVersion(v)) if v == version
+            ));
+        }
 
         // Unknown kind.
         let (mut client, mut server) = pair();

@@ -3,8 +3,9 @@
 //! This crate turns the single-process recommender into a small fleet:
 //!
 //! - [`frame`] — the length-framed, versioned, CRC-checked binary wire
-//!   protocol (the serving twin of the persistence format's V2 header
-//!   discipline: magic, version, length-before-allocate, checksum).
+//!   protocol (the serving twin of the persistence format's section
+//!   discipline: magic, version, length-before-allocate, checksum), with
+//!   one fixed layout per kind and strict decoding.
 //! - [`server`] — [`server::ShardServer`]: one process, one loaded
 //!   model, answering predict / recommend / health / profile frames on
 //!   the hardened [`cf_obs::net`] socket loop.

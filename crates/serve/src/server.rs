@@ -171,6 +171,7 @@ fn accept_loop(
                             code: ERR_BUSY,
                             message: "server at connection limit".into(),
                         },
+                        &[],
                     );
                     continue;
                 }
@@ -254,7 +255,7 @@ fn connection_loop(
                     ConnAction::Close => return Ok(()),
                     ConnAction::Continue => {}
                 }
-                frame::write_response_with_spans(stream, &resp, &spans)?;
+                frame::write_response(stream, &resp, &spans)?;
             }
             Err(crate::frame::FrameError::Io(e)) => return Err(crate::frame::FrameError::Io(e)),
             Err(e) => {
@@ -265,6 +266,7 @@ fn connection_loop(
                         code: crate::frame::ERR_BAD_REQUEST,
                         message: e.to_string(),
                     },
+                    &[],
                 );
                 return Err(e);
             }

@@ -18,9 +18,9 @@ cargo test --workspace -q --offline
 
 # Analysis gate: the repo lint engine (panic-free serving path, hot-path
 # clock gating, float-eq, bare sync primitives, counter pairing, unwind
-# captures, bounded frame-decode allocations) plus the loom-lite model
-# checker running every built-in model exhaustively — including the
-# seeded-race fixture the happens-before detector must catch. Zero
+# captures, the model doorway) plus the loom-lite model checker running
+# every built-in model exhaustively — including the seeded-race fixture
+# the happens-before detector must catch. Zero
 # unsuppressed diagnostics, no stale allowlist entries, and all models
 # green, or the gate fails. The machine-readable report lands at
 # target/analyze.json; under CI ($CI set) findings are also emitted as
