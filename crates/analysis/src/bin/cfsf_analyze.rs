@@ -1,37 +1,29 @@
-//! `cfsf-analyze` — runs the repo lint engine and the loom-lite model
-//! checks; the CI gate for both.
+//! `cfsf-analyze` — runs the loom-lite model checks; the CI gate for
+//! them.
 //!
 //! ```text
-//! cfsf-analyze [--deny-warnings] [--no-models] [--no-lint]
-//!              [--list-rules] [--replay <model> <c0,c1,...>] [--root <dir>]
-//!              [--json] [--json-out <path>] [--annotate]
+//! cfsf-analyze [--replay <model> <c0,c1,...>] [--json] [--json-out <path>]
+//!              [--annotate]
 //! ```
 //!
 //! `--json` replaces the human report on stdout with one machine-readable
 //! JSON document; `--json-out <path>` writes the same document to a file
 //! while keeping the human report; `--annotate` additionally emits GitHub
-//! workflow commands (`::error file=…,line=…::…`) so CI surfaces lint
-//! findings and model failures inline on the diff.
+//! workflow commands (`::error file=…,line=…::…`) so CI surfaces model
+//! failures inline on the diff.
 //!
-//! Exit status: `0` when clean; `1` on any model failure, suppression /
-//! allowlist error, or (with `--deny-warnings`) any unsuppressed lint
-//! diagnostic. The seeded-race fixture models (`expect_race`) invert:
-//! they gate on the race detector *firing*.
+//! Exit status: `0` when every model passes its gate, `1` otherwise. The
+//! seeded-race fixture models (`expect_race`) invert: they gate on the
+//! race detector *firing*.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use cf_analysis::lint::{self, rules, LintReport};
 use cf_analysis::models::{self, ModelRun};
 use cf_obs::json::Writer;
 
 struct Args {
-    deny_warnings: bool,
-    run_lint: bool,
-    run_models: bool,
-    list_rules: bool,
     replay: Option<(String, Vec<usize>)>,
-    root: Option<PathBuf>,
     json: bool,
     json_out: Option<PathBuf>,
     annotate: bool,
@@ -39,12 +31,7 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        deny_warnings: false,
-        run_lint: true,
-        run_models: true,
-        list_rules: false,
         replay: None,
-        root: None,
         json: false,
         json_out: None,
         annotate: false,
@@ -52,10 +39,6 @@ fn parse_args() -> Result<Args, String> {
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--deny-warnings" => args.deny_warnings = true,
-            "--no-models" => args.run_models = false,
-            "--no-lint" => args.run_lint = false,
-            "--list-rules" => args.list_rules = true,
             "--json" => args.json = true,
             "--json-out" => {
                 args.json_out = Some(PathBuf::from(it.next().ok_or("--json-out needs a path")?));
@@ -71,27 +54,10 @@ fn parse_args() -> Result<Args, String> {
                     .collect::<Result<Vec<_>, _>>()?;
                 args.replay = Some((model, script));
             }
-            "--root" => {
-                args.root = Some(PathBuf::from(it.next().ok_or("--root needs a path")?));
-            }
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
     Ok(args)
-}
-
-/// Walks up from the cwd to the workspace root (the directory holding
-/// both `Cargo.toml` and `crates/`).
-fn find_root() -> Option<PathBuf> {
-    let mut dir = std::env::current_dir().ok()?;
-    loop {
-        if dir.join("Cargo.toml").is_file() && dir.join("crates").is_dir() {
-            return Some(dir);
-        }
-        if !dir.pop() {
-            return None;
-        }
-    }
 }
 
 /// Did this model run satisfy its gate? Ordinary models must explore
@@ -106,54 +72,9 @@ fn model_ok(run: &ModelRun) -> bool {
 }
 
 /// Renders the whole gate result as one JSON document.
-fn render_json(lint: Option<&LintReport>, runs: &[ModelRun], ok: bool) -> String {
+fn render_json(runs: &[ModelRun], ok: bool) -> String {
     let mut w = Writer::new();
     w.begin_object();
-    w.key("lint");
-    match lint {
-        None => w.null(),
-        Some(report) => {
-            let diag_array = |w: &mut Writer, key: &str, diags: &[lint::Diagnostic]| {
-                w.key(key);
-                w.begin_array();
-                for d in diags {
-                    w.elem();
-                    w.begin_object();
-                    w.key("rule");
-                    w.string(d.rule);
-                    w.key("path");
-                    w.string(&d.path);
-                    w.key("line");
-                    w.number_u64(d.line as u64);
-                    w.key("message");
-                    w.string(&d.message);
-                    w.end_object();
-                }
-                w.end_array();
-            };
-            w.begin_object();
-            w.key("files_scanned");
-            w.number_u64(report.files_scanned as u64);
-            diag_array(&mut w, "errors", &report.errors);
-            diag_array(&mut w, "diagnostics", &report.diagnostics);
-            diag_array(&mut w, "suppressed", &report.suppressed);
-            w.key("unused_suppressions");
-            w.begin_array();
-            for s in &report.unused_suppressions {
-                w.elem();
-                w.begin_object();
-                w.key("rule");
-                w.string(&s.rule);
-                w.key("path");
-                w.string(&s.path);
-                w.key("line");
-                w.number_u64(s.line as u64);
-                w.end_object();
-            }
-            w.end_array();
-            w.end_object();
-        }
-    }
     w.key("models");
     w.begin_array();
     for run in runs {
@@ -217,13 +138,6 @@ fn main() -> ExitCode {
         }
     };
 
-    if args.list_rules {
-        for r in rules::RULES {
-            println!("{:<18} {}", r.id, r.summary);
-        }
-        return ExitCode::SUCCESS;
-    }
-
     if let Some((model, script)) = &args.replay {
         println!("replaying {model} under schedule {script:?}");
         return match models::replay_builtin(model, script.clone()) {
@@ -250,149 +164,69 @@ fn main() -> ExitCode {
 
     let human = !args.json;
     let mut failed = false;
-    let mut lint_report: Option<LintReport> = None;
-
-    if args.run_lint {
-        let root = args.root.clone().or_else(find_root);
-        let Some(root) = root else {
-            eprintln!("cfsf-analyze: cannot locate workspace root (use --root)");
-            return ExitCode::FAILURE;
-        };
-        let report = lint::run_lint(&root);
+    let runs = models::run_builtin_models();
+    for run in &runs {
+        let ok = model_ok(run);
+        if !ok {
+            failed = true;
+        }
         if human {
-            println!(
-                "lint: scanned {} files — {} diagnostic(s), {} suppressed, {} error(s)",
-                report.files_scanned,
-                report.diagnostics.len(),
-                report.suppressed.len(),
-                report.errors.len()
-            );
-            for d in &report.errors {
-                println!("error: {d}");
-            }
-            for d in &report.diagnostics {
-                println!("warning: {d}");
-            }
-            for d in &report.suppressed {
-                println!("note: suppressed {d}");
-            }
-            for s in &report.unused_suppressions {
-                println!(
-                    "note: unused suppression of `{}` at {}:{}",
-                    s.rule, s.path, s.line
-                );
-            }
-        }
-        if args.annotate {
-            for d in &report.errors {
-                annotate(
-                    "error",
-                    &d.path,
-                    d.line,
-                    &format!("[{}] {}", d.rule, d.message),
-                );
-            }
-            for d in &report.diagnostics {
-                let level = if args.deny_warnings {
-                    "error"
+            let counts = format!(
+                "{} execution(s){}{}{}",
+                run.report.executions,
+                if run.report.pruned > 0 {
+                    format!(", {} pruned", run.report.pruned)
                 } else {
-                    "warning"
-                };
-                annotate(
-                    level,
-                    &d.path,
-                    d.line,
-                    &format!("[{}] {}", d.rule, d.message),
-                );
-            }
-            for s in &report.unused_suppressions {
-                annotate(
-                    "warning",
-                    &s.path,
-                    s.line,
-                    &format!("unused suppression of `{}`", s.rule),
-                );
-            }
-        }
-        if !report.errors.is_empty() {
-            failed = true;
-        }
-        if args.deny_warnings && !report.diagnostics.is_empty() {
-            failed = true;
-        }
-        lint_report = Some(report);
-    }
-
-    let mut runs: Vec<ModelRun> = Vec::new();
-    if args.run_models {
-        runs = models::run_builtin_models();
-        for run in &runs {
-            let ok = model_ok(run);
-            if !ok {
-                failed = true;
-            }
-            if human {
-                let counts = format!(
-                    "{} execution(s){}{}{}",
-                    run.report.executions,
-                    if run.report.pruned > 0 {
-                        format!(", {} pruned", run.report.pruned)
-                    } else {
-                        String::new()
-                    },
-                    if run.report.sleep_pruned > 0 {
-                        format!(", {} sleep-pruned", run.report.sleep_pruned)
-                    } else {
-                        String::new()
-                    },
-                    if run.report.complete {
-                        " (exhaustive)"
-                    } else {
-                        ""
-                    }
-                );
-                match (&run.report.failure, run.expect_race, ok) {
-                    (None, false, _) => println!("model {}: ok — {counts}", run.name),
-                    (Some(f), true, true) => println!(
-                        "model {}: ok — detector fired as required: {} ({counts})",
-                        run.name, f.message
-                    ),
-                    (None, true, _) => println!(
-                        "model {}: FAILED — seeded race went UNDETECTED ({counts}); \
-                         the happens-before detector has regressed",
-                        run.name
-                    ),
-                    (Some(f), _, _) => {
-                        println!("model {}: FAILED — {}", run.name, f.message);
-                        println!("{}", f.replay_instructions(run.name));
-                    }
+                    String::new()
+                },
+                if run.report.sleep_pruned > 0 {
+                    format!(", {} sleep-pruned", run.report.sleep_pruned)
+                } else {
+                    String::new()
+                },
+                if run.report.complete {
+                    " (exhaustive)"
+                } else {
+                    ""
+                }
+            );
+            match (&run.report.failure, run.expect_race, ok) {
+                (None, false, _) => println!("model {}: ok — {counts}", run.name),
+                (Some(f), true, true) => println!(
+                    "model {}: ok — detector fired as required: {} ({counts})",
+                    run.name, f.message
+                ),
+                (None, true, _) => println!(
+                    "model {}: FAILED — seeded race went UNDETECTED ({counts}); \
+                     the happens-before detector has regressed",
+                    run.name
+                ),
+                (Some(f), _, _) => {
+                    println!("model {}: FAILED — {}", run.name, f.message);
+                    println!("{}", f.replay_instructions(run.name));
                 }
             }
-            if args.annotate && !ok {
-                let msg = match &run.report.failure {
-                    Some(f) => f.replay_instructions(run.name),
-                    None => format!(
-                        "model '{}' explored clean but is a seeded-race fixture: \
-                         the data-race detector did not fire",
-                        run.name
-                    ),
-                };
-                annotate("error", "crates/analysis/src/models.rs", 1, &msg);
-            }
+        }
+        if args.annotate && !ok {
+            let msg = match &run.report.failure {
+                Some(f) => f.replay_instructions(run.name),
+                None => format!(
+                    "model '{}' explored clean but is a seeded-race fixture: \
+                     the data-race detector did not fire",
+                    run.name
+                ),
+            };
+            annotate("error", "crates/analysis/src/models.rs", 1, &msg);
         }
     }
 
-    let json = if args.json || args.json_out.is_some() {
-        Some(render_json(lint_report.as_ref(), &runs, !failed))
-    } else {
-        None
-    };
-    if let Some(doc) = &json {
+    if args.json || args.json_out.is_some() {
+        let doc = render_json(&runs, !failed);
         if args.json {
             print!("{doc}");
         }
         if let Some(path) = &args.json_out {
-            if let Err(e) = std::fs::write(path, doc) {
+            if let Err(e) = std::fs::write(path, &doc) {
                 eprintln!("cfsf-analyze: cannot write {}: {e}", path.display());
                 failed = true;
             }

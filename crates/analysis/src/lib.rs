@@ -1,35 +1,25 @@
-//! cf-analysis — repo-aware static analysis for the CFSF workspace.
+//! cf-analysis — the loom-lite concurrency model checker for the CFSF
+//! workspace, runnable through the `cfsf-analyze` binary and gated in
+//! `scripts/check.sh` / CI.
 //!
-//! Two subsystems, both runnable through the `cfsf-analyze` binary and
-//! gated in `scripts/check.sh` / CI:
+//! A deterministic scheduler ([`sched`], [`llsync`], [`models`]) explores
+//! thread interleavings (exhaustive DFS with sleep-set partial-order
+//! reduction, seeded random, exact replay) over the production concurrent
+//! cores, which are generic over [`cf_obs::sync::Shim`]: the sharded
+//! second-chance cache, the slow-trace reservoir, the poisoned-shard
+//! reset, the generation cell, and the fleet aggregator all run the
+//! *same code* in production and under the checker. The checked shim
+//! carries a FastTrack-style happens-before race detector ([`vclock`],
+//! [`llsync::LLCell`]) and models relaxed atomics against a bounded store
+//! buffer of stale values instead of assuming sequential consistency.
 //!
-//! 1. **Lint engine** ([`lint`]) — a lightweight token/line-level
-//!    scanner (no external parser; vendor nothing) enforcing
-//!    repo-specific rules clippy cannot express: panic-free production
-//!    code with an auditable allowlist, no clock reads on hot paths
-//!    outside the `cf_obs` enabled-gate, no raw float equality outside
-//!    the epsilon helpers, no bare `std::sync` locks where the
-//!    poison-recovering wrappers are mandated, obs counter/test pairing,
-//!    and no `AssertUnwindSafe` over closures capturing `&mut`. Inline
-//!    `allow(<rule>)` suppression comments (see [`lint`]) are honored,
-//!    counted, and reported; unknown rule ids in one are hard errors.
-//!
-//! 2. **loom-lite model checker** ([`sched`], [`llsync`], [`models`]) —
-//!    a deterministic scheduler exploring thread interleavings
-//!    (exhaustive DFS with sleep-set partial-order reduction, seeded
-//!    random, exact replay) over the production concurrent cores, which
-//!    are generic over [`cf_obs::sync::Shim`]: the sharded second-chance
-//!    cache, the slow-trace reservoir, the poisoned-shard reset, the
-//!    generation cell, and the fleet aggregator all run the *same code*
-//!    in production and under the checker. The checked shim carries a
-//!    FastTrack-style happens-before race detector ([`vclock`],
-//!    [`llsync::LLCell`]) and models relaxed atomics against a bounded
-//!    store buffer of stale values instead of assuming sequential
-//!    consistency.
+//! The repo's code policies (panic-free serving crates, poison-safe
+//! locks, unwind-safe catches, gated hot-path clock reads, exact float
+//! compares, the model doorway) are held by rustc, clippy and types; see
+//! DESIGN.md §9.
 
 #![warn(missing_docs)]
 
-pub mod lint;
 pub mod llsync;
 pub mod models;
 pub mod sched;

@@ -69,12 +69,9 @@ impl AspectModel {
         vocab.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite"));
         vocab.dedup();
         let v_count = vocab.len();
-        let vocab_index = |r: f64| -> usize {
-            vocab
-                .iter()
-                .position(|&v| v == r)
-                .expect("rating came from the matrix")
-        };
+        // Every rating is in the sorted vocabulary, so its index is the
+        // count of smaller entries.
+        let vocab_index = |r: f64| -> usize { vocab.partition_point(|&v| v < r) };
 
         let triplets: Vec<(usize, usize, usize)> = matrix
             .triplets()

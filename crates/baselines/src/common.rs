@@ -25,6 +25,7 @@ pub(crate) fn in_range(m: &RatingMatrix, user: UserId, item: ItemId) -> bool {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
     use cf_matrix::MatrixBuilder;

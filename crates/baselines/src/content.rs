@@ -130,6 +130,7 @@ impl Predictor for ContentBoostedSir {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
     use cf_matrix::MatrixBuilder;

@@ -128,6 +128,7 @@ impl Predictor for PersonalityDiagnosis {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
     use cf_matrix::MatrixBuilder;

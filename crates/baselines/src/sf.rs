@@ -191,6 +191,7 @@ impl Predictor for SimilarityFusion {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
     use cf_data::SyntheticConfig;

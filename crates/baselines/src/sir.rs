@@ -95,6 +95,7 @@ impl Predictor for Sir {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
     use cf_matrix::MatrixBuilder;

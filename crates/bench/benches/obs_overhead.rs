@@ -2,11 +2,8 @@
 //! workload with metric recording enabled vs disabled.
 //!
 //! `cf_obs::set_enabled(false)` reduces every record call to one relaxed
-//! atomic load plus a branch, which is the cheapest a *runtime* switch can
-//! be; the `noop` cargo feature on `cf-obs` compiles even that away, but a
-//! single binary cannot carry both feature variants, so this bench
-//! demonstrates the enabled-vs-runtime-disabled delta. The acceptance bar
-//! is that enabled stays within ~5% of disabled.
+//! atomic load plus a branch, the floor this bench measures against. The
+//! acceptance bar is that enabled stays within ~5% of disabled.
 
 use cf_matrix::{ItemId, Predictor, UserId};
 use cfsf_bench::{bench_config, bench_dataset};

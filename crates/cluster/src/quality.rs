@@ -43,7 +43,12 @@ pub fn adjusted_rand_index(a: &[u32], b: &[u32]) -> f64 {
     let max_index = 0.5 * (sum_rows + sum_cols);
     if (max_index - expected).abs() < f64::EPSILON {
         // both partitions trivial (all-one-cluster or all-singletons)
-        return if sum_table == max_index { 1.0 } else { 0.0 };
+        #[expect(
+            clippy::float_cmp,
+            reason = "both sides are sums of integer pair counts, exact in f64"
+        )]
+        let identical = sum_table == max_index;
+        return if identical { 1.0 } else { 0.0 };
     }
     (sum_table - expected) / (max_index - expected)
 }

@@ -56,7 +56,7 @@ impl Cfsf {
         &self,
         requests: &[(UserId, ItemId)],
         threads: Option<usize>,
-        predict_one: impl Fn(UserId, ItemId) -> Option<T> + Sync,
+        predict_one: impl Fn(UserId, ItemId) -> Option<T> + Sync + std::panic::RefUnwindSafe,
     ) -> Vec<Option<T>> {
         cf_obs::time_scope!("online.batch.batch_ns");
         cf_obs::counter!("online.batch.requests").add(requests.len() as u64);
@@ -106,46 +106,9 @@ impl Cfsf {
         }
         out
     }
-
-    /// Scores every unrated item for `user` in parallel and returns the
-    /// best `n`, like [`Cfsf::recommend_top_n`] but sharded across
-    /// threads — the serving-path version for interactive latency on
-    /// large catalogs.
-    pub fn recommend_top_n_parallel(
-        &self,
-        user: UserId,
-        n: usize,
-        threads: Option<usize>,
-    ) -> Vec<(ItemId, f64)> {
-        let threads = cf_parallel::effective_threads(threads);
-        // Warm the user's selection once, outside the parallel region.
-        self.top_k_users(user);
-        let q = self.matrix.num_items();
-        let scored: Vec<Option<Option<(ItemId, f64)>>> =
-            cf_parallel::par_map_isolated(q, threads, |i| {
-                #[cfg(feature = "faultinject")]
-                cf_faultinject::maybe_panic("recommend.item_panic");
-                let item = ItemId::from(i);
-                if self.matrix.is_rated(user, item) {
-                    return None;
-                }
-                self.predict(user, item).map(|r| (item, r))
-            });
-        // A panicking item scorer (outer None) drops that one candidate
-        // from the ranking; the rest of the catalog still competes.
-        let survivors = scored.into_iter().filter_map(|r| match r {
-            Some(s) => s,
-            None => {
-                cf_obs::counter!("online.recommend.item_panic").inc();
-                None
-            }
-        });
-        crate::topk::top_k_by_score(n, survivors)
-    }
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::CfsfConfig;
@@ -186,17 +149,6 @@ mod tests {
         assert!(out[0].is_some());
         assert_eq!(out[1], None);
         assert_eq!(out[2], None);
-    }
-
-    #[test]
-    fn parallel_recommendations_match_serial() {
-        let m = model();
-        for u in [0u32, 13, 55] {
-            let user = UserId::new(u);
-            let serial = m.recommend_top_n(user, 8);
-            let parallel = m.recommend_top_n_parallel(user, 8, Some(4));
-            assert_eq!(serial, parallel, "user {u}");
-        }
     }
 
     #[test]

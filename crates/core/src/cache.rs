@@ -23,6 +23,10 @@
 //! explores thread interleavings against its invariants (bounded
 //! capacity, no lost entries, poison reset never breaks structure).
 
+// A hot-path module: the clock is read only through
+// `cf_obs::now_if_enabled`.
+#![deny(clippy::disallowed_methods)]
+
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -353,7 +357,6 @@ impl std::fmt::Debug for ShardedCache {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

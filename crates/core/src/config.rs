@@ -202,6 +202,7 @@ impl CfsfConfig {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
 

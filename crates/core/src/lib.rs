@@ -36,7 +36,18 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![warn(clippy::unwrap_used, clippy::expect_used)]
+// Serving-path crate: a request degrades, it never panics (the policy
+// is in clippy.toml). Locks recover from poisoning and unwind catches
+// check their captures (`disallowed_types`).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_types
+)]
 
 mod batch;
 pub mod cache;

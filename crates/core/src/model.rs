@@ -247,7 +247,7 @@ impl Cfsf {
         let offline_changed = config.clusters != self.config.clusters
             || config.kmeans_iterations != self.config.kmeans_iterations
             || config.seed != self.config.seed
-            || config.gis.threshold != self.config.gis.threshold
+            || config.gis.threshold.to_bits() != self.config.gis.threshold.to_bits()
             || config.gis.max_neighbors != self.config.gis.max_neighbors;
         if offline_changed {
             return Self::fit(&self.matrix, config);
@@ -307,7 +307,6 @@ impl Predictor for Cfsf {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use cf_data::SyntheticConfig;

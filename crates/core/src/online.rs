@@ -19,6 +19,10 @@
 //!   so availability, overlap counts, and degrade levels match exactly)
 //!   and the baseline the throughput benchmark measures speedups from.
 
+// A hot-path module: the clock is read only through
+// `cf_obs::now_if_enabled`.
+#![deny(clippy::disallowed_methods)]
+
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -103,10 +107,10 @@ impl Cfsf {
         // neighbor list — the ladder below the estimators still serves —
         // and is NOT cached, so the next request retries selection.
         // Unwind safety: the closure captures only `&self` and the Copy
-        // user id — no `&mut` (the `unwind-safe-mut` lint enforces this
-        // shape) — and the partial result is dropped, so nothing can
+        // user id — `catch_unwind` rejects a `&mut` capture at compile
+        // time — and the partial result is dropped, so nothing can
         // observe half-built selection state.
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.select_top_k(user))) {
+        match std::panic::catch_unwind(|| self.select_top_k(user)) {
             Ok(selection) => self.neighbor_cache.insert(user, Arc::new(selection)),
             Err(_) => {
                 cf_obs::counter!("online.select_panic").inc();
@@ -545,7 +549,6 @@ impl Cfsf {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::CfsfConfig;

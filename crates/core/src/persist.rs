@@ -665,7 +665,7 @@ fn decode_planes(
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
     use cf_data::SyntheticConfig;

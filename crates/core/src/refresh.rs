@@ -518,9 +518,7 @@ impl Worker {
                     // `run_rebuild` catches a panicking build; this keeps
                     // the worker serving later requests whatever else
                     // unwinds.
-                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        run_rebuild(&shared)
-                    }));
+                    let _ = std::panic::catch_unwind(|| run_rebuild(&shared));
                 }
             })?;
         Ok(Self { requests, handle })
@@ -782,10 +780,10 @@ fn run_rebuild(shared: &Shared) -> Result<RebuildReport, CfsfError> {
         (ingest.pending.clone(), ingest.churn_since_full)
     };
 
-    let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+    let built = std::panic::catch_unwind(|| {
         cf_obs::time_scope!("refresh.rebuild_ns");
         build_generation(&base, &shared.cfg, &pending, churn_since_full)
-    }));
+    });
 
     match built {
         Ok(Ok(Built {
@@ -1025,7 +1023,6 @@ fn carry_selections(base: &Cfsf, next: &Cfsf, patch: &SmoothPatch) -> usize {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::CfsfConfig;
@@ -1038,9 +1035,8 @@ mod tests {
     /// installs a baseline and feeds the windows), serialize here so
     /// parallel test threads cannot interleave observations.
     fn windows_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        static LOCK: RecoverMutex<()> = RecoverMutex::new(());
         LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     fn fitted() -> (cf_data::Dataset, Cfsf) {

@@ -97,7 +97,7 @@ impl ItemStrips {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
     use cf_matrix::{ItemId, MatrixBuilder, UserId};

@@ -56,16 +56,12 @@ where
     let mut heap: BinaryHeap<Worst<T>> =
         BinaryHeap::with_capacity(k.min(upper.unwrap_or(lower)).saturating_add(1));
     for (id, score) in scored {
+        let candidate = Worst(id, score);
         if heap.len() < k {
-            heap.push(Worst(id, score));
-        } else {
-            let beats = heap
-                .peek()
-                .is_some_and(|worst| score > worst.1 || (score == worst.1 && id < worst.0));
-            if beats {
-                heap.pop();
-                heap.push(Worst(id, score));
-            }
+            heap.push(candidate);
+        } else if heap.peek().is_some_and(|worst| candidate < *worst) {
+            heap.pop();
+            heap.push(candidate);
         }
     }
     let mut out: Vec<(T, f64)> = heap.into_iter().map(|Worst(id, s)| (id, s)).collect();
@@ -74,7 +70,6 @@ where
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

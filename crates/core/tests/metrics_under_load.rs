@@ -9,7 +9,7 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use cf_matrix::{ItemId, UserId};
-use cfsf_core::{Cfsf, CfsfConfig};
+use cfsf_core::{Cfsf, CfsfConfig, DegradeLevel};
 
 const USERS: usize = 80;
 const ITEMS: usize = 120;
@@ -138,6 +138,34 @@ fn estimator_counters_never_exceed_predictions() {
         assert!(
             counter(est) <= counter("online.predictions"),
             "{est} can fire at most once per prediction"
+        );
+    }
+}
+
+/// Every rung bumps its own `online.degrade.<name>` counter and no other
+/// `online.degrade.*` counter. The walk goes over every wire code, so a
+/// new rung is covered as soon as it has one.
+#[test]
+fn every_rung_records_into_its_own_degrade_counter() {
+    let _serial = serial();
+    let degrade_total = || -> u64 {
+        cf_obs::global()
+            .snapshot()
+            .counters
+            .iter()
+            .filter(|(name, _)| name.starts_with("online.degrade."))
+            .map(|(_, v)| v)
+            .sum()
+    };
+    for level in (0..=u8::MAX).filter_map(DegradeLevel::from_code) {
+        let name = format!("online.degrade.{}", level.as_str());
+        let (own_before, total_before) = (counter(&name), degrade_total());
+        level.record();
+        assert_eq!(counter(&name), own_before + 1, "{level:?} must bump {name}");
+        assert_eq!(
+            degrade_total(),
+            total_before + 1,
+            "{level:?} must bump no other online.degrade.* counter"
         );
     }
 }

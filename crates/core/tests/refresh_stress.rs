@@ -14,8 +14,6 @@
 //! The drift/quality windows are process-global, so the tests serialize
 //! on a local mutex.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};

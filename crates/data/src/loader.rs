@@ -207,7 +207,6 @@ pub fn save_movielens<W: Write>(m: &RatingMatrix, mut out: W) -> std::io::Result
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

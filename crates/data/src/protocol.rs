@@ -266,7 +266,6 @@ impl Split {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::SyntheticConfig;

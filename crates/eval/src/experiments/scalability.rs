@@ -133,6 +133,7 @@ fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
 

@@ -59,6 +59,7 @@ pub fn evaluate_rmse<P: Predictor + ?Sized>(predictor: &P, holdout: &[HoldoutCel
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
     use cf_matrix::{ItemId, UserId};

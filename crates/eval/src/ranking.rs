@@ -108,6 +108,7 @@ pub fn evaluate_ranking<P: Predictor + ?Sized>(
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
 

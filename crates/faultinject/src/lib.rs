@@ -349,7 +349,7 @@ impl Drop for ChildGuard {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
 

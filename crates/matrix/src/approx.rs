@@ -1,12 +1,13 @@
-//! Float comparison helpers — the only sanctioned way to compare floats
-//! for "equality" in this workspace.
+//! Float comparison helpers — the sanctioned way to compare floats for
+//! approximate "equality" in this workspace.
 //!
-//! The `float-eq` lint (see `cf-analysis`) forbids raw `==`/`!=` against
-//! float literals in production code; call these instead. The tolerance
-//! is absolute-or-relative: two values compare equal when they are
-//! within `eps` of each other absolutely, or within `eps` relative to
-//! the larger magnitude (so the helper works for both rating-scale
-//! values around 1–5 and accumulated sums).
+//! Clippy's `float_cmp` (denied workspace-wide) forbids raw `==`/`!=`
+//! between floats in production code; call these instead, or say what
+//! an exact compare means (`to_bits()` for identity, `total_cmp` for
+//! order). The tolerance is absolute-or-relative: two values compare
+//! equal when they are within `eps` of each other absolutely, or within
+//! `eps` relative to the larger magnitude (so the helper works for both
+//! rating-scale values around 1–5 and accumulated sums).
 
 /// Default tolerance: loose enough to absorb accumulation order, tight
 /// enough to distinguish any two distinct ratings on a half-star scale.
@@ -15,6 +16,10 @@ pub const DEFAULT_EPS: f64 = 1e-9;
 /// True when `a` and `b` are equal to within `eps` (absolute or
 /// relative, whichever is more permissive). NaN never compares equal.
 #[must_use]
+#[expect(
+    clippy::float_cmp,
+    reason = "exact equality is the fast path and the only test that equates same-sign infinities"
+)]
 pub fn approx_eq_eps(a: f64, b: f64, eps: f64) -> bool {
     // Fast path for exact equality (also covers infinities of the same
     // sign); NaN falls through and the diff comparisons reject it.

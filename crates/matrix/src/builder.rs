@@ -189,7 +189,7 @@ impl MatrixBuilder {
         for (u, i, r) in triplets {
             match deduped.last() {
                 Some(&(pu, pi, pr)) if pu == u && pi == i => {
-                    if pr != r {
+                    if pr.to_bits() != r.to_bits() {
                         return Err(MatrixError::ConflictingDuplicate {
                             user: u,
                             item: i,
@@ -270,7 +270,7 @@ pub(crate) fn check_rating(
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
 

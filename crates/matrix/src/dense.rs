@@ -115,7 +115,7 @@ impl DenseRatings {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
     use crate::MatrixBuilder;

@@ -19,8 +19,8 @@
 //! - [`Predictor`] — the trait every CF algorithm in this workspace
 //!   implements, plus rating-scale clamping helpers,
 //! - [`stats`] — dataset statistics as reported in Table I of the paper,
-//! - [`approx`] — the sanctioned float-comparison helpers (the
-//!   `float-eq` lint forbids raw float `==` elsewhere).
+//! - [`approx`] — the sanctioned float-comparison helpers (clippy's
+//!   `float_cmp` forbids raw float `==` elsewhere).
 //!
 //! The matrix is deliberately immutable after build: every algorithm in the
 //! paper (CFSF and all baselines) trains on a frozen snapshot, and

@@ -128,7 +128,7 @@ impl RatingMatrix {
             };
             match kept {
                 None => fresh.push((u, i, r)),
-                Some(first) if first != r => {
+                Some(first) if first.to_bits() != r.to_bits() => {
                     return Err(MatrixError::ConflictingDuplicate {
                         user: u,
                         item: i,
@@ -375,7 +375,7 @@ fn splice<K: Copy + Ord>(
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
     use crate::MatrixBuilder;

@@ -710,7 +710,7 @@ fn reencode<C: QuantCell>(
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
 

@@ -112,6 +112,7 @@ impl<P: Predictor + ?Sized> Predictor for Box<P> {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
 

@@ -55,8 +55,11 @@ impl MatrixStats {
 
         let mut values: Vec<f64> = m.triplets().map(|t| t.2).collect();
         values.sort_unstable_by(f64::total_cmp);
-        let distinct =
-            values.windows(2).filter(|w| w[0] != w[1]).count() + usize::from(!values.is_empty());
+        let distinct = values
+            .windows(2)
+            .filter(|w| w[0].total_cmp(&w[1]).is_ne())
+            .count()
+            + usize::from(!values.is_empty());
         let min_rating = values.first().copied().unwrap_or(0.0);
         let max_rating = values.last().copied().unwrap_or(0.0);
 
@@ -118,7 +121,7 @@ impl std::fmt::Display for MatrixStats {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
     use crate::{ItemId, MatrixBuilder, UserId};

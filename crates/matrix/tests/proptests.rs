@@ -1,5 +1,7 @@
 //! Property-based tests for the rating-matrix substrate.
 
+#![allow(clippy::float_cmp)]
+
 use cf_matrix::{ItemId, MatrixBuilder, RatingMatrix, UserId};
 use proptest::prelude::*;
 

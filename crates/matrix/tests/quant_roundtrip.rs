@@ -12,6 +12,8 @@
 //! - absent cells dequantize to a hard zero pair and `is_present` agrees
 //!   with the dense matrix exactly.
 
+#![allow(clippy::float_cmp)]
+
 use cf_matrix::{DenseRatings, ItemId, MatrixBuilder, PlanePrecision, UserId, WeightPlanes};
 use proptest::prelude::*;
 

@@ -170,16 +170,14 @@ fn publish_gauges() {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 
     /// The drift window is process-global; serialize the tests touching
     /// it so parallel test threads cannot interleave.
     fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        static LOCK: crate::sync::RecoverMutex<()> = crate::sync::RecoverMutex::new(());
         LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     #[test]

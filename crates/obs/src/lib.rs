@@ -19,8 +19,8 @@
 //!
 //! Everything is `std`-only and safe code. Instrumentation cost when
 //! metrics are *disabled* ([`set_enabled`]) is one relaxed atomic load
-//! and a branch per record call; the `noop` cargo feature compiles even
-//! that away. `crates/bench/benches/obs_overhead.rs` demonstrates the
+//! and a branch per record call.
+//! `crates/bench/benches/obs_overhead.rs` demonstrates the
 //! enabled-vs-disabled delta on the online path stays within a few
 //! percent.
 //!
@@ -37,6 +37,18 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Serving-path crate: a request degrades, it never panics (the policy
+// is in clippy.toml). Locks recover from poisoning and unwind catches
+// check their captures (`disallowed_types`).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_types
+)]
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -72,14 +84,17 @@ pub fn set_enabled(on: bool) {
 /// Whether metric recording is currently enabled.
 #[inline(always)]
 pub fn enabled() -> bool {
-    #[cfg(feature = "noop")]
-    {
-        false
-    }
-    #[cfg(not(feature = "noop"))]
-    {
-        ENABLED.load(Ordering::Relaxed)
-    }
+    ENABLED.load(Ordering::Relaxed)
+}
+
+/// The current time while recording is enabled, `None` otherwise: a
+/// disabled timer or trace never reads the clock. The hot-path modules
+/// (`cfsf_core`'s `online.rs` and `cache.rs`, this crate's `trace.rs`)
+/// deny `Instant::now` and start their clocks here, so every later
+/// `elapsed()` works on this `Option`.
+#[inline]
+pub fn now_if_enabled() -> Option<Instant> {
+    enabled().then(Instant::now)
 }
 
 // --------------------------------------------------------------------------
@@ -446,7 +461,7 @@ impl SpanTimer {
     pub fn new(hist: Arc<Histogram>) -> Self {
         Self {
             hist,
-            start: enabled().then(Instant::now),
+            start: now_if_enabled(),
         }
     }
 
@@ -704,6 +719,7 @@ macro_rules! time_scope {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
 

@@ -119,7 +119,6 @@ fn find_terminator(tail: &[u8]) -> Option<usize> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use std::io::Write;

@@ -81,7 +81,7 @@ pub fn unescape_label_value(value: &str) -> String {
 }
 
 fn write_f64(out: &mut String, v: f64) {
-    if v == v.trunc() && v.abs() < 1e15 {
+    if v.fract() == 0.0 && v.abs() < 1e15 {
         let _ = write!(out, "{v:.0}");
     } else {
         let _ = write!(out, "{v}");

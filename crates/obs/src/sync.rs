@@ -32,10 +32,13 @@
 //!   access" and have that argument machine-checked.
 //!
 //! [`RecoverMutex`] is also exported on its own as the repo's sanctioned
-//! replacement for bare `std::sync::Mutex` in `crates/core`/`crates/obs`
-//! (`cf-analysis` lint rule `bare-sync-prim`): its `lock()` recovers from
-//! poisoning instead of panicking, so one panicking holder cannot
-//! cascade into every later lock site.
+//! replacement for bare `std::sync::Mutex` in cfsf-core, cf-obs and
+//! cf-serve, which deny the type through clippy's `disallowed_types`:
+//! its `lock()` recovers from poisoning instead of panicking, so one
+//! panicking holder cannot cascade into every later lock site.
+
+// The wrappers' home builds on the std primitives it wraps.
+#![allow(clippy::disallowed_types)]
 
 use std::ops::{Deref, DerefMut};
 
@@ -237,7 +240,7 @@ pub struct RecoverMutex<T>(std::sync::Mutex<T>);
 
 impl<T> RecoverMutex<T> {
     /// A fresh mutex protecting `value`.
-    pub fn new(value: T) -> Self {
+    pub const fn new(value: T) -> Self {
         Self(std::sync::Mutex::new(value))
     }
 
@@ -305,16 +308,20 @@ impl<T: Send + Sync> ShimRwLock<T> for std::sync::RwLock<T> {
         self.is_poisoned()
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "poisons the lock the way a panicking holder would; the unwind is caught here"
+    )]
     fn poison(&self) {
         // Poison exactly as production would: panic while holding the
         // write lock. The unwind is contained here; the poison flag is
         // the only side effect. The closure captures only `&self`.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let result = std::panic::catch_unwind(|| {
             let _guard = self
                 .write()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             std::panic::panic_any(PoisonToken);
-        }));
+        });
         debug_assert!(result.is_err());
     }
 }
@@ -332,7 +339,6 @@ impl Shim for StdShim {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use std::sync::RwLock;

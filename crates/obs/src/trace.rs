@@ -35,6 +35,10 @@
 //! 0 makes [`begin_request`] return an inert guard — no timestamps, no
 //! TLS writes beyond one flag read, nothing recorded.
 
+// A hot-path module: the clock is read only through
+// `crate::now_if_enabled`.
+#![deny(clippy::disallowed_methods)]
+
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -400,9 +404,12 @@ pub struct Outcome {
 #[inline]
 pub fn begin_request(user: u32, item: u32) -> RequestGuard {
     let every = HEAD_EVERY.load(Ordering::Relaxed);
-    if every == 0 || !crate::enabled() {
+    if every == 0 {
         return RequestGuard { armed: false };
     }
+    let Some(start) = crate::now_if_enabled() else {
+        return RequestGuard { armed: false };
+    };
     let remote = REMOTE_CTX.get();
     let sampled = match remote {
         // A propagated sampling decision overrides the local head
@@ -417,7 +424,7 @@ pub fn begin_request(user: u32, item: u32) -> RequestGuard {
     };
     DETAIL.with(|d| {
         let d = &mut *d.borrow_mut();
-        d.start = Some(Instant::now());
+        d.start = Some(start);
         d.user = user;
         d.item = item;
         d.depth = 0;
@@ -822,15 +829,12 @@ pub fn render_current() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex as StdMutex;
 
     /// Trace tests share process-global rings; serialize them.
-    static TEST_LOCK: StdMutex<()> = StdMutex::new(());
+    static TEST_LOCK: RecoverMutex<()> = RecoverMutex::new(());
 
     fn locked() -> std::sync::MutexGuard<'static, ()> {
-        let g = TEST_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let g = TEST_LOCK.lock();
         clear();
         set_head_sample_every(64);
         g

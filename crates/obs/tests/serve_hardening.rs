@@ -3,8 +3,6 @@
 //! stalled half-heads, and oversized heads — must now get `200`, `408`,
 //! and `431` respectively, and none of them may wedge the accept loop.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};

@@ -113,11 +113,11 @@ where
 /// serving-path variant — one poisoned request must degrade that request,
 /// not take down the batch (let alone the process).
 ///
-/// `f` is wrapped in `AssertUnwindSafe`: it is shared by reference across
-/// workers, so a panic cannot leave *this* function's state torn, and any
-/// interior-mutable state the closure touches is the caller's contract —
-/// the intended callers are read-only prediction closures over a fitted
-/// model (whose caches recover from poisoning on their own).
+/// `f` must be [`std::panic::RefUnwindSafe`], so `catch_unwind` can take
+/// it by reference without an `AssertUnwindSafe` wrapper and the compiler
+/// checks what the closure shares. The intended callers are read-only
+/// prediction closures over a fitted model (whose caches recover from
+/// poisoning on their own).
 ///
 /// ```
 /// let out = cf_parallel::par_map_isolated(4, 2, |i| {
@@ -129,12 +129,10 @@ where
 pub fn par_map_isolated<T, F>(n: usize, threads: usize, f: F) -> Vec<Option<T>>
 where
     T: Send,
-    F: Fn(usize) -> T + Sync,
+    F: Fn(usize) -> T + Sync + std::panic::RefUnwindSafe,
 {
     let f = &f;
-    par_map(n, threads, move |i| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i))).ok()
-    })
+    par_map(n, threads, move |i| std::panic::catch_unwind(|| f(i)).ok())
 }
 
 /// Parallel in-place mutation of a slice, statically chunked.

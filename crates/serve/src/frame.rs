@@ -905,7 +905,6 @@ pub fn read_response(
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use std::net::TcpListener;

@@ -1,15 +1,14 @@
 //! The serving tier's *only* doorway to the model: a handle over the
 //! RCU-style generation cell from `cfsf_core::refresh`.
 //!
-//! Every request path in this crate loads the model through a
-//! [`ModelHandle`] — never by holding a raw model reference across
-//! requests. That is what makes zero-pause refresh work: a background
-//! rebuild publishes a new generation into the cell, the next request
-//! loads it, and requests already in flight finish on the generation
-//! they started with (their `Arc` keeps it alive). The
-//! `model-access-outside-generation` cf-analysis lint enforces the
-//! doorway: this file is the only one in `crates/serve/src` allowed to
-//! name the concrete model type.
+//! Every request path in this crate reaches the model through
+//! [`ModelHandle::with`] or [`ModelHandle::with_generation`], which lend
+//! the generation currently serving to a closure for one call. That is
+//! what makes zero-pause refresh work: a background rebuild publishes a
+//! new generation into the cell, the next call sees it, and calls already
+//! in flight finish on the generation they started with. The `&Cfsf` a
+//! closure receives cannot escape it (the compiler rejects a closure
+//! that returns it), so no serve path can pin a generation past one call.
 
 use std::sync::Arc;
 
@@ -37,34 +36,58 @@ impl ModelHandle {
     }
 
     /// A handle sharing a live generation cell — publishes through the
-    /// cell become visible to this handle's next [`ModelHandle::load`].
+    /// cell become visible to this handle's next [`ModelHandle::with`].
     pub fn from_cell(cell: Arc<GenCell<Cfsf>>) -> Self {
         Self { cell }
     }
 
-    /// The model generation currently serving. The returned `Arc` pins
-    /// that generation for as long as the caller holds it, so one
-    /// request always computes against one consistent model even while
-    /// a refresh publishes mid-request.
-    pub fn load(&self) -> Arc<Cfsf> {
-        self.cell.load()
+    /// Runs `f` on the model generation currently serving. The
+    /// generation stays pinned for the whole call, so one request always
+    /// computes against one consistent model even while a refresh
+    /// publishes mid-request.
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use cf_serve::ModelHandle;
+    /// use cfsf_core::{Cfsf, CfsfConfig};
+    ///
+    /// let data = cf_data::SyntheticConfig::small().generate();
+    /// let model = Cfsf::fit(&data.matrix, CfsfConfig::small()).unwrap();
+    /// let handle = ModelHandle::fixed(Arc::new(model));
+    /// let users = handle.with(|model| model.matrix().num_users());
+    /// assert_eq!(users, data.matrix.num_users());
+    /// ```
+    ///
+    /// The model cannot leave the closure, so no caller keeps a
+    /// generation past the call:
+    ///
+    /// ```compile_fail
+    /// use cf_serve::ModelHandle;
+    /// use cfsf_core::Cfsf;
+    ///
+    /// fn keep(handle: &ModelHandle) -> &Cfsf {
+    ///     handle.with(|model| model)
+    /// }
+    /// ```
+    pub fn with<R>(&self, f: impl FnOnce(&Cfsf) -> R) -> R {
+        f(&self.cell.load())
     }
 
-    /// [`ModelHandle::load`] plus the generation id the snapshot belongs
+    /// [`ModelHandle::with`] plus the generation id the model belongs
     /// to — the pair is read under one guard, never torn.
-    pub fn load_with_generation(&self) -> (Arc<Cfsf>, u64) {
-        self.cell.load_with_generation()
+    pub fn with_generation<R>(&self, f: impl FnOnce(&Cfsf, u64) -> R) -> R {
+        let (model, generation) = self.cell.load_with_generation();
+        f(&model, generation)
     }
 
     /// The current generation id (monitoring only; pair reads go through
-    /// [`ModelHandle::load_with_generation`]).
+    /// [`ModelHandle::with_generation`]).
     pub fn generation(&self) -> u64 {
         self.cell.generation()
     }
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use cfsf_core::CfsfConfig;
@@ -78,9 +101,10 @@ mod tests {
     fn fixed_handle_serves_generation_zero() {
         let model = fitted();
         let handle = ModelHandle::fixed(Arc::clone(&model));
-        let (loaded, generation) = handle.load_with_generation();
-        assert_eq!(generation, 0);
-        assert!(Arc::ptr_eq(&loaded, &model));
+        handle.with_generation(|loaded, generation| {
+            assert_eq!(generation, 0);
+            assert!(std::ptr::eq(loaded, &*model));
+        });
     }
 
     #[test]
@@ -92,9 +116,11 @@ mod tests {
 
         let b = fitted();
         cell.publish(Arc::clone(&b));
-        let (loaded, generation) = handle.load_with_generation();
-        assert_eq!(generation, 1);
-        assert!(Arc::ptr_eq(&loaded, &b));
+        handle.with_generation(|loaded, generation| {
+            assert_eq!(generation, 1);
+            assert!(std::ptr::eq(loaded, &*b));
+        });
+        assert!(handle.with(|loaded| std::ptr::eq(loaded, &*b)));
         // The old generation stays alive for holders of its Arc.
         assert!(Arc::strong_count(&a) >= 1);
     }

@@ -38,10 +38,11 @@
 
 use std::net::ToSocketAddrs;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::RwLock;
 use std::time::{Duration, Instant};
 
 use cf_matrix::RatingScale;
+use cf_obs::sync::RecoverMutex;
 use cfsf_core::DegradeLevel;
 
 use crate::client::{ClientOptions, ShardClient};
@@ -133,7 +134,7 @@ impl FallbackTable {
 /// routers (or two slots) that fail at the same instant do not sleep
 /// in lockstep and re-stampede the shard together.
 struct JitterRng {
-    state: Mutex<[u64; 4]>,
+    state: RecoverMutex<[u64; 4]>,
 }
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -148,7 +149,7 @@ impl JitterRng {
     fn seeded(seed: u64) -> Self {
         let mut s = seed;
         Self {
-            state: Mutex::new([
+            state: RecoverMutex::new([
                 splitmix64(&mut s),
                 splitmix64(&mut s),
                 splitmix64(&mut s),
@@ -167,10 +168,7 @@ impl JitterRng {
     }
 
     fn next_u64(&self) -> u64 {
-        let mut s = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut s = self.state.lock();
         let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = s[1] << 17;
         s[2] ^= s[0];
@@ -242,9 +240,9 @@ pub struct RouterTopN {
 struct ShardSlot {
     addr: String,
     /// Idle pooled connections, reused across requests.
-    pool: Mutex<Vec<ShardClient>>,
+    pool: RecoverMutex<Vec<ShardClient>>,
     in_flight: AtomicUsize,
-    down_until: Mutex<Option<Instant>>,
+    down_until: RecoverMutex<Option<Instant>>,
     /// Per-slot backoff jitter source (see [`JitterRng`]).
     jitter: JitterRng,
 }
@@ -364,9 +362,9 @@ impl Router {
             }
             slots.push(ShardSlot {
                 addr: addr.clone(),
-                pool: Mutex::new(vec![client]),
+                pool: RecoverMutex::new(vec![client]),
                 in_flight: AtomicUsize::new(0),
-                down_until: Mutex::new(None),
+                down_until: RecoverMutex::new(None),
                 jitter: JitterRng::for_slot(addr, i),
             });
         }
@@ -758,10 +756,7 @@ impl Router {
     }
 
     fn is_down_now(slot: &ShardSlot) -> bool {
-        let guard = slot
-            .down_until
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let guard = slot.down_until.lock();
         guard.is_some_and(|t| Instant::now() < t)
     }
 
@@ -802,10 +797,7 @@ impl Router {
         let slot = &self.slots[shard];
         // Down and inside cooldown: shed immediately, zero socket cost.
         {
-            let mut guard = slot
-                .down_until
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut guard = slot.down_until.lock();
             match *guard {
                 Some(t) if Instant::now() < t => {
                     drop(guard);
@@ -833,10 +825,7 @@ impl Router {
         let mut attempt = 0u32;
         loop {
             let client = {
-                let mut pool = slot
-                    .pool
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                let mut pool = slot.pool.lock();
                 pool.pop()
             };
             let mut client = match client {
@@ -853,10 +842,7 @@ impl Router {
             };
             match client.request_traced(req) {
                 Ok(resp) => {
-                    let mut pool = slot
-                        .pool
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    let mut pool = slot.pool.lock();
                     pool.push(client);
                     return Ok(resp);
                 }
@@ -896,19 +882,13 @@ impl Router {
         }
         // Out of attempts: mark down for the cooldown and shed.
         {
-            let mut guard = slot
-                .down_until
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut guard = slot.down_until.lock();
             *guard = Some(Instant::now() + self.cfg.down_cooldown);
         }
         // Drain the pool: every pooled connection points at a shard we
         // just declared dead.
         {
-            let mut pool = slot
-                .pool
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut pool = slot.pool.lock();
             pool.clear();
         }
         let (_total, up) = self.shards_up();
@@ -1062,7 +1042,6 @@ impl RouterServer {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -18,10 +18,11 @@
 
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use cf_matrix::{ItemId, UserId};
+use cf_obs::sync::RecoverMutex;
 
 use crate::frame::{
     self, HealthInfo, ReadOutcome, Request, Response, WirePrediction, WireProfile, WireStats,
@@ -81,7 +82,7 @@ pub struct FrameServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    conn_threads: Arc<RecoverMutex<Vec<std::thread::JoinHandle<()>>>>,
 }
 
 impl FrameServer {
@@ -95,7 +96,7 @@ impl FrameServer {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let conn_threads = Arc::new(Mutex::new(Vec::new()));
+        let conn_threads = Arc::new(RecoverMutex::new(Vec::new()));
         let accept_thread = std::thread::Builder::new()
             .name(thread_name.to_string())
             .spawn({
@@ -127,10 +128,7 @@ impl FrameServer {
             let _ = t.join();
         }
         let threads = {
-            let mut guard = self
-                .conn_threads
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut guard = self.conn_threads.lock();
             std::mem::take(&mut *guard)
         };
         for t in threads {
@@ -150,7 +148,7 @@ fn accept_loop(
     stop: &Arc<AtomicBool>,
     opts: &ServerOptions,
     handler: &Arc<dyn Handler>,
-    conn_threads: &Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    conn_threads: &Arc<RecoverMutex<Vec<std::thread::JoinHandle<()>>>>,
 ) {
     let active = Arc::new(AtomicUsize::new(0));
     while !stop.load(Ordering::Relaxed) {
@@ -194,9 +192,7 @@ fn accept_loop(
                     });
                 match spawned {
                     Ok(t) => {
-                        let mut guard = conn_threads
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
+                        let mut guard = conn_threads.lock();
                         // Reap finished threads so the registry doesn't
                         // grow with connection churn.
                         guard.retain(|t| !t.is_finished());
@@ -292,35 +288,36 @@ struct ShardHandler {
 
 impl ShardHandler {
     fn health(&self) -> Response {
-        let (model, generation) = self.handle.load_with_generation();
-        Response::Health(HealthInfo {
-            shard_id: self.shard_id,
-            num_users: model.matrix().num_users() as u64,
-            num_items: model.matrix().num_items() as u64,
-            generation,
+        self.handle.with_generation(|model, generation| {
+            Response::Health(HealthInfo {
+                shard_id: self.shard_id,
+                num_users: model.matrix().num_users() as u64,
+                num_items: model.matrix().num_items() as u64,
+                generation,
+            })
         })
     }
 
     fn profile(&self) -> Response {
-        let (model, generation) = self.handle.load_with_generation();
-        let m = model.matrix();
-        let scale = m.scale();
-        Response::Profile(WireProfile {
-            scale_min: scale.min,
-            scale_max: scale.max,
-            global_mean: m.global_mean(),
-            num_items: m.num_items() as u64,
-            user_means: m.user_means().to_vec(),
-            generation,
+        self.handle.with_generation(|model, generation| {
+            let m = model.matrix();
+            let scale = m.scale();
+            Response::Profile(WireProfile {
+                scale_min: scale.min,
+                scale_max: scale.max,
+                global_mean: m.global_mean(),
+                num_items: m.num_items() as u64,
+                user_means: m.user_means().to_vec(),
+                generation,
+            })
         })
     }
 
     fn predict(&self, user: u32, item: u32) -> Response {
-        match self
+        let breakdown = self
             .handle
-            .load()
-            .predict_with_breakdown(UserId::new(user), ItemId::new(item))
-        {
+            .with(|model| model.predict_with_breakdown(UserId::new(user), ItemId::new(item)));
+        match breakdown {
             Some(b) => Response::Prediction(WirePrediction {
                 fused: b.fused,
                 level: b.level.code(),
@@ -338,15 +335,14 @@ impl ShardHandler {
             .iter()
             .map(|&(u, i)| (UserId::new(u), ItemId::new(i)))
             .collect();
-        // One load for the whole batch: every pair is answered by the
+        // One call for the whole batch: every pair is answered by the
         // same generation even if a refresh publishes mid-batch. The
         // batch engine strip-sorts internally and answers in request
         // order; unpredictable pairs come back as None elements instead
         // of failing the whole frame.
         let preds = self
             .handle
-            .load()
-            .predict_batch_with_breakdown(&reqs, None)
+            .with(|model| model.predict_batch_with_breakdown(&reqs, None))
             .into_iter()
             .map(|b| {
                 b.map(|b| WirePrediction {
@@ -360,23 +356,23 @@ impl ShardHandler {
     }
 
     fn recommend(&self, user: u32, n: u32, item_start: u32, item_end: u32) -> Response {
-        let model = self.handle.load();
-        if (user as usize) >= model.matrix().num_users() {
-            return Response::Error {
-                code: ERR_OUT_OF_RANGE,
-                message: format!("user {user} outside the model"),
-            };
-        }
-        let recs =
-            model.recommend_top_n_in_range(UserId::new(user), n as usize, item_start..item_end);
-        Response::TopN(recs.into_iter().map(|(i, s)| (i.raw(), s)).collect())
+        self.handle.with(|model| {
+            if (user as usize) >= model.matrix().num_users() {
+                return Response::Error {
+                    code: ERR_OUT_OF_RANGE,
+                    message: format!("user {user} outside the model"),
+                };
+            }
+            let recs =
+                model.recommend_top_n_in_range(UserId::new(user), n as usize, item_start..item_end);
+            Response::TopN(recs.into_iter().map(|(i, s)| (i.raw(), s)).collect())
+        })
     }
 
     fn stats(&self) -> Response {
-        let (_, generation) = self.handle.load_with_generation();
         Response::Stats(WireStats {
             shard_id: self.shard_id,
-            generation,
+            generation: self.handle.generation(),
             snapshot: cf_obs::merge::MergeSnapshot::of(cf_obs::global()).to_bytes(),
         })
     }

@@ -12,7 +12,6 @@
 //! disarm everything on entry.
 
 #![cfg(feature = "faultinject")]
-#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;

@@ -15,8 +15,6 @@
 //!   `f64` equal by bits, and request payloads match the layout as written
 //!   out field by field below.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use std::cell::RefCell;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};

@@ -7,7 +7,7 @@
 //! some assert exact counter deltas, so each test holds [`serial`] for
 //! its whole run.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::float_cmp)]
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;

@@ -229,6 +229,7 @@ pub fn item_overlap(m: &RatingMatrix, a: ItemId, b: ItemId) -> usize {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
     use cf_matrix::MatrixBuilder;

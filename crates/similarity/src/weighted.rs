@@ -167,6 +167,7 @@ pub fn pair_weight(item_sim: f64, user_sim: f64) -> f64 {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
     use cf_matrix::{ItemId, UserId};

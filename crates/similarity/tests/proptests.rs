@@ -1,5 +1,7 @@
 //! Property-based tests for the similarity kernels and the GIS.
 
+#![allow(clippy::float_cmp)]
+
 use cf_matrix::{
     DenseRatings, ItemId, MatrixBuilder, PlanePrecision, RatingMatrix, UserId, WeightPlanes,
 };

@@ -7,6 +7,13 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+# Clippy also holds the repo's code policies (DESIGN.md §9; lists in
+# clippy.toml, levels in the root Cargo.toml and crate attributes): no
+# unwrap/expect/panic in the serving crates (cfsf-core, cf-obs, cf-serve,
+# the cfsf library), no bare std::sync::Mutex or AssertUnwindSafe in
+# those crates' production code, no clock read outside
+# cf_obs::now_if_enabled in the hot-path modules, and no exact float
+# compare outside tests unless it says why.
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -16,17 +23,13 @@ cargo build --release --offline
 echo "==> tier-1: cargo test"
 cargo test --workspace -q --offline
 
-# Analysis gate: the repo lint engine (panic-free serving path, hot-path
-# clock gating, float-eq, bare sync primitives, counter pairing, unwind
-# captures, the model doorway) plus the loom-lite model checker running
-# every built-in model exhaustively — including the seeded-race fixture
-# the happens-before detector must catch. Zero
-# unsuppressed diagnostics, no stale allowlist entries, and all models
-# green, or the gate fails. The machine-readable report lands at
-# target/analyze.json; under CI ($CI set) findings are also emitted as
-# GitHub ::error annotations pinned to file/line.
-echo "==> cfsf-analyze (lint + concurrency models, deny warnings)"
-cargo run -q -p cf-analysis --bin cfsf-analyze --offline -- --deny-warnings \
+# Analysis gate: the loom-lite model checker runs every built-in model
+# exhaustively — including the seeded-race fixture the happens-before
+# detector must catch. All models green, or the gate fails. The
+# machine-readable report lands at target/analyze.json; under CI ($CI
+# set) failures are also emitted as GitHub ::error annotations.
+echo "==> cfsf-analyze (concurrency models)"
+cargo run -q -p cf-analysis --bin cfsf-analyze --offline -- \
     --json-out target/analyze.json ${CI:+--annotate}
 
 # TSan job: the loom-lite shim layer under ThreadSanitizer, bounded to

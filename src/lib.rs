@@ -20,6 +20,17 @@
 //! let mae = evaluate_mae(&model, &split.holdout);
 //! assert!(mae < 2.0);
 //! ```
+
+// Part of the serving path: it never panics (the policy is in
+// clippy.toml).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 pub use cf_baselines as baselines;
 pub use cf_cluster as cluster;
 pub use cf_data as data;

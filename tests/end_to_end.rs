@@ -1,6 +1,8 @@
 //! End-to-end integration: dataset → protocol → offline fit → online
 //! predictions → MAE, across crate boundaries.
 
+#![allow(clippy::float_cmp)]
+
 use cfsf::prelude::*;
 
 fn dataset() -> Dataset {

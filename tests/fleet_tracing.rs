@@ -14,8 +14,6 @@
 //! - the SLO engine publishes multi-window burn-rate gauges and
 //!   `--slo-report` writes the report JSON.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Command, Stdio};

@@ -7,8 +7,6 @@
 //! users degrade down the ladder (`online.degrade.*` rises on the
 //! router's metrics endpoint) while every request keeps answering.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Command, Stdio};
