@@ -1,11 +1,16 @@
-//! cfsf-bench: see the `benches/` directory. One Criterion bench target
-//! exists per paper table/figure plus micro-benches of the offline and
-//! online phases; this library crate only hosts shared helpers.
+//! cfsf-bench: Criterion micro-benches of single layers that no
+//! end-to-end workload isolates — the offline phases (`offline_phase`),
+//! one online request and the online ablations (`online_phase`), batch
+//! serving, persistence and incremental rebuilds (`extensions`), and the
+//! cost of instrumentation (`obs_overhead`). Serving and rebuild speed end
+//! to end is cfbench's job, and `cfsf-experiments` regenerates the paper's
+//! tables and figures. This library crate only hosts the shared dataset
+//! and configuration.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use cf_data::{Dataset, GivenN, Protocol, Split, SyntheticConfig, TrainSize};
+use cf_data::{Dataset, SyntheticConfig};
 
 /// The dataset all benches share: small enough for Criterion iteration,
 /// large enough to exercise the real code paths.
@@ -18,13 +23,6 @@ pub fn bench_dataset() -> Dataset {
         ..SyntheticConfig::movielens()
     }
     .generate()
-}
-
-/// The standard bench split: 140 training users, 60 test users, Given10.
-pub fn bench_split(dataset: &Dataset) -> Split {
-    Protocol::new(TrainSize::Users(140), GivenN::Given10, 60)
-        .split(dataset)
-        .expect("bench protocol fits")
 }
 
 /// The CFSF configuration used across benches (substrate-tuned point).

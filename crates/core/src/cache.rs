@@ -225,11 +225,6 @@ impl<S: Shim, V: Clone + Send + Sync + 'static> ShardedCacheCore<S, V> {
         self.shard_capacity * self.shards.len()
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Drops every cached entry. A poisoned shard is recovered on the
     /// way through — clearing is exactly the reset anyway.
     pub fn clear(&self) {

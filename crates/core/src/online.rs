@@ -16,8 +16,7 @@
 //!   original per-cell f64 loops over the dense matrix. It is the ground
 //!   truth the fast kernels are property-tested against (within the
 //!   quantization tolerance `planes.step() + 1e-9` — weights are exact,
-//!   so availability, overlap counts, and degrade levels match exactly)
-//!   and the baseline the throughput benchmark measures speedups from.
+//!   so availability, overlap counts, and degrade levels match exactly).
 
 // A hot-path module: the clock is read only through
 // `cf_obs::now_if_enabled`.
@@ -459,10 +458,8 @@ impl Cfsf {
     /// Kept as the ground truth for the kernel-equivalence property tests
     /// (the fast path must match it within the quantization tolerance
     /// `planes.step() + 1e-9`; availability, `m_used`, and degrade levels
-    /// exactly) and as the baseline the
-    /// `online_throughput` benchmark measures speedups against. Shares
-    /// [`Cfsf::top_k_users`] with the fast path so both paths predict
-    /// from the identical local matrix.
+    /// exactly). Shares [`Cfsf::top_k_users`] with the fast path so both
+    /// paths predict from the identical local matrix.
     pub fn predict_with_breakdown_ref(
         &self,
         user: UserId,

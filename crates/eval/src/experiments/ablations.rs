@@ -13,10 +13,11 @@
 //!   selection shortcut.
 
 use cf_data::GivenN;
+use cfsf_core::Cfsf;
 
 use crate::metrics::evaluate_mae;
 use crate::table::{fmt_mae, fmt_secs, Table};
-use crate::timing::time_predictions;
+use crate::timing::{median_times, time_predictions, TIMING_ROUNDS};
 
 use super::{ExperimentContext, ExperimentOutput};
 
@@ -26,21 +27,38 @@ pub fn ablations(ctx: &ExperimentContext) -> ExperimentOutput {
     let split = ctx.split(train, GivenN::Given10);
     let base = ctx.fit_cfsf(&split.train);
 
+    let sf = ctx.fit_baseline("SF", &split.train);
+    let no_smooth = base
+        .reparameterize(|c| c.use_smoothing = false)
+        .expect("valid");
+    let no_suir = base.reparameterize(|c| c.delta = 0.0).expect("valid");
+    let whole = base
+        .reparameterize(|c| c.candidate_factor = usize::MAX / c.k.max(1))
+        .expect("valid");
+
+    // Every CFSF variant starts each round with a cold neighbor cache.
+    let cold = |model: &Cfsf| {
+        model.clear_caches();
+        time_predictions(model, &split.holdout)
+    };
+    let [t, t_sf, t_ns, t_nd, t_w] = median_times([
+        &|| cold(&base),
+        &|| time_predictions(sf.as_ref(), &split.holdout),
+        &|| cold(&no_smooth),
+        &|| cold(&no_suir),
+        &|| cold(&whole),
+    ]);
+
     let mut table = Table::new(
-        "Ablations (largest training set, Given10)",
+        format!("Ablations (largest training set, Given10; median time of {TIMING_ROUNDS} rounds)"),
         &["variant", "MAE", "online time (s)"],
     );
     let mut notes = Vec::new();
 
-    // Baseline CFSF.
-    base.clear_caches();
-    let t = time_predictions(&base, &split.holdout);
     let mae_base = evaluate_mae(&base, &split.holdout);
     table.push_row(vec!["CFSF (full)".into(), fmt_mae(mae_base), fmt_secs(t)]);
 
     // 1. Global fusion (SF) against local CFSF.
-    let sf = ctx.fit_baseline("SF", &split.train);
-    let t_sf = time_predictions(sf.as_ref(), &split.holdout);
     let mae_sf = evaluate_mae(sf.as_ref(), &split.holdout);
     table.push_row(vec![
         "global fusion (SF)".into(),
@@ -53,11 +71,6 @@ pub fn ablations(ctx: &ExperimentContext) -> ExperimentOutput {
     ));
 
     // 2. Smoothing off.
-    let no_smooth = base
-        .reparameterize(|c| c.use_smoothing = false)
-        .expect("valid");
-    no_smooth.clear_caches();
-    let t_ns = time_predictions(&no_smooth, &split.holdout);
     let mae_ns = evaluate_mae(&no_smooth, &split.holdout);
     table.push_row(vec!["no smoothing".into(), fmt_mae(mae_ns), fmt_secs(t_ns)]);
     notes.push(format!(
@@ -68,9 +81,6 @@ pub fn ablations(ctx: &ExperimentContext) -> ExperimentOutput {
     ));
 
     // 3. SUIR' off (δ = 0).
-    let no_suir = base.reparameterize(|c| c.delta = 0.0).expect("valid");
-    no_suir.clear_caches();
-    let t_nd = time_predictions(&no_suir, &split.holdout);
     let mae_nd = evaluate_mae(&no_suir, &split.holdout);
     table.push_row(vec![
         "delta = 0 (no SUIR')".into(),
@@ -83,11 +93,6 @@ pub fn ablations(ctx: &ExperimentContext) -> ExperimentOutput {
     ));
 
     // 4. iCluster walk vs whole-population candidate pool.
-    let whole = base
-        .reparameterize(|c| c.candidate_factor = usize::MAX / c.k.max(1))
-        .expect("valid");
-    whole.clear_caches();
-    let t_w = time_predictions(&whole, &split.holdout);
     let mae_w = evaluate_mae(&whole, &split.holdout);
     table.push_row(vec![
         "whole-population candidates".into(),

@@ -8,14 +8,14 @@
 
 use crate::chart::{render_chart, Series};
 use crate::table::{fmt_secs, Table};
-use crate::timing::time_predictions;
+use crate::timing::{median_times, time_predictions, TIMING_ROUNDS};
 
 use super::{sweep_fractions, ExperimentContext, ExperimentOutput};
 
 /// Runs the Fig. 5 measurement.
 pub fn fig5(ctx: &ExperimentContext) -> ExperimentOutput {
     let mut table = Table::new(
-        "Fig. 5 — response time at Given20 (seconds)",
+        format!("Fig. 5 — response time at Given20 (seconds, median of {TIMING_ROUNDS} rounds)"),
         &[
             "training set",
             "testset %",
@@ -39,11 +39,15 @@ pub fn fig5(ctx: &ExperimentContext) -> ExperimentOutput {
         let mut scb_times = Vec::new();
         for &fraction in &sweep_fractions(ctx.scale) {
             let split = ctx.split_fraction(train, fraction);
-            // Cold start per point: Fig. 5 measures each testset size as
-            // an independent serving run.
-            cfsf.clear_caches();
-            let t_cfsf = time_predictions(&cfsf, &split.holdout);
-            let t_scb = time_predictions(scbpcc.as_ref(), &split.holdout);
+            let [t_cfsf, t_scb] = median_times([
+                &|| {
+                    // Cold start per round: Fig. 5 measures each testset
+                    // size as an independent serving run.
+                    cfsf.clear_caches();
+                    time_predictions(&cfsf, &split.holdout)
+                },
+                &|| time_predictions(scbpcc.as_ref(), &split.holdout),
+            ]);
             table.push_row(vec![
                 train.label(),
                 format!("{:.0}%", fraction * 100.0),

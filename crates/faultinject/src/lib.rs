@@ -139,11 +139,6 @@ pub fn fired_count(point: &str) -> u64 {
     lock().get(point).map_or(0, |p| p.fired)
 }
 
-/// How many times `point` has been evaluated since it was armed.
-pub fn evaluation_count(point: &str) -> u64 {
-    lock().get(point).map_or(0, |p| p.evaluations)
-}
-
 // --- typed helpers for common fault shapes -----------------------------
 
 /// Returns an injected `io::Error` when `point` fires.

@@ -87,11 +87,6 @@ pub fn set_head_sample_every(n: u32) {
     HEAD_EVERY.store(n, Ordering::Relaxed);
 }
 
-/// The current head-sampling rate (see [`set_head_sample_every`]).
-pub fn head_sample_every() -> u32 {
-    HEAD_EVERY.load(Ordering::Relaxed)
-}
-
 // --------------------------------------------------------------------------
 // Captured traces
 // --------------------------------------------------------------------------
