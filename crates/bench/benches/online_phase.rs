@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the CFSF online phase: single-request latency
 //! (cold and warm neighbor cache), the top-K selection itself, top-N
-//! recommendation, and the online-side ablations from DESIGN.md
+//! recommendation (pruned, and the no-prune worst case), and the
+//! online-side ablations from DESIGN.md
 //! (`ablate_smoothing`, `ablate_suir`, `ablate_icluster`).
 
 use cf_matrix::{ItemId, Predictor, UserId};
@@ -34,6 +35,12 @@ fn request_latency(c: &mut Criterion) {
     });
     group.bench_function("recommend_top_10", |b| {
         b.iter(|| black_box(model.recommend_top_n(user, 10)));
+    });
+    // Every item fits in the answer, so nothing can be pruned: the
+    // top-N worst case, scoring the full M × K matrix of every item.
+    let all = data.matrix.num_items();
+    group.bench_function("recommend_all", |b| {
+        b.iter(|| black_box(model.recommend_top_n(user, all)));
     });
     group.finish();
 }

@@ -264,35 +264,46 @@ impl Cfsf {
         ))
     }
 
-    /// Scores every item the user hasn't rated and returns the best `n`
-    /// as `(item, predicted rating)`, best first. Ties break toward the
-    /// lower item id.
+    /// The best `n` items the user hasn't rated, as `(item, predicted
+    /// rating)`, best first; ties break toward the lower item id. The
+    /// answer is exactly the top `n` of [`Predictor::predict`] over every
+    /// unrated item, bit for bit, but most items are ruled out by a cheap
+    /// bound on their score before their `M × K` matrix is built (see
+    /// [`recommend_top_n_in_range`](Self::recommend_top_n_in_range)).
+    /// Empty for a user the model does not hold, or `n = 0`.
     pub fn recommend_top_n(&self, user: UserId, n: usize) -> Vec<(ItemId, f64)> {
         self.recommend_top_n_in_range(user, n, 0..u32::MAX)
     }
 
     /// [`recommend_top_n`](Self::recommend_top_n) restricted to the item
     /// stripe `items` (end clamped to the item count). This is the
-    /// scatter-gather primitive for sharded serving: each shard scores
+    /// scatter-gather primitive for sharded serving: each shard serves
     /// one stripe, and merging the per-stripe results with
     /// [`crate::topk::top_k_by_score`] reproduces the single-process
     /// answer bit for bit — any global top-`n` item is necessarily in
     /// its own stripe's top-`n`.
+    ///
+    /// Two passes over the stripe. Pass 1 looks the user's neighbors up
+    /// once and computes every unrated item's SIR' and SUR' (`M + K`
+    /// cells) and from them an upper bound on its score: Eq. 14 gives
+    /// SUIR' the weight `δ`, and SUIR' cannot leave the planes' rating
+    /// range. Pass 2 finishes SUIR' and fusion item by item in order of
+    /// descending bound, exactly as `predict` does, and stops once it
+    /// holds `n` items and the next bound is below the `n`-th best score.
+    /// `n` may come off the wire: it sizes nothing beyond the stripe's
+    /// candidates.
     pub fn recommend_top_n_in_range(
         &self,
         user: UserId,
         n: usize,
         items: std::ops::Range<u32>,
     ) -> Vec<(ItemId, f64)> {
+        if n == 0 || user.index() >= self.matrix.num_users() {
+            return Vec::new();
+        }
         let end = items.end.min(self.matrix.num_items() as u32);
         let start = items.start.min(end);
-        crate::topk::top_k_by_score(
-            n,
-            (start..end)
-                .map(ItemId::new)
-                .filter(|&i| !self.matrix.is_rated(user, i))
-                .filter_map(|i| self.predict(user, i).map(|r| (i, r))),
-        )
+        self.top_n_in_stripe(user, n, start, end)
     }
 }
 
@@ -399,19 +410,48 @@ mod tests {
         assert!(recs.windows(2).all(|w| w[0].1 >= w[1].1));
     }
 
+    #[test]
+    fn recommend_top_n_for_a_user_outside_the_model_is_empty() {
+        let d = data();
+        let model = Cfsf::fit(&d.matrix, CfsfConfig::small()).unwrap();
+        for unknown in [UserId::from(d.matrix.num_users()), UserId::new(u32::MAX)] {
+            assert!(model.predict(unknown, ItemId::new(0)).is_none());
+            assert!(model.recommend_top_n(unknown, 10).is_empty());
+            assert!(model
+                .recommend_top_n_in_range(unknown, 10, 0..50)
+                .is_empty());
+        }
+    }
+
     /// The scatter-gather identity sharded serving relies on: merging
     /// per-stripe `recommend_top_n_in_range` results with the same
     /// comparator reproduces the full recommend bit for bit, for any
-    /// stripe count (including stripes that don't divide evenly).
+    /// stripe count (including stripes that don't divide evenly). The
+    /// full recommend is itself the best `n` of `predict` over every
+    /// unrated item: pruning is exact.
     #[test]
     fn striped_recommend_merges_bit_for_bit() {
         let d = data();
         let model = Cfsf::fit(&d.matrix, CfsfConfig::small()).unwrap();
         let items = d.matrix.num_items() as u32;
-        for u in [0usize, 3, 17] {
+        for (u, n) in [(0usize, 10), (3, 10), (17, 10), (17, 1)] {
             let user = UserId::from(u);
-            let n = 10;
             let full = model.recommend_top_n(user, n);
+            let every_item = crate::topk::top_k_by_score(
+                n,
+                (0..items)
+                    .map(ItemId::new)
+                    .filter(|&i| !d.matrix.is_rated(user, i))
+                    .filter_map(|i| model.predict(user, i).map(|r| (i, r))),
+            );
+            assert_eq!(full.len(), every_item.len(), "user {u}, n {n}");
+            for (a, b) in full.iter().zip(&every_item) {
+                assert_eq!(
+                    (a.0, a.1.to_bits()),
+                    (b.0, b.1.to_bits()),
+                    "user {u}, n {n}"
+                );
+            }
             for stripes in [1u32, 2, 3, 5] {
                 let mut candidates = Vec::new();
                 for s in 0..stripes {

@@ -17,6 +17,12 @@
 //!   truth the fast kernels are property-tested against (within the
 //!   quantization tolerance `planes.step() + 1e-9` — weights are exact,
 //!   so availability, overlap counts, and degrade levels match exactly).
+//!
+//! The fast path runs one kernel per estimator, so top-N
+//! ([`Cfsf::recommend_top_n_in_range`]) can compute SIR' and SUR' for
+//! every candidate item, bound each item's score from them, and build
+//! the `M × K` matrix for SUIR' only where the bound can still reach the
+//! answer (DESIGN.md §6b).
 
 // A hot-path module: the clock is read only through
 // `cf_obs::now_if_enabled`.
@@ -192,95 +198,104 @@ impl Cfsf {
         (candidates, walked)
     }
 
-    /// The fast Eq. 12 kernels over the quantized weight planes and the
-    /// precomputed per-item strips. Dispatches on the plane precision
-    /// once, then runs the monomorphized kernel. Returns
-    /// `(sir, sur, suir, m_used)`.
-    fn local_estimators(
-        &self,
-        user: UserId,
-        item: ItemId,
-        top_users: &[(UserId, f64)],
-    ) -> (Option<f64>, Option<f64>, Option<f64>, usize) {
-        match self.planes.view() {
-            PlanesView::U16(v) => self.local_estimators_typed(&v, user, item, top_users),
-            PlanesView::U8(v) => self.local_estimators_typed(&v, user, item, top_users),
-        }
+    /// The item's precomputed GIS strip: column indices, similarities and
+    /// squared similarities of its top-`M` similar items. A missing strip
+    /// (id/structure disagreement mid-degradation) is empty, so it
+    /// contributes nothing: SIR'/SUIR' come out None, SUR' survives.
+    fn strip(&self, item: ItemId) -> (&[u32], &[f64], &[f64]) {
+        self.strips.try_get(item).unwrap_or((&[], &[], &[]))
     }
 
-    /// Monomorphized body of [`Cfsf::local_estimators`]: dequantization
-    /// ([`cf_matrix::PlaneDequant::pair`]) is fused into every loop, and
-    /// presence comes word-at-a-time from the bit-packed plane. Weights
-    /// dequantize exactly (the LUT holds `0`/`ε`/`1−ε` verbatim), so
-    /// denominators, `m_used`, and estimator availability are identical
-    /// to the f64 reference; only numerators carry the ≤ `step/2` rating
-    /// quantization error.
-    fn local_estimators_typed<C: QuantCell>(
+    // The fast Eq. 12 kernels over the quantized weight planes and the
+    // precomputed per-item strips, one per estimator. Each is generic
+    // over the plane precision, so a caller dispatches once per request
+    // and the kernels monomorphize. Dequantization
+    // ([`cf_matrix::PlaneDequant::pair`]) is fused into every loop, and
+    // presence comes from each cell's own bit. Weights dequantize exactly
+    // (the LUT holds `0`/`ε`/`1−ε` verbatim), so denominators, `m_used`,
+    // and estimator availability are identical to the f64 reference;
+    // only numerators carry the ≤ `step/2` rating quantization error.
+    // The kernels open no trace spans: `predict` wraps each in its own,
+    // and top-N wraps whole passes.
+
+    /// SIR': the active user's (smoothed) ratings on the item's similar
+    /// items, dequantized straight off the user's plane row. The presence
+    /// bit gates the weight (absent cells contribute exact zeros) and
+    /// sums into `m_used` — no `is_nan` test. Returns `(sir, m_used)`.
+    fn sir_kernel<C: QuantCell>(
+        &self,
+        planes: &TypedPlanes<'_, C>,
+        user: UserId,
+        item: ItemId,
+    ) -> (Option<f64>, usize) {
+        let dq = planes.dq();
+        let (idx, sim, _) = self.strip(item);
+        let row_b = planes.cell_row(user);
+        let mut sir_num = 0.0;
+        let mut sir_den = 0.0;
+        let mut m_used = 0u64;
+        for (&s, &c) in sim.iter().zip(idx) {
+            let (w, wr, p) = dq.triple(row_b[c as usize]);
+            sir_num += s * wr;
+            sir_den += s * w;
+            m_used += p;
+        }
+        let sir = (sir_den > f64::EPSILON).then(|| sir_num / sir_den);
+        (sir, m_used as usize)
+    }
+
+    /// SUR': like-minded users' (smoothed) ratings on the active item,
+    /// mean-centered per user: `w·(r − mean)` becomes `w·r − w·mean`
+    /// straight off the planes.
+    fn sur_kernel<C: QuantCell>(
         &self,
         planes: &TypedPlanes<'_, C>,
         user: UserId,
         item: ItemId,
         top_users: &[(UserId, f64)],
-    ) -> (Option<f64>, Option<f64>, Option<f64>, usize) {
+    ) -> Option<f64> {
+        let mean_b = self.matrix.user_mean(user);
+        let mut sur_num = 0.0;
+        let mut sur_den = 0.0;
+        for &(u_t, sim_t) in top_users {
+            let (w, wr) = planes.pair(u_t, item);
+            sur_num += sim_t * (wr - w * self.matrix.user_mean(u_t));
+            sur_den += sim_t * w;
+        }
+        (sur_den > f64::EPSILON).then(|| mean_b + sur_num / sur_den)
+    }
+
+    /// SUIR': Eq. 12/13 over the local `M × K` matrix, one neighbor row
+    /// at a time. Phase one touches the *next* neighbor's plane row (safe
+    /// software prefetch — see `TypedPlanes::prefetch_row`), so its DRAM
+    /// latency overlaps this neighbor's pair-weight fill and MAC: at
+    /// q=1000 a u16 row is ~32 cache lines and the M=95 strip scatters
+    /// across most of them, so whole-row touching is right-sized. Phase
+    /// two fills the pair-weight strip `ss·st·rsqrt(ss² + st²)` — pure
+    /// mul/add over contiguous memory, so it vectorizes where the
+    /// `sqrt`-and-`div` form serializes on the divider unit. Phase three
+    /// multiply-accumulates the neighbor's dequantized cells read
+    /// scattered, straight off the plane row: gathering them into a dense
+    /// block first was measured *slower* — the copy cost as much as the
+    /// whole reference kernel. Four independent accumulator lanes keep
+    /// the add chains from serializing.
+    ///
+    /// Every pair weight and every plane weight is non-negative, so the
+    /// result is a weighted mean of dequantized plane ratings: it never
+    /// exceeds the top of [`TypedPlanes::rating_range`] by more than
+    /// rounding.
+    fn suir_kernel<C: QuantCell>(
+        &self,
+        planes: &TypedPlanes<'_, C>,
+        item: ItemId,
+        top_users: &[(UserId, f64)],
+    ) -> Option<f64> {
         let dq = planes.dq();
-        // A missing strip (id/structure disagreement mid-degradation)
-        // contributes nothing: SIR'/SUIR' come out None, SUR' survives.
-        let (idx, sim, sim2) = self.strips.try_get(item).unwrap_or((&[], &[], &[]));
-        let m = idx.len();
+        let (idx, sim, sim2) = self.strip(item);
         SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
-
-            // --- SIR': the active user's (smoothed) ratings on similar
-            // items, dequantized straight off the user's plane row. The
-            // presence bit gates the weight (absent cells contribute
-            // exact zeros) and sums into `m_used` — no `is_nan` test.
-            let sir_span = cf_obs::trace::span("estimator.sir");
-            let row_b = planes.cell_row(user);
-            let mut sir_num = 0.0;
-            let mut sir_den = 0.0;
-            let mut m_used = 0u64;
-            for (&s, &c) in sim.iter().zip(idx) {
-                let (w, wr, p) = dq.triple(row_b[c as usize]);
-                sir_num += s * wr;
-                sir_den += s * w;
-                m_used += p;
-            }
-            let sir = (sir_den > f64::EPSILON).then(|| sir_num / sir_den);
-            drop(sir_span);
-
-            // --- SUR': like-minded users' (smoothed) ratings on the
-            // active item, mean-centered per user: `w·(r − mean)` becomes
-            // `w·r − w·mean` straight off the planes.
-            let sur_span = cf_obs::trace::span("estimator.sur");
-            let mean_b = self.matrix.user_mean(user);
-            let mut sur_num = 0.0;
-            let mut sur_den = 0.0;
-            for &(u_t, sim_t) in top_users {
-                let (w, wr) = planes.pair(u_t, item);
-                sur_num += sim_t * (wr - w * self.matrix.user_mean(u_t));
-                sur_den += sim_t * w;
-            }
-            let sur = (sur_den > f64::EPSILON).then(|| mean_b + sur_num / sur_den);
-            drop(sur_span);
-
-            let suir_span = cf_obs::trace::span("estimator.suir");
-            // --- SUIR': Eq. 12/13, one neighbor row at a time. Phase one
-            // touches the *next* neighbor's plane row (safe software
-            // prefetch — see `TypedPlanes::prefetch_row`), so its DRAM
-            // latency overlaps this neighbor's pair-weight fill and MAC:
-            // at q=1000 a u16 row is ~32 cache lines and the M=95 strip
-            // scatters across most of them, so whole-row touching is
-            // right-sized. Phase two fills the pair-weight strip
-            // `ss·st·rsqrt(ss² + st²)` — pure mul/add over contiguous
-            // memory, so it vectorizes where the `sqrt` + `div` form
-            // serializes on the divider unit. Phase three
-            // multiply-accumulates the neighbor's dequantized cells read
-            // scattered, straight off the plane row: gathering them into
-            // a dense block first was measured *slower* — the copy cost
-            // as much as the whole reference kernel. Four independent
-            // accumulator lanes keep the add chains from serializing.
             scratch.pw.clear();
-            scratch.pw.resize(m, 0.0);
+            scratch.pw.resize(idx.len(), 0.0);
             let mut suir_num = 0.0;
             let mut suir_den = 0.0;
             for (t, &(u_t, sim_t)) in top_users.iter().enumerate() {
@@ -315,28 +330,59 @@ impl Cfsf {
                 suir_num += (num[0] + num[1]) + (num[2] + num[3]);
                 suir_den += (den[0] + den[1]) + (den[2] + den[3]);
             }
-            let suir = (suir_den > f64::EPSILON).then(|| suir_num / suir_den);
-            drop(suir_span);
-
-            (sir, sur, suir, m_used as usize)
+            (suir_den > f64::EPSILON).then(|| suir_num / suir_den)
         })
     }
 
+    /// The whole online phase for one item on one plane precision: the
+    /// three kernels back to back, each in its trace span, then fusion
+    /// and the per-prediction counters.
+    fn predict_typed<C: QuantCell>(
+        &self,
+        planes: &TypedPlanes<'_, C>,
+        user: UserId,
+        item: ItemId,
+        top_users: &[(UserId, f64)],
+    ) -> PredictionBreakdown {
+        let sir_span = cf_obs::trace::span("estimator.sir");
+        let (sir, m_used) = self.sir_kernel(planes, user, item);
+        drop(sir_span);
+        let sur_span = cf_obs::trace::span("estimator.sur");
+        let sur = self.sur_kernel(planes, user, item, top_users);
+        drop(sur_span);
+        let suir_span = cf_obs::trace::span("estimator.suir");
+        let suir = self.suir_kernel(planes, item, top_users);
+        drop(suir_span);
+        #[cfg(feature = "faultinject")]
+        let sir = sir.map(|v| cf_faultinject::corrupt_f64("online.nan_estimator", v));
+
+        let fuse_span = cf_obs::trace::span("fuse");
+        let estimates = Estimates {
+            sir,
+            sur,
+            suir,
+            m_used,
+        };
+        let b = self.fuse_with_ladder(user, item, estimates, top_users.len());
+        drop(fuse_span);
+        record_served(&b);
+        b
+    }
+
     /// Fuses whatever estimators survived sanitization and, when none
-    /// did, walks the remaining rungs of the degradation ladder. Both the
-    /// fast path and the reference path call this, so they degrade
-    /// identically. Returns the sanitized estimators, the (unclamped)
-    /// prediction and the rung it came from; an in-range request always
-    /// gets a value — the global-mean rung cannot be missing.
-    #[allow(clippy::type_complexity)]
+    /// did, walks the remaining rungs of the degradation ladder. The fast
+    /// path, top-N and the reference path all call this, so they degrade
+    /// identically. Returns the breakdown with the sanitized estimators,
+    /// the clamped prediction and the rung it came from; an in-range
+    /// request always gets a value — the global-mean rung cannot be
+    /// missing.
     fn fuse_with_ladder(
         &self,
         user: UserId,
         item: ItemId,
-        sir: Option<f64>,
-        sur: Option<f64>,
-        suir: Option<f64>,
-    ) -> (Option<f64>, Option<f64>, Option<f64>, f64, DegradeLevel) {
+        estimates: Estimates,
+        k_used: usize,
+    ) -> PredictionBreakdown {
         // A non-finite estimator (corrupt plane cell, injected NaN) must
         // not reach fusion: one NaN term would poison the whole fused
         // value. Drop it — the ladder absorbs the loss.
@@ -350,15 +396,34 @@ impl Cfsf {
                 None => None,
             }
         }
-        let (sir, sur, suir) = (sanitize(sir), sanitize(sur), sanitize(suir));
+        let sir = sanitize(estimates.sir);
+        let sur = sanitize(estimates.sur);
+        let suir = sanitize(estimates.suir);
         let available = [sir, sur, suir].iter().flatten().count();
 
-        if let Some(v) = fuse(sir, sur, suir, self.config.lambda, self.config.delta) {
-            return (sir, sur, suir, v, DegradeLevel::from_available(available));
+        let (fused, level) =
+            if let Some(v) = fuse(sir, sur, suir, self.config.lambda, self.config.delta) {
+                (v, DegradeLevel::from_available(available))
+            } else {
+                self.ladder_below_fusion(user, item)
+            };
+        PredictionBreakdown {
+            sir,
+            sur,
+            suir,
+            fused: self.matrix.scale().clamp(fused),
+            used_fallback: level.is_fallback(),
+            level,
+            m_used: estimates.m_used,
+            k_used,
         }
-        // No estimator at all: step below Eq. 14. The smoothed matrix
-        // imputes every cell when smoothing is on (Eq. 7–8); below that,
-        // per-user and global means always exist for a non-empty matrix.
+    }
+
+    /// The rungs below Eq. 14, for a request with no estimator at all.
+    /// The smoothed matrix imputes every cell when smoothing is on
+    /// (Eq. 7–8); below that, per-user and global means always exist for
+    /// a non-empty matrix.
+    fn ladder_below_fusion(&self, user: UserId, item: ItemId) -> (f64, DegradeLevel) {
         let smoothed_cell = self
             .config
             .use_smoothing
@@ -366,19 +431,13 @@ impl Cfsf {
             .flatten()
             .filter(|v| v.is_finite());
         if let Some(v) = smoothed_cell {
-            return (sir, sur, suir, v, DegradeLevel::ClusterSmoothed);
+            return (v, DegradeLevel::ClusterSmoothed);
         }
         let mean_b = self.matrix.user_mean(user);
         if self.matrix.user_count(user) > 0 && mean_b.is_finite() {
-            return (sir, sur, suir, mean_b, DegradeLevel::UserMean);
+            return (mean_b, DegradeLevel::UserMean);
         }
-        (
-            sir,
-            sur,
-            suir,
-            self.matrix.global_mean(),
-            DegradeLevel::GlobalMean,
-        )
+        (self.matrix.global_mean(), DegradeLevel::GlobalMean)
     }
 
     /// Runs the full online phase for `(user, item)` and reports every
@@ -409,46 +468,147 @@ impl Cfsf {
             self.top_k_users(user)
         };
         cf_obs::time_scope!("online.predict_ns");
-        let scale = self.matrix.scale();
-
-        let (sir, sur, suir, m_used) = self.local_estimators(user, item, &top_users);
-        #[cfg(feature = "faultinject")]
-        let sir = sir.map(|v| cf_faultinject::corrupt_f64("online.nan_estimator", v));
-
-        let fuse_span = cf_obs::trace::span("fuse");
-        let (sir, sur, suir, fused, level) = self.fuse_with_ladder(user, item, sir, sur, suir);
-        drop(fuse_span);
-        let used_fallback = level.is_fallback();
-        level.record();
+        let b = match self.planes.view() {
+            PlanesView::U16(v) => self.predict_typed(&v, user, item, &top_users),
+            PlanesView::U8(v) => self.predict_typed(&v, user, item, &top_users),
+        };
         trace_req.finish(cf_obs::trace::Outcome {
-            level: level.as_str(),
-            fallback: used_fallback,
-            k_used: top_users.len() as u32,
-            m_used: m_used as u32,
-            fused: scale.clamp(fused),
+            level: b.level.as_str(),
+            fallback: b.used_fallback,
+            k_used: b.k_used as u32,
+            m_used: b.m_used as u32,
+            fused: b.fused,
         });
+        Some(b)
+    }
 
-        cf_obs::counter!("online.predictions").inc();
-        // `add(0)` still registers the metric, so a snapshot always carries
-        // these names even for runs where the event never fires — absent
-        // vs zero would be ambiguous to dashboards diffing runs.
-        cf_obs::counter!("online.fallback").add(used_fallback as u64);
-        cf_obs::counter!("online.estimator.sir").add(sir.is_some() as u64);
-        cf_obs::counter!("online.estimator.sur").add(sur.is_some() as u64);
-        cf_obs::counter!("online.estimator.suir").add(suir.is_some() as u64);
-        cf_obs::histogram!("online.m_used").record(m_used as u64);
-        cf_obs::histogram!("online.k_used").record(top_users.len() as u64);
+    /// [`Cfsf::recommend_top_n_in_range`] for an in-range user, `n > 0`
+    /// and a stripe `start..end` already clamped to the item count: the
+    /// two passes of DESIGN.md §6b, with pass 2's stopping rule in
+    /// [`crate::topk::top_k_by_bound`]. Every scored item counts as one
+    /// `online.predictions` on one `online.degrade.*` rung, plus
+    /// `online.topn.scored`; every item never scored counts only in
+    /// `online.topn.pruned`. The call is one request trace and one
+    /// neighbor-cache lookup.
+    pub(crate) fn top_n_in_stripe(
+        &self,
+        user: UserId,
+        n: usize,
+        start: u32,
+        end: u32,
+    ) -> Vec<(ItemId, f64)> {
+        match self.planes.view() {
+            PlanesView::U16(v) => self.top_n_typed(&v, user, n, start, end),
+            PlanesView::U8(v) => self.top_n_typed(&v, user, n, start, end),
+        }
+    }
 
-        Some(PredictionBreakdown {
-            sir,
-            sur,
-            suir,
-            fused: scale.clamp(fused),
-            used_fallback,
-            level,
-            m_used,
-            k_used: top_users.len(),
-        })
+    fn top_n_typed<C: QuantCell>(
+        &self,
+        planes: &TypedPlanes<'_, C>,
+        user: UserId,
+        n: usize,
+        start: u32,
+        end: u32,
+    ) -> Vec<(ItemId, f64)> {
+        // One trace for the whole call, labeled like the router's.
+        let trace_req = cf_obs::trace::begin_request(user.raw(), u32::MAX);
+        let top_users = {
+            let _lookup = cf_obs::trace::span("neighbor_lookup");
+            self.top_k_users(user)
+        };
+
+        // Pass 1: SIR', SUR' and a bound for every unrated item, in
+        // ascending item order, so ties on the candidate index break as
+        // ties on the item id do.
+        let bound_span = cf_obs::trace::span("topn.bound");
+        let suir_max = self.suir_ceiling(planes, top_users.len());
+        let mut candidates: Vec<(ItemId, Estimates)> = Vec::new();
+        let mut bounds: Vec<f64> = Vec::new();
+        for item in (start..end).map(ItemId::new) {
+            if self.matrix.is_rated(user, item) {
+                continue;
+            }
+            let (sir, m_used) = self.sir_kernel(planes, user, item);
+            // The same fault point, at the same place, as `predict`.
+            #[cfg(feature = "faultinject")]
+            let sir = sir.map(|v| cf_faultinject::corrupt_f64("online.nan_estimator", v));
+            let sur = self.sur_kernel(planes, user, item, &top_users);
+            bounds.push(self.score_bound(sir, sur, suir_max));
+            let estimates = Estimates {
+                sir,
+                sur,
+                suir: None,
+                m_used,
+            };
+            candidates.push((item, estimates));
+        }
+        drop(bound_span);
+
+        // Pass 2: SUIR' and fusion, by bound, until nothing left can enter.
+        let score_span = cf_obs::trace::span("topn.score");
+        let mut worst = DegradeLevel::Full;
+        let (best, scored) = crate::topk::top_k_by_bound(n, &bounds, |k| {
+            let (item, estimates) = candidates[k];
+            let estimates = Estimates {
+                suir: self.suir_kernel(planes, item, &top_users),
+                ..estimates
+            };
+            let b = self.fuse_with_ladder(user, item, estimates, top_users.len());
+            record_served(&b);
+            worst = worst.max(b.level);
+            b.fused
+        });
+        drop(score_span);
+        cf_obs::counter!("online.topn.scored").add(scored as u64);
+        cf_obs::counter!("online.topn.pruned").add((candidates.len() - scored) as u64);
+        // The trace carries the worst rung among the items scored.
+        trace_req.finish(cf_obs::trace::Outcome {
+            level: worst.as_str(),
+            fallback: worst.is_fallback(),
+            k_used: top_users.len() as u32,
+            m_used: 0,
+            fused: f64::NAN,
+        });
+        best.into_iter()
+            .map(|(k, score)| (candidates[k].0, score))
+            .collect()
+    }
+
+    /// An upper bound on the clamped fused score of an item with these
+    /// SIR' and SUR' (as the kernels returned them), whatever SUIR' turns
+    /// out to be, given that SUIR' is at most `suir_max`. Fusion
+    /// sanitizes a non-finite estimator away, so the bound treats one as
+    /// absent. Eq. 14 as computed is non-decreasing in SUIR' (every
+    /// rounded operation is monotone and its weight `δ ≥ 0`), so the
+    /// score is at most the larger of `fuse(SIR', SUR', suir_max)` and,
+    /// for a missing SUIR', `fuse(SIR', SUR', —)`, bit for bit. When the
+    /// latter is undefined the item may be served by SUIR' alone or from
+    /// a ladder rung, anywhere on the scale.
+    fn score_bound(&self, sir: Option<f64>, sur: Option<f64>, suir_max: f64) -> f64 {
+        let (sir, sur) = (sir.filter(|v| v.is_finite()), sur.filter(|v| v.is_finite()));
+        let (lambda, delta) = (self.config.lambda, self.config.delta);
+        let scale = self.matrix.scale();
+        let Some(without) = fuse(sir, sur, None, lambda, delta) else {
+            return scale.max;
+        };
+        match fuse(sir, sur, Some(suir_max), lambda, delta) {
+            Some(with) if with.is_finite() => scale.clamp(with.max(without)),
+            _ => scale.max,
+        }
+    }
+
+    /// The largest SUIR' [`Self::suir_kernel`] can return on `planes`
+    /// with `k_used` neighbors: the planes' top rating plus a rounding
+    /// margin. SUIR' is a quotient of two sums of at most `M·K`
+    /// non-negatively weighted terms; each sum is within `n·u` of exact
+    /// (`u` the unit roundoff, `n` the terms), so the quotient exceeds the
+    /// top rating by at most about `2n·u` of the largest rating
+    /// magnitude. The margin allows four times that, plus slack.
+    fn suir_ceiling<C: QuantCell>(&self, planes: &TypedPlanes<'_, C>, k_used: usize) -> f64 {
+        let (lo, hi) = planes.rating_range();
+        let terms = (self.config.m * k_used + 64) as f64;
+        hi + 4.0 * terms * f64::EPSILON * lo.abs().max(hi.abs()).max(1.0)
     }
 
     /// The pre-fast-path online phase: per-cell loops over the dense
@@ -468,7 +628,6 @@ impl Cfsf {
         if user.index() >= self.matrix.num_users() || item.index() >= self.matrix.num_items() {
             return None;
         }
-        let scale = self.matrix.scale();
         let eps = self.config.w;
         let dense = self.dense();
 
@@ -530,19 +689,41 @@ impl Cfsf {
         }
         let suir = (suir_den > f64::EPSILON).then(|| suir_num / suir_den);
 
-        let (sir, sur, suir, fused, level) = self.fuse_with_ladder(user, item, sir, sur, suir);
-
-        Some(PredictionBreakdown {
+        let estimates = Estimates {
             sir,
             sur,
             suir,
-            fused: scale.clamp(fused),
-            used_fallback: level.is_fallback(),
-            level,
             m_used,
-            k_used: top_users.len(),
-        })
+        };
+        Some(self.fuse_with_ladder(user, item, estimates, top_users.len()))
     }
+}
+
+/// The three Eq. 12 estimators of one item as the kernels returned them
+/// (before sanitization), with the similar items SIR' used.
+#[derive(Debug, Clone, Copy)]
+struct Estimates {
+    sir: Option<f64>,
+    sur: Option<f64>,
+    suir: Option<f64>,
+    m_used: usize,
+}
+
+/// Counts one served prediction: one `online.predictions`, its
+/// `online.degrade.*` rung, and what it was built from. `predict` and
+/// every item top-N scores call it; an item top-N prunes never does.
+fn record_served(b: &PredictionBreakdown) {
+    b.level.record();
+    cf_obs::counter!("online.predictions").inc();
+    // `add(0)` still registers the metric, so a snapshot always carries
+    // these names even for runs where the event never fires — absent
+    // vs zero would be ambiguous to dashboards diffing runs.
+    cf_obs::counter!("online.fallback").add(b.used_fallback as u64);
+    cf_obs::counter!("online.estimator.sir").add(b.sir.is_some() as u64);
+    cf_obs::counter!("online.estimator.sur").add(b.sur.is_some() as u64);
+    cf_obs::counter!("online.estimator.suir").add(b.suir.is_some() as u64);
+    cf_obs::histogram!("online.m_used").record(b.m_used as u64);
+    cf_obs::histogram!("online.k_used").record(b.k_used as u64);
 }
 
 #[cfg(test)]

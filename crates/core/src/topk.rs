@@ -49,24 +49,99 @@ where
     if k == 0 {
         return Vec::new();
     }
-    // `k` may come off the wire: size the heap by the candidates that can
-    // actually arrive, never by `k` alone.
     let scored = scored.into_iter();
     let (lower, upper) = scored.size_hint();
-    let mut heap: BinaryHeap<Worst<T>> =
-        BinaryHeap::with_capacity(k.min(upper.unwrap_or(lower)).saturating_add(1));
+    let mut top = TopK::new(k, upper.unwrap_or(lower));
     for (id, score) in scored {
-        let candidate = Worst(id, score);
-        if heap.len() < k {
-            heap.push(candidate);
-        } else if heap.peek().is_some_and(|worst| candidate < *worst) {
-            heap.pop();
-            heap.push(candidate);
+        top.push(id, score);
+    }
+    top.into_sorted()
+}
+
+/// The top `k` of the entries `0..bounds.len()` under a score that is
+/// costly to compute and never exceeds its entry's bound
+/// (`score(i) <= bounds[i]`), without scoring every entry. Entries are
+/// scored by descending bound (ties toward the lower index), and scoring
+/// stops once `k` are held and the next bound is strictly below the
+/// `k`-th best score, since no entry left can enter. An entry whose bound
+/// equals that score is still scored: it may tie and win on its lower
+/// index. This is the threshold algorithm with one bounded attribute
+/// (Fagin, Lotem & Naor, "Optimal aggregation algorithms for
+/// middleware", PODS 2001).
+///
+/// Returns the selection with its scores, best first — the same entries
+/// in the same order as [`top_k_by_score`] over every entry's score —
+/// and how many entries were scored.
+pub(crate) fn top_k_by_bound(
+    k: usize,
+    bounds: &[f64],
+    mut score: impl FnMut(usize) -> f64,
+) -> (Vec<(usize, f64)>, usize) {
+    if k == 0 {
+        return (Vec::new(), 0);
+    }
+    let mut order: Vec<usize> = (0..bounds.len()).collect();
+    // When every entry fits in the answer none can be skipped, so the
+    // visiting order does not matter.
+    if k < bounds.len() {
+        order.sort_unstable_by(|&a, &b| bounds[b].total_cmp(&bounds[a]).then(a.cmp(&b)));
+    }
+    let mut top = TopK::new(k, bounds.len());
+    let mut scored = 0;
+    for i in order {
+        if top.floor().is_some_and(|floor| bounds[i] < floor) {
+            break;
+        }
+        top.push(i, score(i));
+        scored += 1;
+    }
+    (top.into_sorted(), scored)
+}
+
+/// [`top_k_by_score`] fed one entry at a time, for callers that stop
+/// early once [`TopK::floor`] says nothing left can enter.
+struct TopK<T> {
+    k: usize,
+    heap: BinaryHeap<Worst<T>>,
+}
+
+impl<T: Copy + Ord> TopK<T> {
+    /// An empty selection of the best `k` of at most `candidates`
+    /// entries. `k` may come off the wire: the heap is sized by the
+    /// candidates that can actually arrive, never by `k` alone.
+    fn new(k: usize, candidates: usize) -> Self {
+        Self {
+            k,
+            heap: BinaryHeap::with_capacity(k.min(candidates).saturating_add(1)),
         }
     }
-    let mut out: Vec<(T, f64)> = heap.into_iter().map(|Worst(id, s)| (id, s)).collect();
-    out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    out
+
+    /// Offers one entry; it stays if it ranks among the best `k` so far.
+    fn push(&mut self, id: T, score: f64) {
+        let candidate = Worst(id, score);
+        if self.heap.len() < self.k {
+            self.heap.push(candidate);
+        } else if self.heap.peek().is_some_and(|worst| candidate < *worst) {
+            self.heap.pop();
+            self.heap.push(candidate);
+        }
+    }
+
+    /// The `k`-th best score held, once `k` entries are: an entry scoring
+    /// strictly below it can never enter. `None` while fewer are held.
+    fn floor(&self) -> Option<f64> {
+        if self.heap.len() < self.k {
+            return None;
+        }
+        self.heap.peek().map(|worst| worst.1)
+    }
+
+    /// The selection, best first (descending score, then ascending id).
+    fn into_sorted(self) -> Vec<(T, f64)> {
+        let mut out: Vec<(T, f64)> = self.heap.into_iter().map(|Worst(id, s)| (id, s)).collect();
+        out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        out
+    }
 }
 
 #[cfg(test)]
@@ -128,6 +203,46 @@ mod tests {
             top_k_by_score(usize::MAX, scored.iter().copied().filter(|c| c.0 != 1)),
             reference(usize::MAX, vec![(4, 1.5), (7, 1.5)])
         );
+    }
+
+    /// Scoring by bound returns exactly what scoring everything does,
+    /// for every `k`, over ties in both bound and score and bounds equal
+    /// to their score.
+    #[test]
+    fn by_bound_matches_scoring_everything() {
+        // (bound, score) with score <= bound; many exact ties.
+        let entries: Vec<(f64, f64)> = (0..60u32)
+            .map(|i| {
+                let score = f64::from((i * 7) % 11) / 2.0;
+                let slack = f64::from((i * 5) % 3) / 2.0;
+                (score + slack, score)
+            })
+            .collect();
+        let bounds: Vec<f64> = entries.iter().map(|e| e.0).collect();
+        for k in 0..=entries.len() + 1 {
+            let want = top_k_by_score(k, entries.iter().enumerate().map(|(i, e)| (i, e.1)));
+            let (got, scored) = top_k_by_bound(k, &bounds, |i| entries[i].1);
+            assert_eq!(got, want, "k={k}");
+            assert!(scored <= entries.len());
+            if (1..20).contains(&k) {
+                assert!(scored < entries.len(), "k={k}: nothing was skipped");
+            }
+        }
+    }
+
+    /// An entry whose bound equals the `k`-th best score is still scored:
+    /// here it ties the held entry and wins on its lower index.
+    #[test]
+    fn by_bound_scores_an_entry_whose_bound_equals_the_floor() {
+        let bounds = [1.0, 2.0, 3.0, 0.5];
+        let scores = [1.0, 1.0, 3.0, 0.5];
+        let mut visited = Vec::new();
+        let (got, scored) = top_k_by_bound(2, &bounds, |i| {
+            visited.push(i);
+            scores[i]
+        });
+        assert_eq!(got, vec![(2, 3.0), (0, 1.0)]);
+        assert_eq!((scored, visited), (3, vec![2, 1, 0]), "entry 3 is skipped");
     }
 
     #[test]

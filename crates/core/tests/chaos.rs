@@ -395,6 +395,87 @@ fn batch_worker_panic_answers_none_for_that_request_only() {
     }
 }
 
+// --- scenario 13: top-N under online-phase faults -----------------------
+
+/// Asserts a top-N answer is well-formed: at most `n` unrated items of
+/// the stripe, each in scale, best first with ties toward the lower id.
+fn assert_sound_top_n(
+    m: &Cfsf,
+    user: UserId,
+    n: usize,
+    range: &std::ops::Range<u32>,
+    recs: &[(ItemId, f64)],
+) {
+    assert!(recs.len() <= n, "{} items for n = {n}", recs.len());
+    for &(i, s) in recs {
+        assert!(range.contains(&i.raw()), "{i:?} outside {range:?}");
+        assert!(!m.matrix().is_rated(user, i), "{i:?} was already rated");
+        assert_in_scale(m, s);
+    }
+    assert!(
+        recs.windows(2)
+            .all(|w| w[0].1 > w[1].1 || (w[0].1 == w[1].1 && w[0].0 < w[1].0)),
+        "not best first: {recs:?}"
+    );
+}
+
+/// Top-N with SIR' corrupted to NaN and neighbor selections emptied:
+/// no panic, and every answer sorted and in scale. With both faults on
+/// every evaluation the fault is deterministic, so the pruned answer
+/// must also equal scoring every item under the same faults — the bound
+/// has to treat the quarantined SIR' as absent, as fusion does.
+#[test]
+fn top_n_under_nan_and_empty_neighbor_faults_stays_sorted_and_in_scale() {
+    let _s = scope();
+    let m = model();
+    let items = m.matrix().num_items() as u32;
+    let cases = [(10usize, 0..u32::MAX), (5, 40..100), (200, 0..u32::MAX)];
+
+    fi::arm_seeded("online.nan_estimator", fi::Policy::Probability(0.3), 21);
+    fi::arm_seeded("online.empty_neighbors", fi::Policy::Probability(0.5), 22);
+    for u in (0..80u32).step_by(3) {
+        let user = UserId::new(u);
+        m.clear_caches();
+        for (n, range) in &cases {
+            let recs = m.recommend_top_n_in_range(user, *n, range.clone());
+            assert_sound_top_n(m, user, *n, range, &recs);
+        }
+    }
+    assert!(fi::fired_count("online.nan_estimator") > 0);
+    assert!(fi::fired_count("online.empty_neighbors") > 0);
+
+    fi::arm("online.nan_estimator", fi::Policy::Always);
+    fi::arm("online.empty_neighbors", fi::Policy::Always);
+    let dropped_before = counter("online.degrade.nonfinite_estimator");
+    for u in (0..80u32).step_by(7) {
+        let user = UserId::new(u);
+        m.clear_caches();
+        for (n, range) in &cases {
+            let recs = m.recommend_top_n_in_range(user, *n, range.clone());
+            assert_sound_top_n(m, user, *n, range, &recs);
+            let end = range.end.min(items);
+            let every_item = cfsf_core::topk::top_k_by_score(
+                *n,
+                (range.start..end)
+                    .map(ItemId::new)
+                    .filter(|&i| !m.matrix().is_rated(user, i))
+                    .filter_map(|i| m.predict(user, i).map(|r| (i, r))),
+            );
+            let bits = |v: &[(ItemId, f64)]| -> Vec<(ItemId, u64)> {
+                v.iter().map(|&(i, s)| (i, s.to_bits())).collect()
+            };
+            assert_eq!(bits(&recs), bits(&every_item), "user {u}, n {n}, {range:?}");
+        }
+    }
+    assert!(
+        counter("online.degrade.nonfinite_estimator") > dropped_before,
+        "the NaN SIR' of scored items must be quarantined and counted"
+    );
+    // Later scenarios share this model: drop the emptied selections.
+    fi::disarm_all();
+    m.clear_caches();
+}
+
 // --- scenario 14: duplicate rating during an in-flight rebuild ----------
 
 #[test]

@@ -19,8 +19,8 @@ fn model() -> Cfsf {
     Cfsf::fit(&d.matrix, CfsfConfig::small()).expect("fit succeeds")
 }
 
-/// Both tests measure deltas of the same process-global counters, so
-/// they take turns: one test's predictions must not land in the other's
+/// The tests measure deltas of the same process-global counters, so
+/// they take turns: one test's predictions must not land in another's
 /// window.
 fn serial() -> MutexGuard<'static, ()> {
     static SERIAL: Mutex<()> = Mutex::new(());
@@ -140,6 +140,56 @@ fn estimator_counters_never_exceed_predictions() {
             "{est} can fire at most once per prediction"
         );
     }
+}
+
+/// Top-N's bookkeeping, exactly, per call: every unrated item of the
+/// stripe is either scored or pruned; each scored item is one
+/// `online.predictions` on one `online.degrade.*` rung, and a pruned one
+/// is neither; the call looks the user's neighbors up once.
+#[test]
+fn top_n_counts_every_unrated_item_as_scored_or_pruned() {
+    let _serial = serial();
+    let m = model();
+    let lookups = || counter("online.neighbor_cache.hit") + counter("online.neighbor_cache.miss");
+    let mut pruned_total = 0;
+    for u in (0..USERS).step_by(5) {
+        let user = UserId::new(u as u32);
+        for (n, range) in [(10, 0..u32::MAX), (3, 30..90), (ITEMS, 0..u32::MAX)] {
+            let unrated = (range.start..range.end.min(ITEMS as u32))
+                .filter(|&i| !m.matrix().is_rated(user, ItemId::new(i)))
+                .count() as u64;
+            let (scored0, pruned0) = (counter("online.topn.scored"), counter("online.topn.pruned"));
+            let (predictions0, rungs0, lookups0) =
+                (counter("online.predictions"), rung_sum(), lookups());
+
+            let recs = m.recommend_top_n_in_range(user, n, range.clone());
+
+            let scored = counter("online.topn.scored") - scored0;
+            let pruned = counter("online.topn.pruned") - pruned0;
+            let case = format!("user {u}, n {n}, {range:?}");
+            assert_eq!(scored + pruned, unrated, "{case}");
+            assert_eq!(
+                counter("online.predictions") - predictions0,
+                scored,
+                "{case}"
+            );
+            assert_eq!(rung_sum() - rungs0, scored, "{case}");
+            assert_eq!(
+                lookups() - lookups0,
+                1,
+                "{case}: one neighbor lookup per call"
+            );
+            assert!(
+                recs.len() as u64 <= scored,
+                "{case}: only scored items are returned"
+            );
+            if n as u64 >= unrated {
+                assert_eq!(pruned, 0, "{case}: nothing can be pruned when all fit");
+            }
+            pruned_total += pruned;
+        }
+    }
+    assert!(pruned_total > 0, "the bound never pruned an item");
 }
 
 /// Every rung bumps its own `online.degrade.<name>` counter and no other

@@ -252,6 +252,16 @@ impl<'a, C: QuantCell> TypedPlanes<'a, C> {
         self.dq.pair(self.cell_row(u)[i.index()])
     }
 
+    /// The lowest and highest rating any cell of this plane dequantizes
+    /// to: codes 0 and `MAX_CODE` through the same affine map as
+    /// [`PlaneDequant::pair`], so (with `step ≥ 0`, which folding and
+    /// decoding guarantee) every cell's `r` lies inside, bit for bit.
+    #[inline]
+    pub fn rating_range(&self) -> (f64, f64) {
+        let top = f64::from(C::MAX_CODE) * self.dq.step + self.dq.min;
+        (self.dq.min, top)
+    }
+
     /// Safe software prefetch of user `u`'s cell row: touches one cell per
     /// cache line and sinks the result through [`std::hint::black_box`] so
     /// the loads are emitted but nothing is architecturally consumed. With
@@ -787,6 +797,41 @@ mod tests {
         assert_eq!(w16, w8); // weights never quantized
         assert!((wr8 - 0.65 * 2.5).abs() <= 0.65 * p8.step());
         assert_eq!(p8.cell_bytes() * 2, p16.cell_bytes());
+    }
+
+    /// Every code of both precisions dequantizes inside
+    /// `rating_range`, and codes 0 and `MAX_CODE` to exactly its ends.
+    #[test]
+    fn rating_range_holds_every_code() {
+        fn check<C: QuantCell>(t: &TypedPlanes<'_, C>) {
+            // ε = 0: a present smoothed cell weighs exactly 1, so the
+            // pair's product is the dequantized rating itself.
+            let dq = t.dq();
+            let (lo, hi) = t.rating_range();
+            for code in 0..=C::MAX_CODE {
+                let (w, r) = dq.pair(C::pack((code << 2) | 0b10, PlanesOnly(())));
+                assert_eq!(w, 1.0);
+                assert!(
+                    (lo..=hi).contains(&r),
+                    "code {code}: {r} outside [{lo}, {hi}]"
+                );
+            }
+            let (_, bottom) = dq.pair(C::pack(0b10, PlanesOnly(())));
+            let (_, top) = dq.pair(C::pack((C::MAX_CODE << 2) | 0b10, PlanesOnly(())));
+            assert_eq!(
+                (bottom.to_bits(), top.to_bits()),
+                (lo.to_bits(), hi.to_bits())
+            );
+        }
+        let mut d = DenseRatings::new(1, 2);
+        d.set_original(UserId::new(0), ItemId::new(0), 1.1);
+        d.set_original(UserId::new(0), ItemId::new(1), 4.7);
+        for precision in [PlanePrecision::U16, PlanePrecision::U8] {
+            match WeightPlanes::from_dense_with(&d, 0.0, precision).view() {
+                PlanesView::U16(t) => check(&t),
+                PlanesView::U8(t) => check(&t),
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! runs K-means over user profiles; both are embarrassingly parallel. The
 //! allowed dependency set for this reproduction has no `rayon`, so this
 //! crate provides the small slice of it the workspace needs, built on
-//! `std::thread::scope` and a `std::sync::mpsc` channel:
+//! `std::thread::scope` and an atomic chunk counter:
 //!
 //! - [`par_map`] — dynamically scheduled parallel map over an index range,
 //! - [`par_map_isolated`] — like [`par_map`], but a panic in one item is
@@ -55,7 +55,10 @@ fn chunk_size_for(n: usize, threads: usize) -> usize {
 /// Parallel map over `0..n`, dynamically scheduled in chunks.
 ///
 /// Returns `vec![f(0), f(1), .., f(n-1)]`, identical to the sequential map
-/// for any deterministic `f`. Worker panics propagate to the caller.
+/// for any deterministic `f`. The calling thread is one of the `threads`
+/// workers (only `threads − 1` are spawned), so a call never parks its
+/// caller while others work. Worker panics propagate to the caller,
+/// including a panic in a chunk the caller ran itself.
 ///
 /// ```
 /// let squares = cf_parallel::par_map(100, 4, |i| i * i);
@@ -73,35 +76,36 @@ where
     let chunk = chunk_size_for(n, threads);
     let num_chunks = n.div_ceil(chunk);
     let next = AtomicUsize::new(0);
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, Vec<T>)>();
+    // One worker's loop: claim chunks until none are left, keeping each
+    // chunk's outputs with its index for reassembly.
+    let work = || {
+        let mut done: Vec<(usize, Vec<T>)> = Vec::new();
+        loop {
+            let c = next.fetch_add(1, Ordering::Relaxed);
+            if c >= num_chunks {
+                return done;
+            }
+            let lo = c * chunk;
+            let hi = (lo + chunk).min(n);
+            done.push((c, (lo..hi).map(&f).collect()));
+        }
+    };
 
     std::thread::scope(|s| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let f = &f;
-            let next = &next;
-            s.spawn(move || loop {
-                let c = next.fetch_add(1, Ordering::Relaxed);
-                if c >= num_chunks {
-                    break;
-                }
-                let lo = c * chunk;
-                let hi = (lo + chunk).min(n);
-                let vals: Vec<T> = (lo..hi).map(f).collect();
-                // The receiver outlives the workers, so a send can only
-                // fail after a panic elsewhere; swallowing the error lets
-                // the scope surface the original panic instead.
-                let _ = tx.send((c, vals));
-            });
+        let helpers: Vec<_> = (1..threads).map(|_| s.spawn(work)).collect();
+        // A panic here unwinds out of the scope, which joins the helpers
+        // first and then re-raises it.
+        let mut parts = work();
+        for h in helpers {
+            match h.join() {
+                Ok(done) => parts.extend(done),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
         }
-        drop(tx);
-        let mut parts: Vec<Option<Vec<T>>> = (0..num_chunks).map(|_| None).collect();
-        for (c, vals) in rx {
-            parts[c] = Some(vals);
-        }
+        parts.sort_unstable_by_key(|&(c, _)| c);
         let mut out = Vec::with_capacity(n);
-        for p in parts {
-            out.extend(p.expect("worker panicked before finishing its chunk"));
+        for (_, vals) in parts {
+            out.extend(vals);
         }
         out
     })
@@ -273,6 +277,47 @@ mod tests {
             }
             i
         });
+    }
+
+    /// `f` on a helper thread waits until the calling thread has run an
+    /// item of its own; `on_caller` decides what the caller's item does.
+    /// A helper holds one chunk at a time and there are many, so a caller
+    /// that works always gets one. The wait gives up after 10 s, so a
+    /// caller that never works fails the test instead of hanging it.
+    /// Returns the map and whether the caller ran an item.
+    fn with_caller_first(on_caller: impl Fn(usize) -> usize + Sync) -> (Vec<usize>, bool) {
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        let caller = std::thread::current().id();
+        let caller_ran = AtomicBool::new(false);
+        let give_up = Instant::now() + Duration::from_secs(10);
+        let out = par_map(200, 2, |i| {
+            if std::thread::current().id() == caller {
+                caller_ran.store(true, Ordering::SeqCst);
+                return on_caller(i);
+            }
+            while !caller_ran.load(Ordering::SeqCst) && Instant::now() < give_up {
+                std::thread::yield_now();
+            }
+            i
+        });
+        (out, caller_ran.into_inner())
+    }
+
+    #[test]
+    fn par_map_runs_chunks_on_the_calling_thread() {
+        let (out, caller_ran) = with_caller_first(|i| i);
+        assert!(caller_ran, "the calling thread must work a chunk");
+        assert_eq!(out, (0..200).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn par_map_propagates_a_panic_from_the_callers_own_chunk() {
+        let err =
+            std::panic::catch_unwind(|| with_caller_first(|i| panic!("caller chunk item {i}")))
+                .expect_err("the caller's panic must reach the caller");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.starts_with("caller chunk item"), "payload: {msg:?}");
     }
 
     #[test]
