@@ -2,7 +2,7 @@
 //! and load it back without repeating the expensive offline work.
 //!
 //! What is stored: the configuration, the training matrix, the GIS
-//! neighbor lists (the `O(Q·nnz)` part of the offline phase), the
+//! neighbor lists (Eq. 5 over every co-rated item pair), the
 //! K-means assignment (the iterative part), and the quantized serving
 //! planes. What is *recomputed* on load: smoothing,
 //! iCluster, and the dense online store — all linear passes that take

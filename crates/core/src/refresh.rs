@@ -933,9 +933,7 @@ fn partial_generation(
     pending: &[(UserId, ItemId, f64)],
     mut clock: PhaseClock,
 ) -> Built {
-    let mut stale_items: Vec<ItemId> = pending.iter().map(|&(_, i, _)| i).collect();
-    stale_items.sort_unstable();
-    stale_items.dedup();
+    let stale_items: Vec<ItemId> = pending.iter().map(|&(_, i, _)| i).collect();
     let mut gis = base.gis.clone();
     gis.rebuild_items(&merged, &stale_items, &base.config.gis_config());
     clock.lap(cf_obs::histogram!("refresh.phase.gis_ns"));

@@ -6,6 +6,8 @@
 //! stays small. The online phase then answers "top M similar items" with a
 //! slice.
 
+use std::cmp::Ordering;
+
 use cf_matrix::{ItemId, RatingMatrix};
 use cf_parallel::par_map;
 
@@ -43,81 +45,121 @@ pub struct Gis {
     lists: Vec<Vec<(ItemId, f64)>>,
 }
 
-/// Computes the PCC of item `a` against every other item, returning all
-/// finite similarities (un-thresholded). Shared by the full build and the
-/// incremental per-item rebuild.
-fn sims_for_item(m: &RatingMatrix, a: ItemId) -> Vec<(ItemId, f64)> {
-    let q = m.num_items();
-    let p = m.num_users();
+/// The Eq. 5 sums of one item pair `(a, b)`, accumulated over the users
+/// who rated both.
+#[derive(Debug, Clone, Copy, Default)]
+struct PairSums {
+    dot: f64,
+    norm_a: f64,
+    norm_b: f64,
+    n: usize,
+}
+
+/// The PCC (Eq. 5) of item `a` against every other item it shares at
+/// least [`crate::MIN_OVERLAP`] raters with, un-thresholded, by item id.
+/// `sums` holds one zeroed [`PairSums`] per item and is left zeroed.
+///
+/// Row-driven: for each rater `u` of `a`, in ascending user order, every
+/// item `b` in `u`'s row takes one term into its sums. The cost is
+/// `Q + Σ_{u ∈ U(a)} |I(u)|` — the co-ratings Eq. 5 reads, plus one pass
+/// over `sums` — and each pair's sums see the same additions in the same
+/// order as the merge walk of [`crate::item_pcc`], so the results are its
+/// bits exactly.
+fn item_sims(m: &RatingMatrix, a: ItemId, sums: &mut [PairSums]) -> Vec<(ItemId, f64)> {
     let (users_a, vals_a) = m.item_col(a);
     if users_a.len() < crate::MIN_OVERLAP {
         return Vec::new();
     }
-    // Scatter item a's centered column into a dense buffer.
-    let mean_a = m.item_mean(a);
-    let mut dense = vec![f64::NAN; p];
-    for (&u, &r) in users_a.iter().zip(vals_a) {
-        dense[u.index()] = r - mean_a;
+    let means = m.item_means();
+    let mean_a = means[a.index()];
+    for (&u, &r_ua) in users_a.iter().zip(vals_a) {
+        let da = r_ua - mean_a;
+        let (items, vals) = m.user_row(u);
+        // `a` itself accumulates too (it is in every row here) and is
+        // skipped below, which keeps this loop free of the check.
+        for (&b, &r_ub) in items.iter().zip(vals) {
+            let s = &mut sums[b.index()];
+            let db = r_ub - means[b.index()];
+            s.dot += da * db;
+            s.norm_a += da * da;
+            s.norm_b += db * db;
+            s.n += 1;
+        }
     }
     let mut sims = Vec::new();
-    for b_idx in 0..q {
-        if b_idx == a.index() {
+    for (b_idx, s) in sums.iter_mut().enumerate() {
+        // Sweeping every slot is cheaper than recording the touched
+        // ones, which puts a branch in the loop above (measured about
+        // twice the time at 2000 × 1000).
+        if s.n == 0 {
             continue;
         }
-        let b = ItemId::from(b_idx);
-        let (users_b, vals_b) = m.item_col(b);
-        let mean_b = m.item_mean(b);
-        let mut dot = 0.0;
-        let mut norm_a = 0.0;
-        let mut norm_b = 0.0;
-        let mut n = 0usize;
-        for (&u, &r) in users_b.iter().zip(vals_b) {
-            let da = dense[u.index()];
-            if da.is_nan() {
-                continue;
-            }
-            let db = r - mean_b;
-            dot += da * db;
-            norm_a += da * da;
-            norm_b += db * db;
-            n += 1;
-        }
-        if n < crate::MIN_OVERLAP || norm_a <= 0.0 || norm_b <= 0.0 {
+        let s = std::mem::take(s);
+        if b_idx == a.index() || s.n < crate::MIN_OVERLAP || s.norm_a <= 0.0 || s.norm_b <= 0.0 {
             continue;
         }
-        let sim = (dot / (norm_a.sqrt() * norm_b.sqrt())).clamp(-1.0, 1.0);
-        sims.push((b, sim));
+        let sim = (s.dot / (s.norm_a.sqrt() * s.norm_b.sqrt())).clamp(-1.0, 1.0);
+        sims.push((ItemId::from(b_idx), sim));
     }
     sims
 }
 
-/// Sorts a neighbor list descending by similarity (ties by item id) and
-/// applies threshold + cap.
+/// `par_map` over `0..n` where every call also gets zeroed [`PairSums`]
+/// for `num_items` items to pass to [`item_sims`]. Items run in chunks, a
+/// few per worker to balance uneven item costs, and each chunk reuses one
+/// set of sums.
+fn par_map_with_sums<T: Send>(
+    n: usize,
+    num_items: usize,
+    threads: usize,
+    f: impl Fn(&mut [PairSums], usize) -> T + Sync,
+) -> Vec<T> {
+    let chunk = n.div_ceil(threads.saturating_mul(8)).max(1);
+    par_map(n.div_ceil(chunk), threads, |c| {
+        let mut sums = vec![PairSums::default(); num_items];
+        (c * chunk..n.min((c + 1) * chunk))
+            .map(|i| f(&mut sums, i))
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
+/// The order of every neighbor list: similarity descending, ties by item
+/// id ascending. Strict on the distinct ids of one list.
+fn by_rank(x: &(ItemId, f64), y: &(ItemId, f64)) -> Ordering {
+    y.1.partial_cmp(&x.1)
+        .expect("similarities are finite")
+        .then(x.0.cmp(&y.0))
+}
+
+/// Applies threshold + cap to a neighbor list and sorts what is kept by
+/// [`by_rank`]. The cap selects before sorting, so only kept entries are
+/// sorted.
 fn finalize_list(
     mut neighbors: Vec<(ItemId, f64)>,
     threshold: f64,
     cap: Option<usize>,
 ) -> Vec<(ItemId, f64)> {
     neighbors.retain(|&(_, s)| s > threshold);
-    neighbors.sort_unstable_by(|x, y| {
-        y.1.partial_cmp(&x.1)
-            .expect("similarities are finite")
-            .then(x.0.cmp(&y.0))
-    });
-    if let Some(cap) = cap {
+    if let Some(cap) = cap.filter(|&cap| cap < neighbors.len()) {
+        neighbors.select_nth_unstable_by(cap, by_rank);
         neighbors.truncate(cap);
     }
+    neighbors.sort_unstable_by(by_rank);
     neighbors.shrink_to_fit();
     neighbors
 }
 
 impl Gis {
-    /// Builds the GIS over the whole matrix in parallel (one task per
-    /// item column, dynamically scheduled).
+    /// Builds the GIS over the whole matrix in parallel, each worker
+    /// reusing one set of per-item accumulators across a chunk of items.
     ///
-    /// Cost is `O(Q · (P + nnz))`: for each item the column is scattered
-    /// into a dense user-indexed buffer, then every other item's column is
-    /// streamed against it.
+    /// Cost is `O(Q² + Σ_u |I(u)|²)`: item `a` reads the rows of its
+    /// raters, so the work follows the co-ratings Eq. 5 sums over. Every
+    /// list is bit-identical to [`crate::item_pcc`] over the items it
+    /// keeps, for any thread count.
     pub fn build(m: &RatingMatrix, config: &GisConfig) -> Self {
         cf_obs::time_scope!("offline.gis.build_ns");
         let q = m.num_items();
@@ -125,9 +167,9 @@ impl Gis {
         let threshold = config.threshold;
         let cap = config.max_neighbors;
 
-        let lists = par_map(q, threads, |a_idx| {
+        let lists = par_map_with_sums(q, q, threads, |sums, a_idx| {
             let t = std::time::Instant::now();
-            let list = finalize_list(sims_for_item(m, ItemId::from(a_idx)), threshold, cap);
+            let list = finalize_list(item_sims(m, ItemId::from(a_idx), sums), threshold, cap);
             cf_obs::histogram!("offline.gis.item_ns").record_duration(t.elapsed());
             list
         });
@@ -141,72 +183,83 @@ impl Gis {
     /// against the (updated) matrix — the paper's future-work question of
     /// "how CFSF can keep GIS up-to-date" (§VI).
     ///
-    /// For each stale item this recomputes its own neighbor list exactly,
-    /// and patches the *reverse* entries in every other item's list
-    /// (updating, inserting, or removing the stale item there). One
-    /// approximation is inherent to capped lists: inserting into a full
-    /// list evicts its tail, and an entry evicted earlier cannot be
-    /// resurrected without a full [`Gis::build`] — callers that need
-    /// exactness after heavy churn should rebuild periodically.
+    /// Each stale item's own list is recomputed exactly, with the kernel
+    /// [`Gis::build`] uses. Every other list is patched once, for all
+    /// stale items together: it becomes the first `cap` entries, by rank,
+    /// of its old entries without the stale ids plus each stale item's
+    /// fresh similarity above the threshold. The result depends only on
+    /// the set of stale items, not on their order or repeats. Uncapped,
+    /// it equals [`Gis::build`] over the new matrix, provided only the
+    /// stale items' columns changed. Capped, an entry a list evicted
+    /// earlier cannot come back when a stale item's similarity drops: a
+    /// list can then hold fewer than `cap` entries, or miss one a full
+    /// build would keep. Callers that need exactness after heavy churn
+    /// should rebuild periodically.
     pub fn rebuild_items(&mut self, m: &RatingMatrix, items: &[ItemId], config: &GisConfig) {
         cf_obs::time_scope!("offline.gis.rebuild_ns");
         let threads = cf_parallel::effective_threads(config.threads);
         let threshold = config.threshold;
         let cap = config.max_neighbors;
 
-        let fresh: Vec<(ItemId, Vec<(ItemId, f64)>)> = par_map(items.len(), threads, |k| {
-            let a = items[k];
-            (a, sims_for_item(m, a))
+        let mut stale_items = items.to_vec();
+        stale_items.sort_unstable();
+        stale_items.dedup();
+        let fresh = par_map_with_sums(stale_items.len(), m.num_items(), threads, |sums, k| {
+            item_sims(m, stale_items[k], sums)
         });
-        cf_obs::counter!("offline.gis.items_rebuilt").add(fresh.len() as u64);
+        cf_obs::counter!("offline.gis.items_rebuilt").add(stale_items.len() as u64);
 
-        // Quick membership test for "is b itself also stale" — those rows
-        // get fully rebuilt below anyway. Loop-invariant: depends only on
-        // `items`, so it is built once, not once per stale item.
-        let stale_set: Vec<bool> = {
-            let mut v = vec![false; self.lists.len()];
-            for &i in items {
-                v[i.index()] = true;
-            }
-            v
-        };
-        // Scratch buffer reused across stale items; entries written for
-        // one item are reset before the next (cheaper than reallocating
-        // a Q-sized vec per item when `sims` is sparse).
-        let mut new_sim = vec![f64::NAN; self.lists.len()];
+        let mut stale = vec![false; self.lists.len()];
+        for &a in &stale_items {
+            stale[a.index()] = true;
+        }
+        // Each fresh similarity that enters a non-stale list, keyed by
+        // that list's item.
+        let mut entering: Vec<(ItemId, (ItemId, f64))> = stale_items
+            .iter()
+            .zip(&fresh)
+            .flat_map(|(&a, sims)| {
+                sims.iter()
+                    .filter(|&&(b, s)| s > threshold && !stale[b.index()])
+                    .map(move |&(b, s)| (b, (a, s)))
+            })
+            .collect();
+        entering.sort_unstable_by_key(|&(b, _)| b);
 
-        for (a, sims) in fresh {
-            // Patch the reverse direction first: every other item's view
-            // of `a` changes to the recomputed similarity (or vanishes).
-            for &(b, s) in &sims {
-                new_sim[b.index()] = s;
+        let limit = cap.unwrap_or(usize::MAX);
+        let mut merged = Vec::new();
+        let mut rest = entering.as_mut_slice();
+        for (b_idx, list) in self.lists.iter_mut().enumerate() {
+            if stale[b_idx] {
+                continue;
             }
-            for b_idx in 0..self.lists.len() {
-                if b_idx == a.index() || stale_set[b_idx] {
-                    continue;
+            let k = rest.partition_point(|&(b, _)| b.index() == b_idx);
+            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(k);
+            rest = tail;
+            if mine.is_empty() && !list.iter().any(|&(i, _)| stale[i.index()]) {
+                continue;
+            }
+            mine.sort_unstable_by(|x, y| by_rank(&x.1, &y.1));
+            // Merge the kept old entries and the fresh ones by rank up to
+            // the cap, then copy back into the list's own allocation: a
+            // list at its cap never grows, even for a moment.
+            merged.clear();
+            let mut old = list.iter().filter(|&&(i, _)| !stale[i.index()]).peekable();
+            let mut new = mine.iter().map(|(_, entry)| entry).peekable();
+            while merged.len() < limit {
+                let next = match (old.peek(), new.peek()) {
+                    (Some(&x), Some(&y)) if by_rank(x, y) == Ordering::Less => old.next(),
+                    (_, Some(_)) => new.next(),
+                    _ => old.next(),
+                };
+                match next {
+                    Some(&entry) => merged.push(entry),
+                    None => break,
                 }
-                let list = &mut self.lists[b_idx];
-                list.retain(|&(i, _)| i != a);
-                let s = new_sim[b_idx];
-                if !s.is_nan() && s > threshold {
-                    let pos = list
-                        .binary_search_by(|&(i, ls)| {
-                            s.partial_cmp(&ls)
-                                .expect("similarities are finite")
-                                .then(i.cmp(&a))
-                        })
-                        .unwrap_or_else(|p| p);
-                    list.insert(pos, (a, s));
-                    if let Some(cap) = cap {
-                        list.truncate(cap);
-                    }
-                }
             }
-            // Reset the scratch entries this item touched, then replace
-            // `a`'s own list exactly.
-            for &(b, _) in &sims {
-                new_sim[b.index()] = f64::NAN;
-            }
+            list.clone_from(&merged);
+        }
+        for (&a, sims) in stale_items.iter().zip(fresh) {
             self.lists[a.index()] = finalize_list(sims, threshold, cap);
         }
     }
@@ -306,9 +359,12 @@ mod tests {
                 let expect = item_pcc(&m, a, b);
                 let got = gis.get(a, b);
                 if expect > -1.0 {
+                    // A pair the GIS skips (too little overlap or no
+                    // variance) is one the kernel scores 0.
                     let got = got.unwrap_or(0.0);
-                    assert!(
-                        (got - expect).abs() < 1e-12,
+                    assert_eq!(
+                        got.to_bits(),
+                        expect.to_bits(),
                         "({a:?},{b:?}): gis={got}, kernel={expect}"
                     );
                 }
@@ -421,7 +477,13 @@ mod tests {
             assert_eq!(a.len(), b.len(), "item {i:?}");
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.0, y.0, "item {i:?}");
-                assert!((x.1 - y.1).abs() < 1e-12, "item {i:?}: {} vs {}", x.1, y.1);
+                assert_eq!(
+                    x.1.to_bits(),
+                    y.1.to_bits(),
+                    "item {i:?}: {} vs {}",
+                    x.1,
+                    y.1
+                );
             }
         }
     }

@@ -10,20 +10,54 @@ use cf_similarity::{
     weighted_user_pcc_planes, Gis, GisConfig,
 };
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+type Cells = BTreeMap<(u32, u32), f64>;
+
+fn arb_cells(len: std::ops::Range<usize>) -> impl Strategy<Value = Cells> {
+    proptest::collection::btree_map((0u32..15, 0u32..20), (1u32..=5).prop_map(|r| r as f64), len)
+}
+
+fn matrix_of(cells: &Cells) -> RatingMatrix {
+    let mut b = MatrixBuilder::with_dims(15, 20);
+    for (&(u, i), &r) in cells {
+        b.push(UserId::new(u), ItemId::new(i), r);
+    }
+    b.build().expect("valid")
+}
 
 fn arb_matrix() -> impl Strategy<Value = RatingMatrix> {
-    proptest::collection::btree_map(
-        (0u32..15, 0u32..20),
-        (1u32..=5).prop_map(|r| r as f64),
-        2..120,
-    )
-    .prop_map(|m| {
-        let mut b = MatrixBuilder::with_dims(15, 20);
-        for ((u, i), r) in m {
-            b.push(UserId::new(u), ItemId::new(i), r);
-        }
-        b.build().expect("valid")
-    })
+    arb_cells(2..120).prop_map(|cells| matrix_of(&cells))
+}
+
+/// A neighbor list as `(id, similarity bits)`, for bit-exact comparison.
+fn bits(list: &[(ItemId, f64)]) -> Vec<(ItemId, u64)> {
+    list.iter().map(|&(i, s)| (i, s.to_bits())).collect()
+}
+
+/// The first `cap` of `entries` in GIS order: similarity descending,
+/// then item id ascending.
+fn ranked(mut entries: Vec<(ItemId, f64)>, cap: Option<usize>) -> Vec<(ItemId, f64)> {
+    entries.sort_by(|x, y| y.1.partial_cmp(&x.1).unwrap().then(x.0.cmp(&y.0)));
+    entries.truncate(cap.unwrap_or(usize::MAX));
+    entries
+}
+
+/// Every item whose `item_pcc` with `a` is above `threshold`, ranked and
+/// capped: what `Gis::build` must store for `a`.
+fn kernel_list(
+    m: &RatingMatrix,
+    a: ItemId,
+    threshold: f64,
+    cap: Option<usize>,
+) -> Vec<(ItemId, f64)> {
+    let above = m
+        .items()
+        .filter(|&b| b != a)
+        .map(|b| (b, item_pcc(m, a, b)))
+        .filter(|&(_, s)| s > threshold)
+        .collect();
+    ranked(above, cap)
 }
 
 proptest! {
@@ -52,20 +86,79 @@ proptest! {
 
     #[test]
     fn gis_lists_are_sorted_thresholded_and_kernel_consistent(m in arb_matrix()) {
+        // Each list is exactly the first `cap` items whose pairwise
+        // kernel value is above the threshold, ranked, bit for bit.
         let threshold = 0.1;
-        let gis = Gis::build(&m, &GisConfig {
-            threshold,
-            max_neighbors: None,
-            threads: Some(2),
-        });
-        for i in m.items() {
-            let list = gis.neighbors(i);
-            prop_assert!(list.windows(2).all(|w| w[0].1 >= w[1].1));
-            for &(j, s) in list {
-                prop_assert!(s > threshold);
-                prop_assert!((s - item_pcc(&m, i, j)).abs() < 1e-9);
-                prop_assert!(j != i, "self-neighbor");
+        for cap in [None, Some(3)] {
+            for threads in [1, 2, 4] {
+                let gis = Gis::build(&m, &GisConfig {
+                    threshold,
+                    max_neighbors: cap,
+                    threads: Some(threads),
+                });
+                for a in m.items() {
+                    let (got, want) = (bits(gis.neighbors(a)), bits(&kernel_list(&m, a, threshold, cap)));
+                    prop_assert!(
+                        got == want,
+                        "item {:?}, cap {:?}, threads {}: gis {:?}, kernel {:?}", a, cap, threads, got, want
+                    );
+                }
             }
+        }
+    }
+
+    #[test]
+    fn capped_rebuild_patches_by_the_stale_set_not_its_order(
+        base in arb_cells(20..120),
+        updates in arb_cells(1..8),
+    ) {
+        // `updates` overwrites or adds cells; the items it touches are
+        // stale. Each stale list must be rebuilt exactly, and every other
+        // list must become the first `cap` of its old entries without the
+        // stale ids plus the stale items' fresh similarities above the
+        // threshold — whatever order the stale items come in, and
+        // however often each is named.
+        let threshold = 0.0;
+        let cap = Some(3);
+        let config = GisConfig { threshold, max_neighbors: cap, threads: Some(1) };
+        let old = matrix_of(&base);
+        let mut cells = base;
+        cells.extend(&updates);
+        let new = matrix_of(&cells);
+        let mut stale: Vec<ItemId> = updates.keys().map(|&(_, i)| ItemId::new(i)).collect();
+        stale.sort_unstable();
+        stale.dedup();
+
+        let before = Gis::build(&old, &config);
+        let mut forward = before.clone();
+        forward.rebuild_items(&new, &stale, &config);
+        // The same set reversed, and every item named twice.
+        let reversed_stale: Vec<ItemId> = stale.iter().rev().chain(&stale).copied().collect();
+        let mut reversed = before.clone();
+        reversed.rebuild_items(&new, &reversed_stale, &config);
+
+        for b in new.items() {
+            let want = if stale.contains(&b) {
+                kernel_list(&new, b, threshold, cap)
+            } else {
+                let mut entries: Vec<(ItemId, f64)> = before
+                    .neighbors(b)
+                    .iter()
+                    .filter(|(i, _)| !stale.contains(i))
+                    .copied()
+                    .collect();
+                entries.extend(
+                    stale
+                        .iter()
+                        .map(|&a| (a, item_pcc(&new, a, b)))
+                        .filter(|&(_, s)| s > threshold),
+                );
+                ranked(entries, cap)
+            };
+            let (got, got_reversed, want) =
+                (bits(forward.neighbors(b)), bits(reversed.neighbors(b)), bits(&want));
+            prop_assert!(got == got_reversed, "item {:?}: {:?} vs reversed {:?}", b, got, got_reversed);
+            prop_assert!(got == want, "item {:?}: patched {:?}, rule {:?}", b, got, want);
         }
     }
 

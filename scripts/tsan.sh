@@ -1,18 +1,19 @@
 #!/usr/bin/env bash
 # ThreadSanitizer pass over the loom-lite model targets (the scheduler,
-# the checked shim layer, and every built-in model): CI job `tsan`.
+# the checked shim layer, and every built-in model), run as a step of
+# scripts/check.sh.
 #
 # TSan needs a nightly toolchain with the rustc -Zsanitizer flag and a
 # rebuilt std (-Zbuild-std). When that toolchain is missing this script
 # SKIPS with exit 0 — the deterministic loom-lite gate in cfsf-analyze
 # is the always-on line of defense. When the toolchain IS present the
-# job GATES: the shim layer is the foundation every model-checking
+# script GATES: the shim layer is the foundation every model-checking
 # result rests on, and a TSan finding there is real concurrency UB.
 #
 # The run is bounded to the loom-lite targets (not the workspace) and
 # by a wall-clock budget, TSAN_BUDGET_SECS (default 600): sanitized
 # exhaustive exploration is slow, and a hung sanitizer must fail the
-# job, not wedge CI.
+# check, not wedge CI.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
