@@ -29,13 +29,17 @@ fn kmeans_and_smoothing(c: &mut Criterion) {
     let data = bench_dataset();
     let mut group = c.benchmark_group("offline/clustering");
     group.sample_size(10);
-    group.bench_function("kmeans_c8", |b| {
-        let config = KMeansConfig {
-            k: 8,
-            ..KMeansConfig::default()
-        };
-        b.iter(|| black_box(KMeans::fit(&data.matrix, &config)));
-    });
+    // C = 8 runs the assignment kernel's 8-lane groups; the paper's
+    // C = 30 runs its 32-lane groups.
+    for k in [8usize, 30] {
+        group.bench_function(format!("kmeans_c{k}"), |b| {
+            let config = KMeansConfig {
+                k,
+                ..KMeansConfig::default()
+            };
+            b.iter(|| black_box(KMeans::fit(&data.matrix, &config)));
+        });
+    }
     let clusters = KMeans::fit(
         &data.matrix,
         &KMeansConfig {

@@ -5,6 +5,13 @@
 //! search to the most promising clusters. Distance is *similarity*, not
 //! Euclidean: a user joins the cluster whose centroid its ratings
 //! correlate with most strongly (Eq. 6 applied to user-vs-centroid).
+//!
+//! Cost per iteration: the assignment step lays the `k` centroids out in
+//! lane groups of 8, 16 or 32 ([`CentroidLanes`]) and walks each user's
+//! row once per group, scoring every centroid of the group in that one
+//! pass. So an iteration reads the ratings ⌈k / 32⌉ times (once for
+//! `k ≤ 32`) instead of `k` times, with `width` lanes of work per rating.
+//! The update step reads every rating once more to rebuild the centroids.
 
 use cf_matrix::{RatingMatrix, UserId};
 use cf_parallel::par_map;
@@ -114,33 +121,134 @@ impl Centroid {
             mean: m.user_mean(u),
         }
     }
+}
 
-    /// PCC between a user profile and this centroid over the items both
-    /// define (Eq. 6 with the centroid standing in for the second user).
-    fn similarity(&self, m: &RatingMatrix, u: UserId) -> f64 {
-        let (items, vals) = m.user_row(u);
-        let user_mean = m.user_mean(u);
-        let mut dot = 0.0;
-        let mut nu = 0.0;
-        let mut nc = 0.0;
-        let mut n = 0usize;
-        for (&i, &r) in items.iter().zip(vals) {
-            let c = self.values[i.index()];
-            if c.is_nan() {
-                continue;
+/// Lane widths of [`CentroidLanes`]: the smallest that covers `k`, or
+/// several groups of the widest (32).
+const LANE_WIDTHS: [usize; 3] = [8, 16, 32];
+
+/// The centroids of one assignment step, laid out for [`lane_kernel`]:
+/// item-major in groups of `width` lanes, one lane per centroid. Item
+/// `i` of a group holds `width` centered values `c_i − c̄` (0 where the
+/// centroid is undefined), then `width` weights (1 where defined, 0
+/// where not). Lanes past `k` are undefined everywhere.
+struct CentroidLanes {
+    width: usize,
+    k: usize,
+    /// Values per group: `num_items · 2 · width`.
+    group_len: usize,
+    cells: Vec<f64>,
+}
+
+impl CentroidLanes {
+    fn new(centroids: &[Centroid], num_items: usize) -> Self {
+        let k = centroids.len();
+        let width = LANE_WIDTHS
+            .into_iter()
+            .find(|&w| w >= k)
+            .unwrap_or(LANE_WIDTHS[2]);
+        let group_len = num_items * 2 * width;
+        let mut cells = vec![0.0; k.div_ceil(width) * group_len];
+        for (c, centroid) in centroids.iter().enumerate() {
+            let group = &mut cells[(c / width) * group_len..][..group_len];
+            let lane = c % width;
+            for (cell, &v) in group.chunks_exact_mut(2 * width).zip(&centroid.values) {
+                if !v.is_nan() {
+                    cell[lane] = v - centroid.mean;
+                    cell[width + lane] = 1.0;
+                }
             }
-            let du = r - user_mean;
-            let dc = c - self.mean;
-            dot += du * dc;
-            nu += du * du;
-            nc += dc * dc;
-            n += 1;
         }
-        if n < 2 || nu <= 0.0 || nc <= 0.0 {
-            return 0.0;
+        Self {
+            width,
+            k,
+            group_len,
+            cells,
         }
-        (dot / (nu.sqrt() * nc.sqrt())).clamp(-1.0, 1.0)
     }
+
+    /// Eq. 6 similarity of `u` to every centroid of lane group `g`, in
+    /// the first `width` entries, from one walk of `u`'s row.
+    fn group_similarities(&self, m: &RatingMatrix, u: UserId, g: usize) -> [f64; 32] {
+        let group = &self.cells[g * self.group_len..][..self.group_len];
+        let mut sims = [0.0; 32];
+        match self.width {
+            8 => sims[..8].copy_from_slice(&lane_kernel::<8>(group, m, u)),
+            16 => sims[..16].copy_from_slice(&lane_kernel::<16>(group, m, u)),
+            _ => sims = lane_kernel::<32>(group, m, u),
+        }
+        sims
+    }
+
+    /// The centroid most similar to `u`; ties go to the lowest index.
+    fn nearest(&self, m: &RatingMatrix, u: UserId) -> usize {
+        let mut best = 0usize;
+        let mut best_sim = f64::NEG_INFINITY;
+        for g in 0..self.k.div_ceil(self.width) {
+            let sims = self.group_similarities(m, u, g);
+            let first = g * self.width;
+            let lanes = (self.k - first).min(self.width);
+            for (lane, &s) in sims[..lanes].iter().enumerate() {
+                if s > best_sim {
+                    best_sim = s;
+                    best = first + lane;
+                }
+            }
+        }
+        best
+    }
+
+    /// Eq. 6 similarity of `u` to centroid `c`.
+    fn similarity(&self, m: &RatingMatrix, u: UserId, c: usize) -> f64 {
+        self.group_similarities(m, u, c / self.width)[c % self.width]
+    }
+}
+
+/// PCC between `u`'s profile and each of the `W` centroids of one lane
+/// group (`group`, laid out as [`CentroidLanes`] describes) over the items
+/// both define: Eq. 6 with the centroid standing in for the second user.
+///
+/// One pass over the row serves all `W` lanes. A defined cell's weight 1
+/// multiplies exactly. An undefined cell has centered value 0 and weight
+/// 0, so it adds ±0 to the dot product and +0 to the other sums. A sum
+/// that starts at +0 never becomes −0 in round-to-nearest, so adding ±0
+/// changes nothing, and every lane gets bit for bit the sums of a loop
+/// that skips the undefined cells. Plain mul and add keep it that way
+/// (no `mul_add`).
+fn lane_kernel<const W: usize>(group: &[f64], m: &RatingMatrix, u: UserId) -> [f64; W] {
+    let (items, vals) = m.user_row(u);
+    let user_mean = m.user_mean(u);
+    let mut dot = [0.0f64; W];
+    let mut nu = [0.0f64; W];
+    let mut nc = [0.0f64; W];
+    let mut n = [0.0f64; W];
+    for (&i, &r) in items.iter().zip(vals) {
+        let du = r - user_mean;
+        let du2 = du * du;
+        let (d, w) = group[i.index() * 2 * W..][..2 * W].split_at(W);
+        for l in 0..W {
+            dot[l] += du * d[l];
+            nu[l] += du2 * w[l];
+            nc[l] += d[l] * d[l];
+            n[l] += w[l];
+        }
+    }
+    finish(&dot, &nu, &nc, &n)
+}
+
+/// The quotient of Eq. 6 per lane, 0 where fewer than two items are
+/// shared or either side has no spread. Kept out of line: inlined, its
+/// per-lane shape steered how the row loop above was vectorized, and at
+/// `W = 8` that loop ran about three times slower.
+#[inline(never)]
+fn finish<const W: usize>(dot: &[f64; W], nu: &[f64; W], nc: &[f64; W], n: &[f64; W]) -> [f64; W] {
+    std::array::from_fn(|l| {
+        if n[l] < 2.0 || nu[l] <= 0.0 || nc[l] <= 0.0 {
+            0.0
+        } else {
+            (dot[l] / (nu[l].sqrt() * nc[l].sqrt())).clamp(-1.0, 1.0)
+        }
+    })
 }
 
 /// The result of clustering: a cluster id per user plus member lists.
@@ -220,6 +328,12 @@ impl KMeans {
     /// empty profiles are deterministically spread round-robin across
     /// clusters (they carry no signal either way; leaving them out would
     /// make downstream indexing partial).
+    ///
+    /// Each iteration walks every user row once per lane group of
+    /// centroids (one group up to `k = 32`), not once per centroid. The
+    /// similarities, ties, repairs and stopping rounds are bit for bit
+    /// those of a pairwise Eq. 6 loop that skips undefined centroid
+    /// cells (`tests/proptests.rs` holds that loop as the reference).
     pub fn fit(m: &RatingMatrix, config: &KMeansConfig) -> ClusterAssignment {
         cf_obs::time_scope!("offline.kmeans.fit_ns");
         let p = m.num_users();
@@ -258,21 +372,13 @@ impl KMeans {
             iterations = iter + 1;
             // Assignment step (parallel over users). Ties break toward the
             // lowest cluster index; empty profiles keep the round-robin slot.
+            let lanes = CentroidLanes::new(&centroids, m.num_items());
             let next: Vec<u32> = par_map(p, threads, |ui| {
                 let u = UserId::from(ui);
                 if m.user_count(u) == 0 {
                     return (ui % k) as u32;
                 }
-                let mut best = 0usize;
-                let mut best_sim = f64::NEG_INFINITY;
-                for (c, centroid) in centroids.iter().enumerate() {
-                    let s = centroid.similarity(m, u);
-                    if s > best_sim {
-                        best_sim = s;
-                        best = c;
-                    }
-                }
-                best as u32
+                lanes.nearest(m, u) as u32
             });
 
             let changed = next != assignment;
@@ -294,14 +400,11 @@ impl KMeans {
                 if members[c].is_empty() {
                     let donor = (0..k).max_by_key(|&d| members[d].len()).expect("k >= 1");
                     if members[donor].len() > 1 {
-                        let worst = *members[donor]
+                        // The first of equally bad members leaves.
+                        let (worst, _) = members[donor]
                             .iter()
-                            .min_by(|&&a, &&b| {
-                                centroids[donor]
-                                    .similarity(m, a)
-                                    .partial_cmp(&centroids[donor].similarity(m, b))
-                                    .expect("similarities are finite")
-                            })
+                            .map(|&u| (u, lanes.similarity(m, u, donor)))
+                            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("similarities are finite"))
                             .expect("donor non-empty");
                         members[donor].retain(|&u| u != worst);
                         members[c].push(worst);
@@ -405,6 +508,103 @@ mod tests {
             }
         }
         b.build().unwrap()
+    }
+
+    /// Eq. 6 between `u` and one centroid, one pair at a time: the
+    /// undefined cells are skipped as the row is walked in order.
+    /// [`lane_kernel`] must match it bit for bit.
+    fn reference_similarity(centroid: &Centroid, m: &RatingMatrix, u: UserId) -> f64 {
+        let user_mean = m.user_mean(u);
+        let (mut dot, mut nu, mut nc, mut n) = (0.0, 0.0, 0.0, 0usize);
+        for (i, r) in m.user_ratings(u) {
+            let c = centroid.values[i.index()];
+            if c.is_nan() {
+                continue;
+            }
+            let du = r - user_mean;
+            let dc = c - centroid.mean;
+            dot += du * dc;
+            nu += du * du;
+            nc += dc * dc;
+            n += 1;
+        }
+        if n < 2 || nu <= 0.0 || nc <= 0.0 {
+            return 0.0;
+        }
+        (dot / (nu.sqrt() * nc.sqrt())).clamp(-1.0, 1.0)
+    }
+
+    /// 70 users over 40 items with half-point ratings: users 0–2 rate
+    /// nothing, user 3 one item, user 4 one value everywhere, the rest a
+    /// seeded random tenth to half of the items.
+    fn scattered() -> RatingMatrix {
+        use rand::Rng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        let mut b = MatrixBuilder::with_dims(70, 40);
+        b.push(UserId::new(3), ItemId::new(5), 4.0);
+        for i in 0..6u32 {
+            b.push(UserId::new(4), ItemId::new(i * 5), 3.0);
+        }
+        for u in 5..70u32 {
+            let density = rng.gen_range(0.1..0.5);
+            for i in 0..40u32 {
+                if rng.gen::<f64>() < density {
+                    b.push(
+                        UserId::new(u),
+                        ItemId::new(i),
+                        rng.gen_range(2u32..=10) as f64 / 2.0,
+                    );
+                }
+            }
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn lane_kernel_matches_the_pairwise_loop_bit_for_bit() {
+        let m = scattered();
+        // Every lane width, a full and a partial group of each, and
+        // several 32-lane groups.
+        for k in [1usize, 5, 8, 9, 16, 17, 31, 32, 33, 64, 70] {
+            // Single-user, multi-member, constant and undefined centroids.
+            let centroids: Vec<Centroid> = (0..k)
+                .map(|c| match c % 4 {
+                    0 => Centroid::from_single_user(&m, UserId::from(c % 70)),
+                    1 => {
+                        let members: Vec<UserId> = (c..70).step_by(9).map(UserId::from).collect();
+                        Centroid::from_members(&m, &members)
+                    }
+                    2 => Centroid::from_single_user(&m, UserId::new(4)),
+                    _ => Centroid::from_members(&m, &[]),
+                })
+                .collect();
+            let lanes = CentroidLanes::new(&centroids, m.num_items());
+            for u in m.users() {
+                let reference: Vec<f64> = centroids
+                    .iter()
+                    .map(|c| reference_similarity(c, &m, u))
+                    .collect();
+                for (c, &s) in reference.iter().enumerate() {
+                    assert_eq!(
+                        lanes.similarity(&m, u, c).to_bits(),
+                        s.to_bits(),
+                        "k={k} {u:?} centroid {c}"
+                    );
+                }
+                let first_best = reference
+                    .iter()
+                    .enumerate()
+                    .fold((0, f64::NEG_INFINITY), |best, (c, &s)| {
+                        if s > best.1 {
+                            (c, s)
+                        } else {
+                            best
+                        }
+                    })
+                    .0;
+                assert_eq!(lanes.nearest(&m, u), first_best, "k={k} {u:?}");
+            }
+        }
     }
 
     #[test]

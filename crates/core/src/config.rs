@@ -124,6 +124,14 @@ impl CfsfConfig {
                 message: "must be at least 1".into(),
             });
         }
+        // Zero rounds would leave every user in its round-robin seat
+        // `u % C`: a model without clustering that reads as a fitted one.
+        if self.kmeans_iterations == 0 {
+            return Err(CfsfError::InvalidParameter {
+                name: "kmeans_iterations",
+                message: "must be at least 1".into(),
+            });
+        }
         Ok(())
     }
 
@@ -229,6 +237,21 @@ mod tests {
         let mut c = CfsfConfig::paper();
         c.candidate_factor = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_zero_kmeans_iterations() {
+        let mut c = CfsfConfig::small();
+        c.kmeans_iterations = 0;
+        assert!(matches!(
+            c.validate(),
+            Err(CfsfError::InvalidParameter {
+                name: "kmeans_iterations",
+                ..
+            })
+        ));
+        c.kmeans_iterations = 1;
+        assert!(c.validate().is_ok());
     }
 
     #[test]

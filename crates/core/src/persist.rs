@@ -796,6 +796,25 @@ mod tests {
         assert!(e.to_string().contains("plane precision"), "{e}");
     }
 
+    /// A config the fit would refuse is refused on load too, not served.
+    #[test]
+    fn config_with_zero_clusters_or_kmeans_iterations_is_invalid() {
+        let original = model();
+        for zero_field in ["clusters", "kmeans_iterations"] {
+            let mut config = original.config.clone();
+            match zero_field {
+                "clusters" => config.clusters = 0,
+                _ => config.kmeans_iterations = 0,
+            }
+            let payload = encode_config(&config).unwrap();
+            let e = Cfsf::load(stream(&[(TAG_CONFIG, &payload)]).as_slice()).unwrap_err();
+            assert!(
+                matches!(e, PersistError::Invalid(CfsfError::InvalidParameter { name, .. }) if name == zero_field),
+                "{zero_field}: {e}"
+            );
+        }
+    }
+
     /// Every V3 writer writes the precision byte, so a config payload
     /// without it is corrupt, not an older layout.
     #[test]
