@@ -15,7 +15,7 @@
 //! has evidence, that side is used alone (exactly the case analysis of
 //! the original paper).
 
-use cf_matrix::{DenseRatings, ItemId, Predictor, RatingMatrix, UserId};
+use cf_matrix::{DenseRatings, DenseRow, ItemId, Predictor, RatingMatrix, UserId};
 use cf_parallel::par_map;
 use cf_similarity::{item_overlap, item_pcc, significance_weight, user_pcc};
 
@@ -204,22 +204,25 @@ impl Emdp {
             row
         });
 
-        let mut dense = DenseRatings::new(m.num_users(), q);
-        for (ui, row) in rows.into_iter().enumerate() {
-            let u = UserId::from(ui);
-            for (i, v) in row.into_iter().enumerate() {
-                if v.is_nan() {
-                    continue;
+        DenseRatings::from_rows(
+            q,
+            rows.into_iter().enumerate().map(|(ui, values)| {
+                let u = UserId::from(ui);
+                let mut row = DenseRow::absent(q);
+                for (i, v) in values.into_iter().enumerate() {
+                    if v.is_nan() {
+                        continue;
+                    }
+                    let item = ItemId::from(i);
+                    if m.is_rated(u, item) {
+                        row.set_original(item, v);
+                    } else {
+                        row.set_smoothed(item, v);
+                    }
                 }
-                let item = ItemId::from(i);
-                if m.is_rated(u, item) {
-                    dense.set_original(u, item, v);
-                } else {
-                    dense.set_smoothed(u, item, v);
-                }
-            }
-        }
-        dense
+                row
+            }),
+        )
     }
 
     /// Rating of `(u, i)` visible to the predictor: original, else the

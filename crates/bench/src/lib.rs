@@ -1,5 +1,6 @@
 //! cfsf-bench: Criterion micro-benches of single layers that no
-//! end-to-end workload isolates — the offline phases (`offline_phase`),
+//! end-to-end workload isolates — the offline phases and the patches of
+//! a partial rebuild (`offline_phase`),
 //! one online request and the online ablations (`online_phase`), batch
 //! serving, persistence and incremental rebuilds (`extensions`), and the
 //! cost of instrumentation (`obs_overhead`). Serving and rebuild speed end

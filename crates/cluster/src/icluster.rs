@@ -5,6 +5,16 @@
 //! this list cluster by cluster to harvest like-minded-user candidates,
 //! which is what replaces the whole-matrix neighbor search of classic
 //! user-based CF.
+//!
+//! The rankings live in two flat P×C arrays, cluster indices and their
+//! similarities, one C-wide slice per user. A partial rebuild
+//! ([`ICluster::patched`]) copies both and rescores only the (user,
+//! cluster) pairs whose Eq. 9 inputs moved; each rescored cluster moves
+//! to its new rank in place, an insertion step over a slice that stays
+//! sorted, so no user's ranking is reallocated or re-sorted unless the
+//! user rated something new.
+
+use std::cmp::Ordering;
 
 use cf_matrix::{RatingMatrix, UserId};
 use cf_parallel::par_map;
@@ -14,10 +24,14 @@ use crate::{SmoothPatch, Smoothed};
 /// Per-user cluster rankings.
 #[derive(Debug, Clone)]
 pub struct ICluster {
-    /// `ranked[u]` = cluster indices sorted by descending Eq. 9 similarity.
-    ranked: Vec<Vec<u32>>,
-    /// `sims[u]` = the similarity value for each entry of `ranked[u]`.
-    sims: Vec<Vec<f64>>,
+    /// Clusters per ranking (C).
+    k: usize,
+    /// `ranked[u·C..(u+1)·C]` = cluster indices sorted by descending
+    /// Eq. 9 similarity.
+    ranked: Vec<u32>,
+    /// `sims[u·C..(u+1)·C]` = the similarity value for each entry of
+    /// user `u`'s ranking.
+    sims: Vec<f64>,
 }
 
 impl ICluster {
@@ -42,51 +56,57 @@ impl ICluster {
             )
         });
 
-        let mut ranked = Vec::with_capacity(p);
-        let mut sims = Vec::with_capacity(p);
+        let mut ranked = Vec::with_capacity(p * k);
+        let mut sims = Vec::with_capacity(p * k);
         for (r, s) in per_user {
-            ranked.push(r);
-            sims.push(s);
+            ranked.extend(r);
+            sims.extend(s);
         }
-        Self { ranked, sims }
+        Self { k, ranked, sims }
     }
 
     /// Re-ranks after [`Smoothed::patched`], bitwise equal to
     /// [`ICluster::build`] on the patched inputs: a dirty user is scored
-    /// against every cluster; any other user only against the dirty
-    /// clusters whose `Δr` changed on an item the user rated, with every
-    /// other score — and every other user's ranking — kept as is, since
-    /// Eq. 9 reads nothing else.
+    /// against every cluster and re-sorted; any other user only against
+    /// the dirty clusters whose `Δr` changed on an item the user rated,
+    /// each moved to its new rank in place, with every other score — and
+    /// every other user's ranking — kept as is, since Eq. 9 reads nothing
+    /// else.
     pub fn patched(&self, m: &RatingMatrix, smoothed: &Smoothed, patch: &SmoothPatch) -> Self {
-        let k = smoothed.num_clusters();
-        // stale[u] = the dirty clusters user u must be rescored against.
-        let mut stale: Vec<Vec<usize>> = vec![Vec::new(); m.num_users()];
+        let k = self.k;
+        // (user, cluster): the dirty clusters each user must be rescored
+        // against. Clusters come in ascending order, so `last` dedups.
+        let mut last = vec![u32::MAX; m.num_users()];
+        let mut stale: Vec<(UserId, u32)> = Vec::new();
         for (&c, items) in patch.dirty_clusters.iter().zip(&patch.changed_items) {
+            let c = c as u32;
             for &i in items {
                 for &u in m.item_col(i).0 {
-                    let list = &mut stale[u.index()];
-                    if list.last() != Some(&c) {
-                        list.push(c);
+                    if std::mem::replace(&mut last[u.index()], c) != c {
+                        stale.push((u, c));
                     }
                 }
             }
         }
+        stale.sort_unstable();
+
         let mut out = self.clone();
-        for (ui, stale) in stale.into_iter().enumerate() {
-            let u = UserId::from(ui);
-            let dirty = patch.is_dirty_user(u);
-            if !dirty && stale.is_empty() {
+        for &u in &patch.dirty_users {
+            let scores = (0..k)
+                .map(|c| score(m, u, smoothed.deviation_row(c)))
+                .collect();
+            let (ranked, sims) = rank(scores);
+            let row = u.index() * k..(u.index() + 1) * k;
+            out.ranked[row.clone()].copy_from_slice(&ranked);
+            out.sims[row].copy_from_slice(&sims);
+        }
+        for &(u, c) in &stale {
+            if patch.is_dirty_user(u) {
                 continue;
             }
-            let mut scores = vec![0.0; k];
-            for (&c, &s) in self.ranked[ui].iter().zip(&self.sims[ui]) {
-                scores[c as usize] = s;
-            }
-            let rescore: Vec<usize> = if dirty { (0..k).collect() } else { stale };
-            for c in rescore {
-                scores[c] = score(m, u, smoothed.deviation_row(c));
-            }
-            (out.ranked[ui], out.sims[ui]) = rank(scores);
+            let s = score(m, u, smoothed.deviation_row(c as usize));
+            let row = u.index() * k..(u.index() + 1) * k;
+            rerank(&mut out.ranked[row.clone()], &mut out.sims[row], c, s);
         }
         out
     }
@@ -94,18 +114,18 @@ impl ICluster {
     /// Clusters for user `u`, best first.
     #[inline]
     pub fn ranking(&self, u: UserId) -> &[u32] {
-        &self.ranked[u.index()]
+        &self.ranked[u.index() * self.k..(u.index() + 1) * self.k]
     }
 
     /// Eq. 9 similarity values parallel to [`Self::ranking`].
     #[inline]
     pub fn similarities(&self, u: UserId) -> &[f64] {
-        &self.sims[u.index()]
+        &self.sims[u.index() * self.k..(u.index() + 1) * self.k]
     }
 
     /// Number of users covered.
     pub fn num_users(&self) -> usize {
-        self.ranked.len()
+        self.ranked.len().checked_div(self.k).unwrap_or(0)
     }
 }
 
@@ -137,20 +157,48 @@ fn score(m: &RatingMatrix, u: UserId, dev: &[f64]) -> f64 {
     }
 }
 
-/// Orders clusters by descending score (`scores[c]`), ties toward the
-/// lower index; returns the ranking and the scores in that order.
+/// The ranking order: descending score, ties toward the lower cluster
+/// index. A strict total order over finite scores, so a sorted slice is
+/// unique.
+fn order(a: (u32, f64), b: (u32, f64)) -> Ordering {
+    b.1.partial_cmp(&a.1)
+        .expect("similarities are finite")
+        .then(a.0.cmp(&b.0))
+}
+
+/// Orders clusters by [`order`] (`scores[c]` is cluster `c`'s score);
+/// returns the ranking and the scores in that order.
 fn rank(scores: Vec<f64>) -> (Vec<u32>, Vec<f64>) {
     let mut scored: Vec<(u32, f64)> = scores
         .into_iter()
         .enumerate()
         .map(|(c, s)| (c as u32, s))
         .collect();
-    scored.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .expect("similarities are finite")
-            .then(a.0.cmp(&b.0))
-    });
+    scored.sort_by(|&a, &b| order(a, b));
     scored.into_iter().unzip()
+}
+
+/// Gives cluster `c` the score `s` in a ranking sorted by [`order`] and
+/// moves it to its new rank, shifting the entries in between by one. The
+/// other entries stay sorted among themselves, so the slice is sorted
+/// again afterwards: after every rescored cluster has moved, it is the
+/// sort of the final scores.
+fn rerank(ranked: &mut [u32], sims: &mut [f64], c: u32, s: f64) {
+    let Some(mut at) = ranked.iter().position(|&x| x == c) else {
+        return;
+    };
+    while at > 0 && order((c, s), (ranked[at - 1], sims[at - 1])) == Ordering::Less {
+        ranked[at] = ranked[at - 1];
+        sims[at] = sims[at - 1];
+        at -= 1;
+    }
+    while at + 1 < ranked.len() && order((ranked[at + 1], sims[at + 1]), (c, s)) == Ordering::Less {
+        ranked[at] = ranked[at + 1];
+        sims[at] = sims[at + 1];
+        at += 1;
+    }
+    ranked[at] = c;
+    sims[at] = s;
 }
 
 #[cfg(test)]
@@ -310,6 +358,36 @@ mod tests {
                 );
             }
             (smoothed, ranked) = (patched, patched_rank);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        /// Moving each rescored cluster to its new rank in place, in any
+        /// order, ends where a full sort of the final scores does, bit
+        /// for bit — with ties, and both zeros, among the scores.
+        #[test]
+        fn in_place_rerank_equals_a_full_sort(
+            pick in 0usize..4,
+            old in proptest::collection::vec(0usize..7, 64..65),
+            new in proptest::collection::vec(proptest::option::of(0usize..7), 64..65),
+            start in 0usize..64
+        ) {
+            const SCORES: [f64; 7] = [-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0];
+            let k = [1, 2, 30, 64][pick];
+            let mut scores: Vec<f64> = old[..k].iter().map(|&j| SCORES[j]).collect();
+            let (mut ranked, mut sims) = rank(scores.clone());
+            // 7 is coprime with every k, so this visits each cluster once.
+            for c in (0..k).map(|j| (start + 7 * j) % k) {
+                if let Some(j) = new[c] {
+                    scores[c] = SCORES[j];
+                    rerank(&mut ranked, &mut sims, c as u32, SCORES[j]);
+                }
+            }
+            let (want_ranked, want_sims) = rank(scores);
+            proptest::prop_assert_eq!(ranked, want_ranked);
+            let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&sims), bits(&want_sims));
         }
     }
 

@@ -8,7 +8,7 @@
 //! the same cluster receive different absolute imputations that express
 //! the same relative preference.
 
-use cf_matrix::{DenseRatings, ItemId, RatingMatrix, RatingScale, UserId};
+use cf_matrix::{DenseRatings, DenseRow, ItemId, RatingMatrix, RatingScale, UserId};
 use cf_parallel::par_map;
 
 use crate::ClusterAssignment;
@@ -67,8 +67,12 @@ impl Smoothed {
     /// - every other member of a dirty cluster gets only the unrated
     ///   cells whose `Δr` changed bitwise rewritten.
     ///
-    /// The returned [`SmoothPatch`] says what changed, for iCluster and
-    /// the weight planes downstream.
+    /// The patched store shares every other row with this one (see
+    /// [`DenseRatings`]): a rewritten row is built afresh, and a member
+    /// row is copied once before its changed items are written, even if
+    /// each of them holds an original rating. The returned
+    /// [`SmoothPatch`] says what changed, for iCluster and the weight
+    /// planes downstream.
     pub fn patched(
         &self,
         m: &RatingMatrix,
@@ -107,27 +111,24 @@ impl Smoothed {
             .collect();
         for &u in &rewritten_rows {
             let dev = &out.deviations[clusters.cluster_of(u)];
-            let (row, original) = smooth_row(m, u, dev, scale);
-            for (i, v) in row.into_iter().enumerate() {
-                let item = ItemId::from(i);
-                if original[i] {
-                    out.dense.set_original(u, item, v);
-                } else {
-                    out.dense.set_smoothed(u, item, v);
-                }
-            }
+            out.dense.set_row(u, smooth_row(m, u, dev, scale));
         }
+        let mut unshared_rows = rewritten_rows.len();
         for (&c, changed) in dirty_clusters.iter().zip(&changed_items) {
+            if changed.is_empty() {
+                continue;
+            }
             let dev = &out.deviations[c];
             for &u in clusters.members(c) {
                 if rewritten_rows.binary_search(&u).is_ok() {
                     continue;
                 }
                 let mean_u = m.user_mean(u);
+                let row = out.dense.row_mut(u);
+                unshared_rows += 1;
                 for &i in changed {
-                    if !out.dense.is_original(u, i) {
-                        out.dense
-                            .set_smoothed(u, i, impute(mean_u, dev[i.index()], scale));
+                    if !row.is_original(i) {
+                        row.set_smoothed(i, impute(mean_u, dev[i.index()], scale));
                     }
                 }
             }
@@ -154,6 +155,7 @@ impl Smoothed {
                 dirty_clusters,
                 changed_items,
                 rewritten_rows,
+                unshared_rows,
             },
         )
     }
@@ -172,6 +174,9 @@ pub struct SmoothPatch {
     /// Users whose whole dense row was rewritten — the dirty users and
     /// every user without ratings — ascending.
     pub rewritten_rows: Vec<UserId>,
+    /// Dense rows the patched store does not share with the one it was
+    /// patched from: the rows [`SmoothPatch::cells`] lists a cell of.
+    pub unshared_rows: usize,
 }
 
 impl SmoothPatch {
@@ -242,28 +247,20 @@ fn impute(mean_u: f64, d: f64, scale: RatingScale) -> f64 {
     scale.clamp(if d.is_nan() { mean_u } else { mean_u + d })
 }
 
-/// User `u`'s smoothed dense row under deviation row `dev`, with its
-/// originality flags.
-fn smooth_row(
-    m: &RatingMatrix,
-    u: UserId,
-    dev: &[f64],
-    scale: RatingScale,
-) -> (Vec<f64>, Vec<bool>) {
-    let q = m.num_items();
+/// User `u`'s smoothed dense row under deviation row `dev`.
+fn smooth_row(m: &RatingMatrix, u: UserId, dev: &[f64], scale: RatingScale) -> DenseRow {
     let mean_u = m.user_mean(u);
-    let mut row = vec![f64::NAN; q];
-    let mut original = vec![false; q];
+    let mut row = DenseRow::absent(m.num_items());
     for (i, r) in m.user_ratings(u) {
-        row[i.index()] = r;
-        original[i.index()] = true;
+        row.set_original(i, r);
     }
-    for i in 0..q {
-        if !original[i] {
-            row[i] = impute(mean_u, dev[i], scale);
+    for (i, &d) in dev.iter().enumerate() {
+        let i = ItemId::from(i);
+        if !row.is_original(i) {
+            row.set_smoothed(i, impute(mean_u, d, scale));
         }
     }
-    (row, original)
+    row
 }
 
 /// Smoothing engine. Stateless; see [`Smoother::smooth`].
@@ -292,35 +289,25 @@ impl Smoother {
         let deviations: Vec<Vec<f64>> =
             par_map(k, threads, |c| deviation_row(m, clusters.members(c), q));
 
-        // Eq. 7, one row per user, in parallel; rows are disjoint slices
-        // of the dense store.
+        // Eq. 7, one row per user, in parallel; each row moves into the
+        // dense store as built.
         let scale = m.scale();
-        let rows: Vec<(Vec<f64>, Vec<bool>, usize, usize)> =
-            par_map(m.num_users(), threads, |ui| {
-                let u = UserId::from(ui);
-                let dev = &deviations[clusters.cluster_of(u)];
-                let (row, original) = smooth_row(m, u, dev, scale);
-                let from_fallback = (0..q).filter(|&i| !original[i] && dev[i].is_nan()).count();
-                let from_cluster = q - m.user_count(u) - from_fallback;
-                (row, original, from_cluster, from_fallback)
-            });
-
-        let mut dense = DenseRatings::new(m.num_users(), q);
-        let mut cells_from_cluster = 0usize;
-        let mut cells_from_fallback = 0usize;
-        for (ui, (row, original, fc, ff)) in rows.into_iter().enumerate() {
+        let rows: Vec<(DenseRow, usize, usize)> = par_map(m.num_users(), threads, |ui| {
             let u = UserId::from(ui);
-            for (i, v) in row.into_iter().enumerate() {
-                let item = ItemId::from(i);
-                if original[i] {
-                    dense.set_original(u, item, v);
-                } else {
-                    dense.set_smoothed(u, item, v);
-                }
-            }
-            cells_from_cluster += fc;
-            cells_from_fallback += ff;
-        }
+            let dev = &deviations[clusters.cluster_of(u)];
+            let row = smooth_row(m, u, dev, scale);
+            let from_fallback = dev
+                .iter()
+                .enumerate()
+                .filter(|&(i, d)| d.is_nan() && !row.is_original(ItemId::from(i)))
+                .count();
+            let from_cluster = q - m.user_count(u) - from_fallback;
+            (row, from_cluster, from_fallback)
+        });
+
+        let cells_from_cluster = rows.iter().map(|r| r.1).sum();
+        let cells_from_fallback = rows.iter().map(|r| r.2).sum();
+        let dense = DenseRatings::from_rows(q, rows.into_iter().map(|r| r.0));
 
         cf_obs::counter!("offline.smoothing.cells_from_cluster").add(cells_from_cluster as u64);
         cf_obs::counter!("offline.smoothing.cells_from_fallback").add(cells_from_fallback as u64);

@@ -29,10 +29,13 @@
 //!   rating user, re-encodes only the rewritten plane cells) and carries
 //!   over every cached neighbor selection they cannot reach, bit-identical
 //!   to re-deriving everything; a **full** refit reruns K-means too — and
-//!   publishes the result through the cell. Each phase lands in a
-//!   `refresh.phase.*_ns` histogram. A panicking or failing rebuild is
-//!   caught, counted (`refresh.failed`), and leaves the old generation
-//!   serving.
+//!   publishes the result through the cell. A partial generation shares
+//!   with its base every dense row, row range and ranking it does not
+//!   rewrite, so it costs what it touches. Each phase lands in a
+//!   `refresh.phase.*_ns` histogram, and the drift baseline of a new
+//!   generation is the served one's bucket counts plus the merged
+//!   ratings. A panicking or failing rebuild is caught, counted
+//!   (`refresh.failed`), and leaves the old generation serving.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -41,6 +44,7 @@ use std::time::{Duration, Instant};
 
 use cf_cluster::SmoothPatch;
 use cf_matrix::{ItemId, RatingMatrix, UserId};
+use cf_obs::drift::BucketCounts;
 use cf_obs::sync::{RecoverMutex, Shim, ShimAtomicU64, ShimRwLock, StdShim};
 
 use crate::{Cfsf, CfsfError};
@@ -462,9 +466,28 @@ struct Ingest {
     churn_since_full: usize,
 }
 
+/// The drift baseline of the generation published as `generation`: the
+/// bucket counts of its matrix's ratings.
+struct Baseline {
+    generation: u64,
+    counts: BucketCounts,
+}
+
+impl Baseline {
+    fn of(model: &Cfsf, generation: u64) -> Self {
+        let m = model.matrix();
+        let mut counts = BucketCounts::new(m.scale().min, m.scale().max);
+        counts.add(m.triplets().map(|(_, _, r)| r));
+        Self { generation, counts }
+    }
+}
+
 struct Shared {
     cell: Arc<GenCell<Cfsf>>,
     ingest: RecoverMutex<Ingest>,
+    /// The served generation's drift baseline; only the rebuild path
+    /// (single-flight) touches it.
+    baseline: RecoverMutex<Baseline>,
     monitor: RecoverMutex<DriftMonitor>,
     cfg: DriftConfig,
     /// A rebuild is in flight (authoritative single-flight guard).
@@ -557,6 +580,9 @@ pub struct RebuildReport {
     /// Cached neighbor selections carried into the new generation (0 for
     /// a full refit, or when the weight planes had to be re-folded).
     pub carried_selections: usize,
+    /// Smoothed dense rows the new generation does not share with the
+    /// served one (0 for a full refit, which builds every row afresh).
+    pub dense_rows_copied: usize,
     /// The generation number the rebuild published.
     pub generation: u64,
 }
@@ -575,7 +601,8 @@ impl SelfHealingCfsf {
     /// distribution as the drift baseline.
     pub fn new(model: Cfsf, cfg: DriftConfig) -> Result<Self, CfsfError> {
         cfg.validate()?;
-        install_baseline(&model);
+        let baseline = Baseline::of(&model, 0);
+        cf_obs::drift::set_baseline_counts(&baseline.counts);
         // Register the refresh counters up front so a snapshot carries
         // explicit zeros — absent vs zero matters to the chaos gates.
         cf_obs::counter!("refresh.started").add(0);
@@ -585,6 +612,7 @@ impl SelfHealingCfsf {
         cf_obs::counter!("refresh.cache_carried").add(0);
         cf_obs::counter!("refresh.cache_dropped").add(0);
         cf_obs::counter!("refresh.planes_refolded").add(0);
+        cf_obs::counter!("refresh.dense_rows_copied").add(0);
         cf_obs::gauge!("refresh.generation").set(0);
         cf_obs::gauge!("refresh.in_flight").set(0);
         Ok(Self {
@@ -594,6 +622,7 @@ impl SelfHealingCfsf {
                     pending: Vec::new(),
                     churn_since_full: 0,
                 }),
+                baseline: RecoverMutex::new(baseline),
                 monitor: RecoverMutex::new(DriftMonitor::new(cfg.clone())),
                 cfg,
                 busy: AtomicBool::new(false),
@@ -756,13 +785,6 @@ impl Drop for SelfHealingCfsf {
     }
 }
 
-/// Seeds the drift sensors with the model's training distribution.
-fn install_baseline(model: &Cfsf) {
-    let m = model.matrix();
-    let scale = m.scale();
-    cf_obs::drift::set_baseline(m.triplets().map(|(_, _, r)| r), scale.min, scale.max);
-}
-
 /// The rebuild pass: copy the pending ratings, build a complete new
 /// [`Cfsf`] off to the side, publish it through the cell. Runs on the
 /// worker thread (or inline for [`SelfHealingCfsf::refresh_now`]); the
@@ -771,7 +793,7 @@ fn install_baseline(model: &Cfsf) {
 fn run_rebuild(shared: &Shared) -> Result<RebuildReport, CfsfError> {
     cf_obs::counter!("refresh.started").inc();
     cf_obs::trace::note("refresh.rebuild_started");
-    let base = shared.cell.load();
+    let (base, base_generation) = shared.cell.load_with_generation();
     // Build from a copy: the pending ratings stay queued, so a duplicate
     // of an in-flight cell is still refused and a failed rebuild has
     // nothing to restore.
@@ -791,6 +813,7 @@ fn run_rebuild(shared: &Shared) -> Result<RebuildReport, CfsfError> {
             kind,
             dirty_clusters,
             carried_selections,
+            dense_rows_copied,
         })) => {
             let published = Arc::new(model);
             let generation = shared.cell.publish(Arc::clone(&published));
@@ -805,7 +828,18 @@ fn run_rebuild(shared: &Shared) -> Result<RebuildReport, CfsfError> {
                 let m = published.matrix();
                 ingest.pending.retain(|&(u, i, _)| m.get(u, i).is_none());
             }
-            install_baseline(&published);
+            // Both paths publish the base's ratings plus `pending`, so the
+            // base's counts plus `pending` are the new matrix's counts.
+            {
+                let mut baseline = shared.baseline.lock();
+                if baseline.generation == base_generation {
+                    baseline.counts.add(pending.iter().map(|&(_, _, r)| r));
+                    baseline.generation = generation;
+                } else {
+                    *baseline = Baseline::of(&published, generation);
+                }
+                cf_obs::drift::set_baseline_counts(&baseline.counts);
+            }
             cf_obs::quality::clear_window();
             cf_obs::counter!("refresh.completed").inc();
             cf_obs::gauge!("refresh.generation").set(generation as i64);
@@ -818,6 +852,7 @@ fn run_rebuild(shared: &Shared) -> Result<RebuildReport, CfsfError> {
                 dirty_users: dirty_users.len(),
                 dirty_clusters,
                 carried_selections,
+                dense_rows_copied,
                 generation,
             })
         }
@@ -848,6 +883,7 @@ struct Built {
     kind: RefreshKind,
     dirty_clusters: usize,
     carried_selections: usize,
+    dense_rows_copied: usize,
 }
 
 /// Times consecutive rebuild phases with one clock read per boundary:
@@ -903,6 +939,7 @@ fn build_generation(
             model,
             kind: RefreshKind::Full,
             carried_selections: 0,
+            dense_rows_copied: 0,
         }
     } else {
         partial_generation(base, merged, pending, clock)
@@ -926,7 +963,8 @@ fn build_generation(
 /// (then the planes are folded in full). The result is bit-identical to
 /// [`Cfsf::assemble`] of the merged matrix, the patched GIS and
 /// `base`'s clusters. Finally every cached selection `pending` cannot
-/// reach is carried over ([`carry_selections`]).
+/// reach is carried over ([`carry_selections`]). With the merge, the
+/// phases timed here cover the whole rebuild end to end.
 fn partial_generation(
     base: &Cfsf,
     merged: RatingMatrix,
@@ -940,6 +978,7 @@ fn partial_generation(
 
     let dirty_users: Vec<UserId> = pending.iter().map(|&(u, _, _)| u).collect();
     let (smoothed, patch) = base.smoothed.patched(&merged, &base.clusters, &dirty_users);
+    cf_obs::counter!("refresh.dense_rows_copied").add(patch.unshared_rows as u64);
     clock.lap(cf_obs::histogram!("refresh.phase.smooth_ns"));
     let icluster = base.icluster.patched(&merged, &smoothed, &patch);
     clock.lap(cf_obs::histogram!("refresh.phase.icluster_ns"));
@@ -980,11 +1019,13 @@ fn partial_generation(
     } else {
         carry_selections(base, &model, &patch)
     };
+    clock.lap(cf_obs::histogram!("refresh.phase.carry_ns"));
     Built {
         model,
         kind: RefreshKind::Partial,
         dirty_clusters: patch.dirty_clusters.len(),
         carried_selections,
+        dense_rows_copied: patch.unshared_rows,
     }
 }
 
@@ -1436,6 +1477,94 @@ mod tests {
         assert_eq!(healing.model().neighbor_cache_len(), 0);
         let dropped = cf_obs::counter!("refresh.cache_dropped").get() - dropped_before;
         assert!(dropped >= d.matrix.num_users() as u64);
+    }
+
+    /// A partial rebuild copies only the smoothed rows its patch
+    /// rewrites: every other row of the new generation is the base
+    /// generation's allocation, the report and `refresh.dense_rows_copied`
+    /// count the rest, and `refresh.phase.carry_ns` times the carry.
+    #[test]
+    fn a_partial_rebuild_shares_every_dense_row_it_does_not_rewrite() {
+        let _serial = windows_lock();
+        let (_, model) = fitted();
+        let cfg = DriftConfig {
+            full_refit_fraction: 1.0,
+            ..DriftConfig::manual()
+        };
+        let healing = SelfHealingCfsf::new(model, cfg).unwrap();
+        let copied_before = cf_obs::counter!("refresh.dense_rows_copied").get();
+        let carries_before = cf_obs::histogram!("refresh.phase.carry_ns")
+            .snapshot()
+            .count;
+        let mut copied = 0;
+        for from in [3, 40, 77] {
+            let base = healing.model();
+            let (u, i) = unrated_cell(base.matrix(), from);
+            healing.add_rating(u, i, 4.0).unwrap();
+            let report = healing.refresh_now().unwrap();
+            assert_eq!(report.kind, RefreshKind::Partial);
+            let next = healing.model();
+            // The patch this rebuild applied, derived again from the base.
+            let (_, patch) = base.smoothed.patched(next.matrix(), &base.clusters, &[u]);
+            let rewritten: BTreeSet<UserId> = patch
+                .cells(&base.clusters, next.matrix().num_items())
+                .map(|(user, _)| user)
+                .collect();
+            for v in next.matrix().users() {
+                assert_eq!(
+                    next.smoothed.dense.shares_row(&base.smoothed.dense, v),
+                    !rewritten.contains(&v),
+                    "{v:?}"
+                );
+            }
+            assert!(rewritten.contains(&u));
+            assert!(rewritten.len() < next.matrix().num_users());
+            assert_eq!(report.dense_rows_copied, rewritten.len());
+            copied += rewritten.len() as u64;
+        }
+        assert!(cf_obs::counter!("refresh.dense_rows_copied").get() >= copied_before + copied);
+        let carries = cf_obs::histogram!("refresh.phase.carry_ns")
+            .snapshot()
+            .count;
+        assert!(carries >= carries_before + 3);
+    }
+
+    /// After every link of a chain of partial rebuilds and full refits,
+    /// the installed drift baseline — the base's counts plus the merged
+    /// ratings — is bit for bit the one `set_baseline` derives from the
+    /// published matrix.
+    #[test]
+    fn the_incremental_drift_baseline_equals_one_over_the_merged_matrix() {
+        let _serial = windows_lock();
+        let (_, model) = fitted();
+        // Escalates to a full refit once more than 2.5 ratings have been
+        // merged since the last one: every third rebuild of one rating.
+        let cfg = DriftConfig {
+            full_refit_fraction: 2.5 / model.matrix().num_ratings() as f64,
+            ..DriftConfig::manual()
+        };
+        let healing = SelfHealingCfsf::new(model, cfg).unwrap();
+        let bits = |p: [f64; cf_obs::drift::BUCKETS]| p.map(f64::to_bits);
+        let mut kinds = Vec::new();
+        for (k, rating) in [5.0, 1.0, 2.0, 4.0, 3.0, 1.0, 5.0].into_iter().enumerate() {
+            let (u, i) = unrated_cell(healing.model().matrix(), 5 * k as u32);
+            healing.add_rating(u, i, rating).unwrap();
+            kinds.push(healing.refresh_now().unwrap().kind);
+            let incremental = cf_obs::drift::baseline().expect("baseline installed");
+            let m = healing.model().matrix().clone();
+            let scale = m.scale();
+            cf_obs::drift::set_baseline(m.triplets().map(|(_, _, r)| r), scale.min, scale.max);
+            let fresh = cf_obs::drift::baseline().expect("baseline installed");
+            assert_eq!(
+                bits(incremental),
+                bits(fresh),
+                "rebuild {k} ({:?})",
+                kinds[k]
+            );
+        }
+        assert!(kinds.contains(&RefreshKind::Full));
+        assert!(kinds.contains(&RefreshKind::Partial));
+        cf_obs::drift::clear();
     }
 
     /// Every structure of two generations, compared bit for bit: the

@@ -43,7 +43,7 @@ pub mod stats;
 
 pub use approx::{approx_eq, approx_eq_eps, approx_zero, DEFAULT_EPS};
 pub use builder::{MatrixBuilder, QuarantineReport};
-pub use dense::DenseRatings;
+pub use dense::{DenseRatings, DenseRow};
 pub use error::MatrixError;
 pub use ids::{ItemId, UserId};
 pub use matrix::RatingMatrix;

@@ -35,6 +35,16 @@
 //!   denominators, overlap counts, and estimator availability are
 //!   bit-identical to the exact layout.
 //!
+//! A generation patched from another re-encodes only the cells its
+//! dense store rewrote ([`WeightPlanes::patched`]). Its code range must
+//! still be the one a full fold would calibrate, and each plane keeps
+//! every row's `(lo, hi)` so that check rescans only the rows holding a
+//! rewritten cell: the range is always the fold of the row ranges in
+//! row order, whether a plane was folded whole or patched, so both pick
+//! the same extreme bit for bit (down to which of `±0.0` is the
+//! minimum). The cell plane itself stays one flat allocation, which a
+//! patch copies.
+//!
 //! All raw code/LUT handling lives in this file behind [`PlaneDequant`]
 //! and the typed row views; kernels never touch cell bits directly. The
 //! type system holds this: [`QuantCell::bits`] and [`QuantCell::pack`]
@@ -315,6 +325,10 @@ pub struct WeightPlanes {
     /// Presence bits, row-major: `words_per_row` little-endian `u64`
     /// words per user.
     present: Vec<u64>,
+    /// Each row's lowest and highest present rating, folded in row order
+    /// into the code range; `None` for planes decoded from bytes, which
+    /// do not store them.
+    row_ranges: Option<Vec<(f64, f64)>>,
 }
 
 impl WeightPlanes {
@@ -333,7 +347,8 @@ impl WeightPlanes {
         let words_per_row = q.div_ceil(64);
 
         // Pass 1: self-calibrate the code range over the present cells.
-        let (min, step) = calibrate(dense, precision);
+        let row_ranges = row_ranges(dense);
+        let (min, step) = calibrate(&row_ranges, precision);
 
         let (cells, present) = match precision {
             PlanePrecision::U16 => {
@@ -358,13 +373,16 @@ impl WeightPlanes {
             precision,
             cells,
             present,
+            row_ranges: Some(row_ranges),
         }
     }
 
     /// These planes with `cells` re-encoded from `dense`: what
     /// [`WeightPlanes::from_dense_with`] would fold from `dense`, at the
-    /// cost of one range scan plus the listed cells, provided every cell
-    /// *not* listed holds the value and provenance it was folded from.
+    /// cost of the listed cells plus a rescan of the rows that hold one,
+    /// provided every cell *not* listed holds the value and provenance it
+    /// was folded from. Planes decoded from bytes carry no row ranges, so
+    /// their first patch rescans every row.
     ///
     /// `None` when `dense` calibrates a different code range — a new
     /// extreme rating moves `min` or `step`, and with them every code —
@@ -377,15 +395,34 @@ impl WeightPlanes {
         if (dense.num_users(), dense.num_items()) != (self.num_users, self.num_items) {
             return None;
         }
-        let (min, step) = calibrate(dense, self.precision);
+        let cells: Vec<(UserId, ItemId)> = cells.into_iter().collect();
+        let row_ranges = match &self.row_ranges {
+            Some(old) => {
+                let mut ranges = old.clone();
+                let mut rescanned = vec![false; self.num_users];
+                for &(u, _) in &cells {
+                    if !std::mem::replace(&mut rescanned[u.index()], true) {
+                        ranges[u.index()] = row_range(dense.row(u));
+                    }
+                }
+                ranges
+            }
+            None => row_ranges(dense),
+        };
+        let (min, step) = calibrate(&row_ranges, self.precision);
         if min.to_bits() != self.dq.min.to_bits() || step.to_bits() != self.dq.step.to_bits() {
             return None;
         }
-        let mut out = self.clone();
+        let mut out = Self {
+            cells: self.cells.clone(),
+            present: self.present.clone(),
+            row_ranges: Some(row_ranges),
+            ..*self
+        };
         let wpr = out.words_per_row;
         match &mut out.cells {
-            Cells::U16(c) => reencode(c, &mut out.present, wpr, dense, min, step, cells),
-            Cells::U8(c) => reencode(c, &mut out.present, wpr, dense, min, step, cells),
+            Cells::U16(c) => reencode(c, &mut out.present, wpr, dense, min, step, &cells),
+            Cells::U8(c) => reencode(c, &mut out.present, wpr, dense, min, step, &cells),
         }
         Some(out)
     }
@@ -591,38 +628,53 @@ impl WeightPlanes {
             precision,
             cells,
             present,
+            row_ranges: None,
         })
     }
 }
 
-/// The code range a plane over `dense` self-calibrates to: `(min, step)`
-/// from the present cells' `[lo, hi]`, with `step = 0` for a constant or
-/// empty plane.
-fn calibrate(dense: &DenseRatings, precision: PlanePrecision) -> (f64, f64) {
-    // Eight independent lanes of compare-selects, which vectorize; an
-    // absent (NaN) cell compares false both ways, so it is skipped.
+/// The lowest and highest present rating of one row, `(+∞, −∞)` when
+/// none is present. Eight independent lanes of compare-selects, which
+/// vectorize; an absent (NaN) cell compares false both ways, so it is
+/// skipped.
+fn row_range(row: &[f64]) -> (f64, f64) {
     const LANES: usize = 8;
     let (mut lo, mut hi) = ([f64::INFINITY; LANES], [f64::NEG_INFINITY; LANES]);
-    for ui in 0..dense.num_users() {
-        let row = dense.row(UserId::from(ui));
-        let mut chunks = row.chunks_exact(LANES);
-        for chunk in &mut chunks {
-            for l in 0..LANES {
-                lo[l] = if chunk[l] < lo[l] { chunk[l] } else { lo[l] };
-                hi[l] = if chunk[l] > hi[l] { chunk[l] } else { hi[l] };
-            }
-        }
-        for &r in chunks.remainder() {
-            lo[0] = if r < lo[0] { r } else { lo[0] };
-            hi[0] = if r > hi[0] { r } else { hi[0] };
+    let mut chunks = row.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for l in 0..LANES {
+            lo[l] = if chunk[l] < lo[l] { chunk[l] } else { lo[l] };
+            hi[l] = if chunk[l] > hi[l] { chunk[l] } else { hi[l] };
         }
     }
-    let lo = lo
+    for &r in chunks.remainder() {
+        lo[0] = if r < lo[0] { r } else { lo[0] };
+        hi[0] = if r > hi[0] { r } else { hi[0] };
+    }
+    fold_ranges(lo.into_iter().zip(hi))
+}
+
+/// Folds `(lo, hi)` pairs in order; of two equal extremes (`±0.0`) the
+/// earlier one stays.
+fn fold_ranges(ranges: impl IntoIterator<Item = (f64, f64)>) -> (f64, f64) {
+    ranges
         .into_iter()
-        .fold(f64::INFINITY, |a, b| if b < a { b } else { a });
-    let hi = hi
-        .into_iter()
-        .fold(f64::NEG_INFINITY, |a, b| if b > a { b } else { a });
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), (l, h)| {
+            (if l < lo { l } else { lo }, if h > hi { h } else { hi })
+        })
+}
+
+/// Every row's [`row_range`], user 0 first.
+fn row_ranges(dense: &DenseRatings) -> Vec<(f64, f64)> {
+    (0..dense.num_users())
+        .map(|ui| row_range(dense.row(UserId::from(ui))))
+        .collect()
+}
+
+/// The code range a plane self-calibrates to: `(min, step)` from the
+/// fold of its row ranges, with `step = 0` for a constant or empty plane.
+fn calibrate(row_ranges: &[(f64, f64)], precision: PlanePrecision) -> (f64, f64) {
+    let (lo, hi) = fold_ranges(row_ranges.iter().copied());
     let (min, span) = if lo.is_finite() && hi > lo {
         (lo, hi - lo)
     } else if lo.is_finite() {
@@ -675,15 +727,14 @@ fn build_cells<C: QuantCell>(
     let mut cells = vec![C::pack(0, PlanesOnly(())); p * q];
     let mut present = vec![0u64; p * words_per_row];
     for ui in 0..p {
-        let u = UserId::from(ui);
-        let row = dense.row(u);
+        let row = dense.dense_row(UserId::from(ui));
         let base = ui * q;
         let wbase = ui * words_per_row;
-        for (ii, &r) in row.iter().enumerate() {
+        for (ii, &r) in row.values.iter().enumerate() {
             if r.is_nan() {
                 continue;
             }
-            let original = dense.is_original(u, ItemId::from(ii));
+            let original = (row.original[ii >> 6] >> (ii & 63)) & 1 == 1;
             cells[base + ii] = encode(r, original, min, inv_step);
             present[wbase + (ii >> 6)] |= 1u64 << (ii & 63);
         }
@@ -699,22 +750,21 @@ fn reencode<C: QuantCell>(
     dense: &DenseRatings,
     min: f64,
     step: f64,
-    listed: impl IntoIterator<Item = (UserId, ItemId)>,
+    listed: &[(UserId, ItemId)],
 ) {
     let q = dense.num_items();
     let inv_step = inv_step(step);
-    for (u, i) in listed {
+    for &(u, i) in listed {
         let (c, ii) = (u.index() * q + i.index(), i.index());
         let word = &mut present[u.index() * words_per_row + (ii >> 6)];
-        match dense.get(u, i) {
-            Some(r) => {
-                cells[c] = encode(r, dense.is_original(u, i), min, inv_step);
-                *word |= 1u64 << (ii & 63);
-            }
-            None => {
-                cells[c] = C::pack(0, PlanesOnly(()));
-                *word &= !(1u64 << (ii & 63));
-            }
+        let row = dense.dense_row(u);
+        let r = row.values[ii];
+        if r.is_nan() {
+            cells[c] = C::pack(0, PlanesOnly(()));
+            *word &= !(1u64 << (ii & 63));
+        } else {
+            cells[c] = encode(r, row.is_original(i), min, inv_step);
+            *word |= 1u64 << (ii & 63);
         }
     }
 }

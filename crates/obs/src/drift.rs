@@ -12,6 +12,12 @@
 //! - `drift.ingest.mean_milli` / `drift.ingest.stddev_milli` — first two
 //!   moments of the window, milli-rating-units;
 //!
+//! A baseline is the bucket counts of the training ratings
+//! ([`BucketCounts`]). Counts add, so a caller that knows which ratings
+//! a new generation merged can extend the serving generation's counts
+//! and install them ([`set_baseline_counts`]) instead of re-bucketing
+//! the whole matrix.
+//!
 //! The policy half (hysteresis, trip/clear thresholds, the rebuild
 //! trigger) lives with the model in `cfsf-core::refresh`; this module is
 //! deliberately just the sensor so `/stats.json` shows the raw signals
@@ -59,6 +65,39 @@ fn bucket_of(rating: f64, min: f64, max: f64) -> usize {
     ((t * BUCKETS as f64) as usize).min(BUCKETS - 1)
 }
 
+/// Per-bucket counts of a rating sample on one scale: what a baseline
+/// is made of. Non-finite ratings are not counted.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BucketCounts {
+    counts: [u64; BUCKETS],
+    scale: (f64, f64),
+}
+
+impl BucketCounts {
+    /// No ratings yet, on the scale `[scale_min, scale_max]`.
+    pub fn new(scale_min: f64, scale_max: f64) -> Self {
+        Self {
+            counts: [0; BUCKETS],
+            scale: (scale_min, scale_max),
+        }
+    }
+
+    /// Counts `ratings` in.
+    pub fn add(&mut self, ratings: impl IntoIterator<Item = f64>) {
+        let (min, max) = self.scale;
+        for r in ratings {
+            if r.is_finite() {
+                self.counts[bucket_of(r, min, max)] += 1;
+            }
+        }
+    }
+
+    /// The ratings counted so far.
+    pub fn total(&self) -> u64 {
+        self.counts.iter().sum()
+    }
+}
+
 /// Installs the baseline distribution the ingest stream is compared
 /// against, from an iterator over the *training* ratings, and remembers
 /// the scale used for bucketing. Called by the refresh loop whenever a
@@ -66,19 +105,20 @@ fn bucket_of(rating: f64, min: f64, max: f64) -> usize {
 /// new normal). Resets the ingest window: drift is measured against the
 /// generation currently serving.
 pub fn set_baseline(ratings: impl IntoIterator<Item = f64>, scale_min: f64, scale_max: f64) {
-    let mut counts = [0u64; BUCKETS];
-    let mut total = 0u64;
-    for r in ratings {
-        if r.is_finite() {
-            counts[bucket_of(r, scale_min, scale_max)] += 1;
-            total += 1;
-        }
-    }
+    let mut counts = BucketCounts::new(scale_min, scale_max);
+    counts.add(ratings);
+    set_baseline_counts(&counts);
+}
+
+/// [`set_baseline`] from ratings already counted: the same baseline as
+/// `set_baseline` over every rating `counts` holds.
+pub fn set_baseline_counts(counts: &BucketCounts) {
+    let total = counts.total();
     let mut s = state().lock();
-    s.scale = (scale_min, scale_max);
+    s.scale = counts.scale;
     s.baseline = (total > 0).then(|| {
         let mut p = [0.0; BUCKETS];
-        for (b, &c) in p.iter_mut().zip(&counts) {
+        for (b, &c) in p.iter_mut().zip(&counts.counts) {
             *b = c as f64 / total as f64;
         }
         p
@@ -144,6 +184,12 @@ pub fn window_moments() -> Option<(f64, f64)> {
         .sum::<f64>()
         / n;
     Some((mean, var.sqrt()))
+}
+
+/// The installed baseline's per-bucket probabilities, if any (tests /
+/// diagnostics).
+pub fn baseline() -> Option<[f64; BUCKETS]> {
+    state().lock().baseline
 }
 
 /// Ratings currently in the ingest window (tests / diagnostics).
@@ -220,6 +266,28 @@ mod tests {
         clear();
         set_baseline([3.0, 4.0], 1.0, 5.0);
         assert_eq!(hist_distance_pm(), None, "baseline alone is no signal");
+        clear();
+    }
+
+    /// Counts extended rating by rating install the baseline of the whole
+    /// sample, bit for bit.
+    #[test]
+    fn added_counts_install_the_baseline_of_the_whole_sample() {
+        let _serial = serial();
+        clear();
+        let ratings: Vec<f64> = (0..97).map(|i| 1.0 + f64::from(i % 9) * 0.5).collect();
+        set_baseline(ratings.iter().copied(), 1.0, 5.0);
+        let whole = baseline().unwrap();
+        let mut counts = BucketCounts::new(1.0, 5.0);
+        for chunk in ratings.chunks(10) {
+            counts.add(chunk.iter().copied());
+        }
+        counts.add([f64::NAN]);
+        assert_eq!(counts.total(), 97);
+        clear();
+        set_baseline_counts(&counts);
+        let bits = |p: [f64; BUCKETS]| p.map(f64::to_bits);
+        assert_eq!(bits(baseline().unwrap()), bits(whole));
         clear();
     }
 

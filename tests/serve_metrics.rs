@@ -211,8 +211,17 @@ fn cli_serve_metrics_flag_binds_and_serves() {
         }
     };
 
-    // Scrape while (or after) the demo runs; either way the listener must
-    // answer with well-formed Prometheus text.
+    // The endpoint is announced before the demo runs; scrape once the
+    // CLI reports the command finished, so the demo's series are there.
+    loop {
+        let line = lines
+            .next()
+            .expect("stderr closed before the command finished")
+            .expect("read stderr");
+        if line.starts_with("command finished; still serving telemetry") {
+            break;
+        }
+    }
     let (status, metrics) = http_get(&addr, "/metrics");
     assert!(status.contains("200 OK"), "{status}");
     assert_prometheus_format(&metrics);
