@@ -40,9 +40,10 @@ pub struct Cfsf {
     /// is off; otherwise [`Self::dense`] is the smoothed store itself.
     pub(crate) raw_dense: Option<DenseRatings>,
     /// Quantized weight planes over [`Self::dense`] (ε and provenance
-    /// folded into an exact weight LUT at fit time, ratings stored as
-    /// u16/u8 codes, presence bit-packed) — what the serving fast path
-    /// actually reads.
+    /// folded into an exact weight LUT, ratings stored as u16/u8 codes
+    /// with presence and provenance in each cell) — what the serving
+    /// fast path actually reads. Derived state: every fit, load and
+    /// rebuild folds (or patches) them from the dense store.
     pub(crate) planes: WeightPlanes,
     /// Per-item GIS top-`M` lists flattened into structure-of-arrays
     /// strips at fit time for the online kernels.
@@ -80,23 +81,20 @@ impl Cfsf {
         // iCluster (steps 3–4, Eq. 7–9) follow in `assemble`.
         let gis = Gis::build(matrix, &config.gis_config());
         let clusters = KMeans::fit(matrix, &config.kmeans_config());
-        Ok(Self::assemble(config, matrix.clone(), gis, clusters, None))
+        Ok(Self::assemble(config, matrix.clone(), gis, clusters))
     }
 
     /// Derives every serving structure from the offline inputs. Fit,
     /// load and full rebuilds end here (through [`Self::assemble_smoothed`],
     /// the one place a model value is written). Smoothing and iCluster
     /// (Eq. 7–9) run over `clusters` with `config.threads`; the dense
-    /// store, weight planes and item strips follow from them. `planes`
-    /// supplies already-folded weight planes (a persisted section);
-    /// `None` folds them from the dense store, which is deterministic,
-    /// so both give bit-identical models.
+    /// store, the weight planes folded from it and the item strips
+    /// follow from them.
     pub(crate) fn assemble(
         config: CfsfConfig,
         matrix: RatingMatrix,
         gis: Gis,
         clusters: ClusterAssignment,
-        planes: Option<WeightPlanes>,
     ) -> Self {
         let smoothed = Smoother::smooth(&matrix, &clusters, config.threads);
         let icluster = ICluster::build(&matrix, &smoothed, config.threads);
@@ -107,7 +105,7 @@ impl Cfsf {
             clusters,
             smoothed,
             icluster,
-            |dense, c| planes.unwrap_or_else(|| Self::fold_planes(dense, c)),
+            Self::fold_planes,
         )
     }
 
@@ -202,12 +200,11 @@ impl Cfsf {
     }
 
     /// Publishes the serving working-set sizes as gauges
-    /// (`model.bytes.planes`, `model.bytes.presence`,
+    /// (`model.bytes.planes`, whose cells hold presence too, and
     /// `model.bytes.strips`) so `/stats.json` shows the footprint.
     /// Called whenever the online structures are (re)built.
     pub(crate) fn publish_footprint(&self) {
         cf_obs::gauge!("model.bytes.planes").set(self.planes.cell_bytes() as i64);
-        cf_obs::gauge!("model.bytes.presence").set(self.planes.present_bytes() as i64);
         cf_obs::gauge!("model.bytes.strips").set(self.strips.bytes() as i64);
     }
 

@@ -144,7 +144,8 @@ impl Cfsf {
         if items.is_empty() {
             return Vec::new();
         }
-        let (candidates, _) = self.harvest_candidates(user);
+        let mut candidates = Vec::with_capacity(self.harvest_target() + 32);
+        self.harvest_candidates(user, |u| candidates.push(u));
 
         // Rank candidates with the smoothing-aware weighted PCC (Eq. 10)
         // over the fused planes, keeping the top K via bounded partial
@@ -168,18 +169,23 @@ impl Cfsf {
         )
     }
 
-    /// The like-minded-user candidates [`Self::top_k_users`] ranks for
-    /// `user`, harvested cluster by cluster, best cluster first (§IV-E2:
-    /// "selects users from clusters in iCluster one by one") until
-    /// `K · candidate_factor` are in hand — plus how many entries of the
-    /// user's iCluster ranking that walked.
-    pub(crate) fn harvest_candidates(&self, user: UserId) -> (Vec<UserId>, usize) {
-        let want = self
-            .config
+    /// How many candidates [`Self::harvest_candidates`] stops at:
+    /// `K · candidate_factor`, capped at the user count.
+    fn harvest_target(&self) -> usize {
+        self.config
             .k
             .saturating_mul(self.config.candidate_factor)
-            .min(self.matrix.num_users());
-        let mut candidates: Vec<UserId> = Vec::with_capacity(want + 32);
+            .min(self.matrix.num_users())
+    }
+
+    /// Hands `sink` the like-minded-user candidates [`Self::top_k_users`]
+    /// ranks for `user`, harvested cluster by cluster, best cluster first
+    /// (§IV-E2: "selects users from clusters in iCluster one by one")
+    /// until [`Self::harvest_target`] are in hand, and returns how many
+    /// entries of the user's iCluster ranking that walked.
+    pub(crate) fn harvest_candidates(&self, user: UserId, mut sink: impl FnMut(UserId)) -> usize {
+        let want = self.harvest_target();
+        let mut harvested = 0;
         let mut walked = 0;
         for &c in self.icluster.ranking(user) {
             walked += 1;
@@ -188,14 +194,15 @@ impl Cfsf {
                 // after smoothing; selecting them as "like-minded users"
                 // would inject cluster consensus disguised as a person.
                 if u != user && self.matrix.user_count(u) > 0 {
-                    candidates.push(u);
+                    sink(u);
+                    harvested += 1;
                 }
             }
-            if candidates.len() >= want {
+            if harvested >= want {
                 break;
             }
         }
-        (candidates, walked)
+        walked
     }
 
     /// The item's precomputed GIS strip: column indices, similarities and

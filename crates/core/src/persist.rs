@@ -2,24 +2,21 @@
 //! and load it back without repeating the expensive offline work.
 //!
 //! What is stored: the configuration, the training matrix, the GIS
-//! neighbor lists (Eq. 5 over every co-rated item pair), the
-//! K-means assignment (the iterative part), and the quantized serving
-//! planes. What is *recomputed* on load: smoothing,
-//! iCluster, and the dense online store — all linear passes that take
-//! milliseconds and would dominate the file size if stored
-//! (`P×Q` doubles).
+//! neighbor lists (Eq. 5 over every co-rated item pair) and the K-means
+//! assignment (the iterative part). What is *recomputed* on load:
+//! smoothing, iCluster, the dense online store and the quantized weight
+//! planes folded from it — linear passes that take milliseconds and
+//! would dominate the file size if stored (`P×Q` cells).
 //!
-//! Format (version 3, the only one this build reads or writes):
+//! Format (version 4, the only one this build reads or writes):
 //! little-endian, checksummed sections:
 //!
 //! ```text
-//! magic "CFSF"  | u32 version | u64 generation
-//! 5 × section   | u32 tag | u64 len | payload (len bytes) | u32 crc32
+//! magic "CFSF"  | u32 version
+//! 4 × section   | u32 tag | u64 len | payload (len bytes) | u32 crc32
 //! ```
 //!
-//! `generation` is the self-healing refresh loop's generation id
-//! (`cfsf_core::refresh`); a model fitted offline saves 0. Section
-//! payloads, in tag order:
+//! Section payloads, in tag order:
 //!
 //! ```text
 //! config (1)    | clusters, k, m, candidate_factor, kmeans_iterations: u64
@@ -30,23 +27,23 @@
 //!               | nnz × (user u32, item u32, rating f64)
 //! gis (3)       | num_items × [len u64, len × (item u32, sim f64)]
 //! clusters (4)  | k, iterations: u64 | converged u8 | P × u32
-//! planes (5)    | [`cf_matrix::WeightPlanes::encode`] payload
 //! ```
 //!
-//! The per-section CRC32 turns silent bit rot into a detected fault, and
-//! the section boundaries make most of the file *recoverable*: the GIS,
-//! cluster, and planes sections are pure derivations of the stored
-//! matrix, so [`Cfsf::load_with_recovery`] rebuilds a corrupt one from
-//! the (intact) matrix section instead of refusing to load — with the
-//! same GIS and K-means configuration [`Cfsf::fit`] uses, so the
-//! recovered model predicts identically. Every load, like every fit,
-//! ends in the one model constructor, which recomputes smoothing,
-//! iCluster and strips and folds the planes when none were read.
+//! The stream ends after the clusters section. The per-section CRC32
+//! turns silent bit rot into a detected fault, and the section
+//! boundaries make most of the file *recoverable*: the GIS and cluster
+//! sections are derivations of the stored matrix, so
+//! [`Cfsf::load_with_recovery`] rebuilds a corrupt one from the (intact)
+//! matrix section instead of refusing to load — with the same GIS and
+//! K-means configuration [`Cfsf::fit`] uses, so the recovered model
+//! predicts identically. Every load, like every fit, ends in the one
+//! model constructor, which recomputes smoothing, iCluster and strips
+//! and folds the planes.
 //!
 //! Every count a section declares is checked against the bytes the
 //! section actually carries before anything is allocated for it, and
-//! every section must decode exactly: a short field or trailing bytes is
-//! [`PersistError::Format`].
+//! every section must decode exactly: a short field, trailing bytes in a
+//! section or any byte after the last one is [`PersistError::Format`].
 
 use std::io::{self, Read, Write};
 
@@ -57,13 +54,12 @@ use cf_similarity::Gis;
 use crate::{Cfsf, CfsfConfig, CfsfError};
 
 const MAGIC: &[u8; 4] = b"CFSF";
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 
 const TAG_CONFIG: u32 = 1;
 const TAG_MATRIX: u32 = 2;
 const TAG_GIS: u32 = 3;
 const TAG_CLUSTERS: u32 = 4;
-const TAG_PLANES: u32 = 5;
 
 /// Errors from loading a persisted model.
 #[derive(Debug)]
@@ -111,19 +107,12 @@ pub struct RecoveryReport {
     /// The cluster section failed its checksum (or parse) and the
     /// K-means assignment was recomputed from the stored matrix.
     pub clusters_rebuilt: bool,
-    /// The quantized weight-plane section failed its checksum (or
-    /// parse/validation) and the planes were refolded from the smoothed
-    /// sheet — deterministic, so bit-identical to what the file stored.
-    pub planes_rebuilt: bool,
-    /// The refresh generation id from the stream header (0 for
-    /// offline-fitted models).
-    pub generation: u64,
 }
 
 impl RecoveryReport {
     /// `true` when anything had to be rebuilt.
     pub fn any(&self) -> bool {
-        self.gis_rebuilt || self.clusters_rebuilt || self.planes_rebuilt
+        self.gis_rebuilt || self.clusters_rebuilt
     }
 }
 
@@ -485,24 +474,15 @@ fn decode_section<'p, T>(
 // --- model codec -------------------------------------------------------
 
 impl Cfsf {
-    /// Serializes the model in the current (checksummed) format with
-    /// generation id 0 — the offline-fit default. See the module docs.
-    pub fn save<W: Write>(&self, w: W) -> io::Result<()> {
-        self.save_with_generation(w, 0)
-    }
-
-    /// [`Cfsf::save`] stamping an explicit refresh generation id into the
-    /// header, so a snapshot taken from a live [`crate::SelfHealingCfsf`]
-    /// records *which* generation it froze.
-    pub fn save_with_generation<W: Write>(&self, mut w: W, generation: u64) -> io::Result<()> {
+    /// Serializes the model in the current (checksummed) format. See the
+    /// module docs.
+    pub fn save<W: Write>(&self, mut w: W) -> io::Result<()> {
         w.write_all(MAGIC)?;
         put_u32(&mut w, VERSION)?;
-        put_u64(&mut w, generation)?;
         write_section(&mut w, TAG_CONFIG, &encode_config(&self.config)?)?;
         write_section(&mut w, TAG_MATRIX, &encode_matrix(&self.matrix)?)?;
         write_section(&mut w, TAG_GIS, &encode_gis(&self.gis, &self.matrix)?)?;
         write_section(&mut w, TAG_CLUSTERS, &encode_clusters(&self.clusters)?)?;
-        write_section(&mut w, TAG_PLANES, &self.planes.encode())?;
         w.flush()
     }
 
@@ -521,19 +501,14 @@ impl Cfsf {
         load_impl(r, false).map(|(model, _)| model)
     }
 
-    /// [`Cfsf::load`] also returning the refresh generation id stamped in
-    /// the stream header (0 for offline-fitted models).
-    pub fn load_with_generation<R: Read>(r: R) -> Result<(Self, u64), PersistError> {
-        load_impl(r, false).map(|(model, report)| (model, report.generation))
-    }
-
     /// Loads a checksummed stream, rebuilding what a checksum failure
-    /// allows: the GIS, cluster, and quantized-plane sections are
-    /// derivations of the stored matrix, so when one of them is corrupt
-    /// it is recomputed exactly as [`Cfsf::fit`] would (seeded K-means,
-    /// deterministic plane folding) instead of failing the load. The
-    /// config and matrix sections are ground truth — corruption there is
-    /// unrecoverable and errors like [`Cfsf::load`].
+    /// allows: the GIS and cluster sections are derivations of the
+    /// stored matrix, so when one of them is corrupt it is recomputed
+    /// exactly as [`Cfsf::fit`] would (seeded K-means) instead of failing
+    /// the load. The config and matrix sections are ground truth —
+    /// corruption there is unrecoverable and errors like [`Cfsf::load`].
+    /// So is a byte after the last section, unless a section was rebuilt:
+    /// a failed read may have left the stream anywhere.
     pub fn load_with_recovery<R: Read>(r: R) -> Result<(Self, RecoveryReport), PersistError> {
         load_impl(r, true)
     }
@@ -553,8 +528,8 @@ impl Cfsf {
     }
 }
 
-/// Checks the magic and version and returns the generation id.
-fn read_header<R: Read>(r: &mut R) -> Result<u64, PersistError> {
+/// Checks the magic and version.
+fn read_header<R: Read>(r: &mut R) -> Result<(), PersistError> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
@@ -566,15 +541,15 @@ fn read_header<R: Read>(r: &mut R) -> Result<u64, PersistError> {
             "unsupported version {version} (this build reads {VERSION})"
         )));
     }
-    Ok(get_u64(r)?)
+    Ok(())
 }
 
 /// The shared decode behind [`Cfsf::load`] and
 /// [`Cfsf::load_with_recovery`]: `recover` selects whether a corrupt
-/// derivable section (gis / clusters / planes) is rebuilt from the
-/// matrix or fails the load.
+/// derivable section (gis / clusters) is rebuilt from the matrix or
+/// fails the load.
 fn load_impl<R: Read>(mut r: R, recover: bool) -> Result<(Cfsf, RecoveryReport), PersistError> {
-    let generation = read_header(&mut r)?;
+    read_header(&mut r)?;
     let config = decode_section(
         &read_section(&mut r, TAG_CONFIG, "config")?,
         "config",
@@ -585,12 +560,9 @@ fn load_impl<R: Read>(mut r: R, recover: bool) -> Result<(Cfsf, RecoveryReport),
         "matrix",
         decode_matrix,
     )?;
-    let mut report = RecoveryReport {
-        generation,
-        ..RecoveryReport::default()
-    };
+    let mut report = RecoveryReport::default();
     // A corrupt length field desyncs the stream, so a failed GIS read
-    // usually takes the later sections down with it — all of them rebuild.
+    // usually takes the cluster section down with it — both rebuild.
     let gis = match read_section(&mut r, TAG_GIS, "gis")
         .and_then(|p| decode_section(&p, "gis", |r| decode_gis(r, matrix.num_items())))
     {
@@ -613,55 +585,12 @@ fn load_impl<R: Read>(mut r: R, recover: bool) -> Result<(Cfsf, RecoveryReport),
             KMeans::fit(&matrix, &config.kmeans_config())
         }
     };
-    let planes = match read_section(&mut r, TAG_PLANES, "planes")
-        .and_then(|p| decode_planes(&p, &config, &matrix))
-    {
-        Ok(planes) => Some(planes),
-        Err(e) if !recover => return Err(e),
-        Err(_) => {
-            cf_obs::counter!("persist.recovered.planes").inc();
-            report.planes_rebuilt = true;
-            None
-        }
-    };
-    Ok((
-        Cfsf::assemble(config, matrix, gis, clusters, planes),
-        report,
-    ))
-}
-
-/// Decodes and validates a stored planes payload against the config and
-/// matrix it claims to serve: dimensions, precision, and the folded ε
-/// must all agree (ε is written from the same `f64`, so bit equality is
-/// the correct check).
-fn decode_planes(
-    payload: &[u8],
-    config: &CfsfConfig,
-    matrix: &RatingMatrix,
-) -> Result<cf_matrix::WeightPlanes, PersistError> {
-    let planes = cf_matrix::WeightPlanes::decode(payload).map_err(PersistError::Format)?;
-    if planes.num_users() != matrix.num_users() || planes.num_items() != matrix.num_items() {
-        return Err(PersistError::Format(format!(
-            "planes section is {}×{} but the matrix is {}×{}",
-            planes.num_users(),
-            planes.num_items(),
-            matrix.num_users(),
-            matrix.num_items()
-        )));
-    }
-    if planes.precision() != config.plane_precision {
+    if !report.any() && r.take(1).read_to_end(&mut Vec::new())? != 0 {
         return Err(PersistError::Format(
-            "planes section precision disagrees with the stored config".into(),
+            "stream continues after the clusters section".into(),
         ));
     }
-    // ε was written from the very same f64 as config.w, so bit equality
-    // is the correct (and lint-clean) comparison.
-    if planes.epsilon().to_bits() != config.w.to_bits() {
-        return Err(PersistError::Format(
-            "planes section epsilon disagrees with the stored config".into(),
-        ));
-    }
-    Ok(planes)
+    Ok((Cfsf::assemble(config, matrix, gis, clusters), report))
 }
 
 #[cfg(test)]
@@ -676,10 +605,10 @@ mod tests {
         Cfsf::fit(&d.matrix, CfsfConfig::small()).unwrap()
     }
 
-    /// Byte range of the `n`-th (0-based) section payload in a V3 stream
-    /// (16-byte header: magic, version, generation).
+    /// Byte range of the `n`-th (0-based) section payload in a V4 stream
+    /// (8-byte header: magic, version).
     fn section_payload(buf: &[u8], n: usize) -> std::ops::Range<usize> {
-        let mut pos = 16usize;
+        let mut pos = 8usize;
         for _ in 0..n {
             let len = u64::from_le_bytes(buf[pos + 4..pos + 12].try_into().unwrap()) as usize;
             pos += 12 + len + 4;
@@ -743,25 +672,6 @@ mod tests {
     }
 
     #[test]
-    fn generation_round_trips_through_the_header() {
-        let original = model();
-        let mut buf = Vec::new();
-        original.save_with_generation(&mut buf, 42).unwrap();
-        let (loaded, generation) = Cfsf::load_with_generation(buf.as_slice()).unwrap();
-        assert_eq!(generation, 42);
-        assert_predictions_match(&original, &loaded);
-        let (_, report) = Cfsf::load_with_recovery(buf.as_slice()).unwrap();
-        assert_eq!(report.generation, 42);
-        assert!(!report.any(), "intact stream must need no recovery");
-
-        // Plain save stamps generation 0.
-        let mut buf = Vec::new();
-        original.save(&mut buf).unwrap();
-        let (_, generation) = Cfsf::load_with_generation(buf.as_slice()).unwrap();
-        assert_eq!(generation, 0);
-    }
-
-    #[test]
     fn plane_precision_round_trips_through_save() {
         let d = SyntheticConfig::small().generate();
         let cfg = CfsfConfig::small().with_plane_precision(cf_matrix::PlanePrecision::U8);
@@ -776,12 +686,11 @@ mod tests {
         assert_predictions_match(&original, &loaded);
     }
 
-    /// A V3 stream of the given `(tag, payload)` sections.
+    /// A V4 stream of the given `(tag, payload)` sections.
     fn stream(sections: &[(u32, &[u8])]) -> Vec<u8> {
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
         put_u32(&mut buf, VERSION).unwrap();
-        put_u64(&mut buf, 0).unwrap(); // generation
         for &(tag, payload) in sections {
             write_section(&mut buf, tag, payload).unwrap();
         }
@@ -815,10 +724,10 @@ mod tests {
         }
     }
 
-    /// Every V3 writer writes the precision byte, so a config payload
+    /// Every V4 writer writes the precision byte, so a config payload
     /// without it is corrupt, not an older layout.
     #[test]
-    fn v3_config_without_precision_byte_is_format() {
+    fn config_without_precision_byte_is_format() {
         let mut payload = encode_config(&model().config).unwrap();
         payload.pop();
         let e = Cfsf::load(stream(&[(TAG_CONFIG, &payload)]).as_slice()).unwrap_err();
@@ -833,8 +742,8 @@ mod tests {
         let original = model();
         let mut buf = Vec::new();
         original.save(&mut buf).unwrap();
-        // The retired V1 and V2 layouts, and a future one.
-        for version in [1u8, 2, 99] {
+        // The retired V1–V3 layouts, and a future one.
+        for version in [1u8, 2, 3, 99] {
             buf[4] = version;
             let e = Cfsf::load(buf.as_slice()).unwrap_err();
             assert!(matches!(e, PersistError::Format(_)), "{e}");
@@ -843,7 +752,7 @@ mod tests {
     }
 
     /// A count a section cannot hold is refused before anything is
-    /// reserved for it. The 194-byte stream declaring 2^32 ratings and
+    /// reserved for it. The 186-byte stream declaring 2^32 ratings and
     /// carrying one used to reserve 64 GiB and abort the process.
     #[test]
     fn declared_counts_beyond_their_section_are_format() {
@@ -857,7 +766,7 @@ mod tests {
             put_f64(&mut matrix, v).unwrap(); // scale, (user 0, item 0), rating
         }
         let ratings = stream(&[(TAG_CONFIG, &config), (TAG_MATRIX, &matrix)]);
-        assert_eq!(ratings.len(), 194);
+        assert_eq!(ratings.len(), 186);
         // One GIS list declaring 2^32 neighbors and carrying one.
         let mut gis = Vec::new();
         put_u64(&mut gis, LIMIT).unwrap();
@@ -892,8 +801,8 @@ mod tests {
         let original = model();
         let mut clean = Vec::new();
         original.save(&mut clean).unwrap();
-        // One offset inside each of the five section payloads.
-        for n in 0..5 {
+        // One offset inside each of the four section payloads.
+        for n in 0..4 {
             let payload = section_payload(&clean, n);
             let off = payload.start + payload.len() / 2;
             let mut buf = clean.clone();
@@ -920,7 +829,7 @@ mod tests {
         // ...recovery rebuilds and predicts identically to the original.
         let (recovered, report) = Cfsf::load_with_recovery(buf.as_slice()).unwrap();
         assert!(report.gis_rebuilt);
-        assert!(!report.clusters_rebuilt && !report.planes_rebuilt);
+        assert!(!report.clusters_rebuilt);
         assert!(report.any());
         assert_predictions_match(&original, &recovered);
     }
@@ -938,29 +847,34 @@ mod tests {
         assert!(matches!(e, PersistError::Format(_)), "{e}");
         let (recovered, report) = Cfsf::load_with_recovery(buf.as_slice()).unwrap();
         assert!(report.clusters_rebuilt);
-        assert!(!report.gis_rebuilt && !report.planes_rebuilt);
+        assert!(!report.gis_rebuilt);
         assert_predictions_match(&original, &recovered);
     }
 
+    /// A stream ends after its clusters section. Appended bytes fail the
+    /// strict load and an intact recovery; only a recovery that rebuilt
+    /// a section, and so may have read from anywhere, skips the check.
     #[test]
-    fn recovery_rebuilds_a_corrupt_planes_section() {
+    fn bytes_after_the_last_section_are_format() {
         let original = model();
-        let mut buf = Vec::new();
-        original.save_with_generation(&mut buf, 7).unwrap();
-        let planes = section_payload(&buf, 4);
-        buf[planes.start + planes.len() / 3] ^= 0xFF;
+        let mut clean = Vec::new();
+        original.save(&mut clean).unwrap();
+        for extra in [&[0u8][..], &[0xAB; 30]] {
+            let mut buf = clean.clone();
+            buf.extend_from_slice(extra);
+            let e = Cfsf::load(buf.as_slice()).unwrap_err();
+            assert!(matches!(e, PersistError::Format(_)), "{e}");
+            assert!(e.to_string().contains("after the clusters"), "{e}");
+            let e = Cfsf::load_with_recovery(buf.as_slice()).unwrap_err();
+            assert!(matches!(e, PersistError::Format(_)), "{e}");
+        }
 
-        // Strict load refuses...
-        let e = Cfsf::load(buf.as_slice()).unwrap_err();
-        assert!(e.to_string().contains("planes"), "{e}");
-        // ...recovery refolds the planes from the smoothed sheet —
-        // deterministic, so predictions are bit-identical — and keeps the
-        // header generation.
+        let mut buf = clean.clone();
+        let clusters = section_payload(&buf, 3);
+        buf[clusters.end - 2] ^= 0xFF;
+        buf.extend_from_slice(&[0xAB; 30]);
         let (recovered, report) = Cfsf::load_with_recovery(buf.as_slice()).unwrap();
-        assert!(report.planes_rebuilt);
-        assert!(!report.gis_rebuilt && !report.clusters_rebuilt);
-        assert_eq!(report.generation, 7);
-        assert!(report.any());
+        assert!(report.clusters_rebuilt);
         assert_predictions_match(&original, &recovered);
     }
 

@@ -1046,7 +1046,7 @@ fn carry_selections(base: &Cfsf, next: &Cfsf, patch: &SmoothPatch) -> usize {
         let ranking = next.icluster.ranking(user);
         let keeps = !patch.is_dirty_user(user)
             && ranking == base.icluster.ranking(user)
-            && !ranking[..next.harvest_candidates(user).1]
+            && !ranking[..next.harvest_candidates(user, |_| {})]
                 .iter()
                 .any(|&c| patch.is_dirty_cluster(c as usize));
         if keeps {
@@ -1322,7 +1322,7 @@ mod tests {
         let partial = healing.model();
         let merged = partial.matrix().clone();
         let gis = Gis::build(&merged, &config.gis_config());
-        let frozen = Cfsf::assemble(config, merged, gis, base.clusters.clone(), None);
+        let frozen = Cfsf::assemble(config, merged, gis, base.clusters.clone());
         let mut compared = 0usize;
         for u in (0..d.matrix.num_users()).step_by(3) {
             for i in (0..d.matrix.num_items()).step_by(7) {
@@ -1570,8 +1570,8 @@ mod tests {
     /// Every structure of two generations, compared bit for bit: the
     /// matrix (CSR, CSC, means), the dense store and the smoothed one
     /// (values and provenance), the deviations and imputation counts,
-    /// the iCluster rankings and similarities, the encoded planes
-    /// (cells, presence, min, step) and every prediction.
+    /// the iCluster rankings and similarities, the planes (cells, row
+    /// ranges, dequantization constants) and every prediction.
     fn assert_generations_identical(a: &Cfsf, b: &Cfsf) -> Result<(), String> {
         fn bits(v: &[f64]) -> Vec<u64> {
             v.iter().map(|x| x.to_bits()).collect()
@@ -1644,7 +1644,7 @@ mod tests {
                 || format!("iCluster of {u:?}"),
             )?;
         }
-        check(a.planes.encode() == b.planes.encode(), || "planes".into())?;
+        check(a.planes == b.planes, || "planes".into())?;
         for u in ma.users() {
             for i in ma.items() {
                 let (pa, pb) = (a.predict(u, i), b.predict(u, i));
@@ -1726,9 +1726,81 @@ mod tests {
                     b.build().unwrap(),
                     next.gis.clone(),
                     before.clusters.clone(),
-                    None,
                 );
                 assert_generations_identical(&next, &frozen)?;
+            }
+        }
+    }
+
+    /// `model` saved to bytes and loaded back.
+    fn reloaded(model: &Cfsf) -> Cfsf {
+        let mut buf = Vec::new();
+        model.save(&mut buf).unwrap();
+        Cfsf::load(buf.as_slice()).unwrap()
+    }
+
+    /// A loaded model folds its planes rather than reading them, so
+    /// self-healing a loaded model (`cfsf_cli serve --self-heal`) must
+    /// publish, rebuild after rebuild, exactly what self-healing the
+    /// fitted one publishes — with a capped or uncapped GIS, smoothing on
+    /// or off — and every generation must survive its own save and load
+    /// bit for bit.
+    #[test]
+    fn a_loaded_model_rebuilds_the_generations_of_the_fitted_one() {
+        let _serial = windows_lock();
+        let d = SyntheticConfig {
+            num_users: 40,
+            num_items: 50,
+            mean_ratings_per_user: 12.0,
+            min_ratings_per_user: 6,
+            ..SyntheticConfig::small()
+        }
+        .generate();
+        for variant in 0..4u32 {
+            let mut config = CfsfConfig {
+                threads: Some(1),
+                ..CfsfConfig::small()
+            };
+            config.gis.max_neighbors = (variant & 1 == 1).then_some(5);
+            config.use_smoothing = variant & 2 == 0;
+            let fitted = Cfsf::fit(&d.matrix, config).unwrap();
+            let loaded = reloaded(&fitted);
+            let cfg = DriftConfig {
+                full_refit_fraction: 1.0,
+                ..DriftConfig::manual()
+            };
+            let wrappers = [fitted, loaded].map(|m| SelfHealingCfsf::new(m, cfg.clone()).unwrap());
+            for (k, ratings) in [[2.0, 5.0, 4.0], [1.0, 3.0, 5.0], [4.0, 4.0, 2.0]]
+                .into_iter()
+                .enumerate()
+            {
+                let base = wrappers[0].model();
+                let batch: Vec<(UserId, ItemId, f64)> = [1, 14, 27]
+                    .into_iter()
+                    .zip(ratings)
+                    .map(|(from, r)| {
+                        let (u, i) = unrated_cell(base.matrix(), from + 4 * k as u32);
+                        (u, i, r)
+                    })
+                    .collect();
+                for healing in &wrappers {
+                    warm_every_user(&healing.model());
+                    for &(u, i, r) in &batch {
+                        healing.add_rating(u, i, r).unwrap();
+                    }
+                    let report = healing.refresh_now().unwrap();
+                    assert_eq!(report.kind, RefreshKind::Partial, "variant {variant}");
+                }
+                let [a, b] = [0, 1].map(|w| wrappers[w].model());
+                let context = |e: String| format!("variant {variant}, rebuild {k}: {e}");
+                assert_generations_identical(&a, &b)
+                    .map_err(context)
+                    .unwrap();
+                for generation in [&a, &b] {
+                    assert_generations_identical(generation, &reloaded(generation))
+                        .map_err(context)
+                        .unwrap();
+                }
             }
         }
     }

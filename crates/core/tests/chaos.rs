@@ -92,10 +92,10 @@ fn counter(name: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// Byte range of the `n`-th (0-based) section payload in a V3 stream
-/// (16-byte header: magic, version, generation).
+/// Byte range of the `n`-th (0-based) section payload in a V4 stream
+/// (8-byte header: magic, version).
 fn section_payload(buf: &[u8], n: usize) -> std::ops::Range<usize> {
-    let mut pos = 16; // magic + version + generation
+    let mut pos = 8; // magic + version
     for _ in 0..n {
         let len = u64::from_le_bytes(buf[pos + 4..pos + 12].try_into().unwrap()) as usize;
         pos += 12 + len + 4;

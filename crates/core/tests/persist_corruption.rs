@@ -33,10 +33,10 @@ fn probes() -> impl Iterator<Item = (UserId, ItemId)> {
     (0..12).map(|k| (UserId::new(k * 11 % 80), ItemId::new(k * 17 % 120)))
 }
 
-/// Byte range of the `n`-th (0-based) section payload in a V3 stream
-/// (16-byte header: magic, version, generation).
+/// Byte range of the `n`-th (0-based) section payload in a V4 stream
+/// (8-byte header: magic, version).
 fn section_payload(buf: &[u8], n: usize) -> std::ops::Range<usize> {
-    let mut pos = 16usize;
+    let mut pos = 8usize;
     for _ in 0..n {
         let len = u64::from_le_bytes(buf[pos + 4..pos + 12].try_into().expect("frame")) as usize;
         pos += 12 + len + 4;
@@ -85,23 +85,23 @@ proptest! {
         assert_sound(Cfsf::load_with_recovery(buf).map(|(m, _)| m));
     }
 
-    /// Any bit flip anywhere in the quantized-planes section must fail
-    /// the strict load (CRC), and recovery must refold the planes from
-    /// the smoothed sheet — deterministically, so predictions stay
-    /// bit-identical — without touching the gis/cluster sections.
+    /// Any bit flip inside the GIS or cluster section payload must fail
+    /// the strict load (CRC), and recovery must rebuild exactly that
+    /// section from the stored matrix — deterministically, so
+    /// predictions stay bit-identical.
     #[test]
-    fn planes_section_flips_always_recover_bit_identically(
+    fn derived_section_flips_always_recover_bit_identically(
+        section in 2usize..4,
         off in 0usize..1_000_000,
         bit in 0u32..8,
     ) {
         let mut buf = saved().to_vec();
-        let planes = section_payload(&buf, 4);
-        let pos = planes.start + off % planes.len();
+        let payload = section_payload(&buf, section);
+        let pos = payload.start + off % payload.len();
         buf[pos] ^= 1 << bit;
         prop_assert!(Cfsf::load(buf.as_slice()).is_err());
-        let (m, report) = Cfsf::load_with_recovery(buf.as_slice()).expect("planes recover");
-        prop_assert!(report.planes_rebuilt);
-        prop_assert!(!report.gis_rebuilt && !report.clusters_rebuilt);
+        let (m, report) = Cfsf::load_with_recovery(buf.as_slice()).expect("section recovers");
+        prop_assert_eq!((report.gis_rebuilt, report.clusters_rebuilt), (section == 2, section == 3));
         for (u, i) in probes() {
             prop_assert_eq!(m.predict(u, i), model().predict(u, i));
         }

@@ -18,16 +18,13 @@
 //!   are a linear code for the rating over the plane's own `[min, max]`
 //!   range (`r ≈ min + code · step`, `step = span / (2^bits − 1)`).
 //!   16 B/cell becomes 2 B/cell.
-//! - **Presence lives in the cell *and* in a bit-packed plane.** The
-//!   in-cell copy (bit 1) makes a kernel's scattered gather one load per
-//!   cell — the LLC-bound MAC loops never touch a second stream. The
-//!   canonical bit-packed plane (one bit per cell, little-endian `u64`
-//!   words, 64 cells per word) serves the word-at-a-time consumers
-//!   ([`present_bit`], overlap tests, [`WeightPlanes::is_present`]).
-//!   Presence is load-bearing either way — an absent cell is stored
-//!   all-zero, which *would* dequantize to a smoothed-cell weight, so
-//!   dequantization gates the weight through the presence bit
-//!   (see [`PlaneDequant::pair`]).
+//! - **Presence lives in the cell, once.** Bit 1 makes a kernel's
+//!   scattered gather one load per cell — the LLC-bound MAC loops never
+//!   touch a second stream — and [`WeightPlanes::is_present`] reads the
+//!   same bit [`PlaneDequant::triple`] hands the kernels. Presence is
+//!   load-bearing — an absent cell is stored all-zero, which *would*
+//!   dequantize to a smoothed-cell weight, so dequantization gates the
+//!   weight through the presence bit (see [`PlaneDequant::pair`]).
 //! - **Weights stay exact.** Dequantization looks the weight up in a
 //!   4-entry LUT indexed by the cell's low two bits,
 //!   `(present << 1) | provenance`: `[0, 0, 1−ε, ε]`. Only the *rating*
@@ -35,7 +32,9 @@
 //!   denominators, overlap counts, and estimator availability are
 //!   bit-identical to the exact layout.
 //!
-//! A generation patched from another re-encodes only the cells its
+//! Planes are derived state: a linear fold of the dense store, which
+//! fit, load and full rebuilds all compute anyway, so nothing persists
+//! them. A generation patched from another re-encodes only the cells its
 //! dense store rewrote ([`WeightPlanes::patched`]). Its code range must
 //! still be the one a full fold would calibrate, and each plane keeps
 //! every row's `(lo, hi)` so that check rescans only the rows holding a
@@ -180,8 +179,7 @@ impl PlaneDequant {
     /// accumulate. The cell's own presence bit gates the weight (the LUT
     /// index is the low two bits, `(present << 1) | provenance`), so
     /// absent cells contribute exact zeros from a *single* load — the
-    /// scattered MAC loops read one stream, not a cell stream plus a
-    /// presence-word stream.
+    /// scattered MAC loops read one stream.
     #[inline(always)]
     pub fn pair<C: QuantCell>(&self, cell: C) -> (f64, f64) {
         let b = cell.bits(PlanesOnly(()));
@@ -208,22 +206,13 @@ impl PlaneDequant {
     }
 }
 
-/// Extracts the presence bit of cell `c` from a bit-packed presence row
-/// (little-endian `u64` words, 64 cells per word). Returns 0 or 1.
-#[inline(always)]
-pub fn present_bit(words: &[u64], c: usize) -> u64 {
-    (words[c >> 6] >> (c & 63)) & 1
-}
-
 /// A borrowed, precision-typed view of one plane: the generic kernels'
 /// entry point. Obtained via [`WeightPlanes::view`]; dispatching on the
 /// [`PlanesView`] enum once per request monomorphizes the whole kernel.
 #[derive(Debug, Clone, Copy)]
 pub struct TypedPlanes<'a, C: QuantCell> {
     cells: &'a [C],
-    present: &'a [u64],
     num_items: usize,
-    words_per_row: usize,
     dq: PlaneDequant,
 }
 
@@ -247,14 +236,6 @@ impl<'a, C: QuantCell> TypedPlanes<'a, C> {
         &self.cells[lo..lo + self.num_items]
     }
 
-    /// The bit-packed presence row of user `u`
-    /// (`ceil(num_items / 64)` words; index with [`present_bit`]).
-    #[inline]
-    pub fn present_row(&self, u: UserId) -> &'a [u64] {
-        let lo = u.index() * self.words_per_row;
-        &self.present[lo..lo + self.words_per_row]
-    }
-
     /// The dequantized `(w, w·r)` pair of one cell (`(0.0, ±0.0)` where
     /// absent).
     #[inline]
@@ -264,8 +245,8 @@ impl<'a, C: QuantCell> TypedPlanes<'a, C> {
 
     /// The lowest and highest rating any cell of this plane dequantizes
     /// to: codes 0 and `MAX_CODE` through the same affine map as
-    /// [`PlaneDequant::pair`], so (with `step ≥ 0`, which folding and
-    /// decoding guarantee) every cell's `r` lies inside, bit for bit.
+    /// [`PlaneDequant::pair`], so (with `step ≥ 0`, which folding
+    /// guarantees) every cell's `r` lies inside, bit for bit.
     #[inline]
     pub fn rating_range(&self) -> (f64, f64) {
         let top = f64::from(C::MAX_CODE) * self.dq.step + self.dq.min;
@@ -278,8 +259,8 @@ impl<'a, C: QuantCell> TypedPlanes<'a, C> {
     /// `unsafe` forbidden crate-wide there is no `_mm_prefetch`;
     /// demand-touching the next neighbor's row while the current one is in
     /// the MAC overlaps its DRAM latency with live work, which is the same
-    /// pipelining effect. Presence words are not touched: with presence
-    /// folded into the cells, the MAC reads only this row.
+    /// pipelining effect. Presence is in the cells, so the MAC reads only
+    /// this row.
     #[inline]
     pub fn prefetch_row(&self, u: UserId) {
         let row = self.cell_row(u);
@@ -304,31 +285,50 @@ pub enum PlanesView<'a> {
     U8(TypedPlanes<'a, u8>),
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum Cells {
     U16(Vec<u16>),
     U8(Vec<u8>),
 }
 
-/// Dense quantized weight planes plus a bit-packed presence plane, with ε
-/// folded into the weight LUT. Built once per fitted model (and rebuilt
-/// when the dense ratings, ε, or the precision change); read-only on the
+/// Dense quantized weight planes with ε folded into the weight LUT and
+/// presence in each cell. Built once per fitted model (and rebuilt when
+/// the dense ratings, ε, or the precision change); read-only on the
 /// serving path.
+///
+/// Equality compares every stored bit: the cells, the dequantization
+/// constants and the row ranges, each `f64` by [`f64::to_bits`].
 #[derive(Debug, Clone)]
 pub struct WeightPlanes {
     num_users: usize,
     num_items: usize,
-    words_per_row: usize,
     dq: PlaneDequant,
     precision: PlanePrecision,
     cells: Cells,
-    /// Presence bits, row-major: `words_per_row` little-endian `u64`
-    /// words per user.
-    present: Vec<u64>,
     /// Each row's lowest and highest present rating, folded in row order
-    /// into the code range; `None` for planes decoded from bytes, which
-    /// do not store them.
-    row_ranges: Option<Vec<(f64, f64)>>,
+    /// into the code range.
+    row_ranges: Vec<(f64, f64)>,
+}
+
+impl PartialEq for WeightPlanes {
+    fn eq(&self, other: &Self) -> bool {
+        let bits = |p: &Self| {
+            let PlaneDequant { wlut, min, step } = p.dq;
+            let ranges = p
+                .row_ranges
+                .iter()
+                .map(|&(lo, hi)| (lo.to_bits(), hi.to_bits()));
+            let consts = (wlut.map(f64::to_bits), min.to_bits(), step.to_bits());
+            (
+                p.num_users,
+                p.num_items,
+                p.precision,
+                consts,
+                ranges.collect::<Vec<_>>(),
+            )
+        };
+        self.cells == other.cells && bits(self) == bits(other)
+    }
 }
 
 impl WeightPlanes {
@@ -343,28 +343,18 @@ impl WeightPlanes {
     /// ratings routinely overshoot the nominal rating scale), so the
     /// documented tolerance is `span / (2^code_bits − 1) / 2` per cell.
     pub fn from_dense_with(dense: &DenseRatings, epsilon: f64, precision: PlanePrecision) -> Self {
-        let (p, q) = (dense.num_users(), dense.num_items());
-        let words_per_row = q.div_ceil(64);
-
         // Pass 1: self-calibrate the code range over the present cells.
         let row_ranges = row_ranges(dense);
         let (min, step) = calibrate(&row_ranges, precision);
 
-        let (cells, present) = match precision {
-            PlanePrecision::U16 => {
-                let (c, pr) = build_cells::<u16>(dense, min, step, words_per_row);
-                (Cells::U16(c), pr)
-            }
-            PlanePrecision::U8 => {
-                let (c, pr) = build_cells::<u8>(dense, min, step, words_per_row);
-                (Cells::U8(c), pr)
-            }
+        let cells = match precision {
+            PlanePrecision::U16 => Cells::U16(build_cells(dense, min, step)),
+            PlanePrecision::U8 => Cells::U8(build_cells(dense, min, step)),
         };
 
         Self {
-            num_users: p,
-            num_items: q,
-            words_per_row,
+            num_users: dense.num_users(),
+            num_items: dense.num_items(),
             dq: PlaneDequant {
                 wlut: [0.0, 0.0, 1.0 - epsilon, epsilon],
                 min,
@@ -372,8 +362,7 @@ impl WeightPlanes {
             },
             precision,
             cells,
-            present,
-            row_ranges: Some(row_ranges),
+            row_ranges,
         }
     }
 
@@ -381,8 +370,7 @@ impl WeightPlanes {
     /// [`WeightPlanes::from_dense_with`] would fold from `dense`, at the
     /// cost of the listed cells plus a rescan of the rows that hold one,
     /// provided every cell *not* listed holds the value and provenance it
-    /// was folded from. Planes decoded from bytes carry no row ranges, so
-    /// their first patch rescans every row.
+    /// was folded from.
     ///
     /// `None` when `dense` calibrates a different code range — a new
     /// extreme rating moves `min` or `step`, and with them every code —
@@ -396,33 +384,25 @@ impl WeightPlanes {
             return None;
         }
         let cells: Vec<(UserId, ItemId)> = cells.into_iter().collect();
-        let row_ranges = match &self.row_ranges {
-            Some(old) => {
-                let mut ranges = old.clone();
-                let mut rescanned = vec![false; self.num_users];
-                for &(u, _) in &cells {
-                    if !std::mem::replace(&mut rescanned[u.index()], true) {
-                        ranges[u.index()] = row_range(dense.row(u));
-                    }
-                }
-                ranges
+        let mut row_ranges = self.row_ranges.clone();
+        let mut rescanned = vec![false; self.num_users];
+        for &(u, _) in &cells {
+            if !std::mem::replace(&mut rescanned[u.index()], true) {
+                row_ranges[u.index()] = row_range(dense.row(u));
             }
-            None => row_ranges(dense),
-        };
+        }
         let (min, step) = calibrate(&row_ranges, self.precision);
         if min.to_bits() != self.dq.min.to_bits() || step.to_bits() != self.dq.step.to_bits() {
             return None;
         }
         let mut out = Self {
             cells: self.cells.clone(),
-            present: self.present.clone(),
-            row_ranges: Some(row_ranges),
+            row_ranges,
             ..*self
         };
-        let wpr = out.words_per_row;
         match &mut out.cells {
-            Cells::U16(c) => reencode(c, &mut out.present, wpr, dense, min, step, &cells),
-            Cells::U8(c) => reencode(c, &mut out.present, wpr, dense, min, step, &cells),
+            Cells::U16(c) => reencode(c, dense, min, step, &cells),
+            Cells::U8(c) => reencode(c, dense, min, step, &cells),
         }
         Some(out)
     }
@@ -439,24 +419,11 @@ impl WeightPlanes {
         self.num_items
     }
 
-    /// The storage precision the planes were built at.
-    #[inline]
-    pub fn precision(&self) -> PlanePrecision {
-        self.precision
-    }
-
     /// The rating quantization granularity (per-cell rating error is at
     /// most half this). `0.0` for constant or empty planes.
     #[inline]
     pub fn step(&self) -> f64 {
         self.dq.step
-    }
-
-    /// The ε folded into the weight LUT at build time (persistence
-    /// validates a stored plane against its config through this).
-    #[inline]
-    pub fn epsilon(&self) -> f64 {
-        self.dq.wlut[3]
     }
 
     /// The precision-typed view for kernel dispatch.
@@ -465,16 +432,12 @@ impl WeightPlanes {
         match &self.cells {
             Cells::U16(c) => PlanesView::U16(TypedPlanes {
                 cells: c,
-                present: &self.present,
                 num_items: self.num_items,
-                words_per_row: self.words_per_row,
                 dq: self.dq,
             }),
             Cells::U8(c) => PlanesView::U8(TypedPlanes {
                 cells: c,
-                present: &self.present,
                 num_items: self.num_items,
-                words_per_row: self.words_per_row,
                 dq: self.dq,
             }),
         }
@@ -492,12 +455,15 @@ impl WeightPlanes {
         }
     }
 
-    /// Whether the cell holds a value.
+    /// Whether the cell holds a value: its presence bit, as
+    /// [`PlaneDequant::triple`] reads it for the kernels.
     #[inline]
     pub fn is_present(&self, u: UserId, i: ItemId) -> bool {
-        let c = i.index();
-        let lo = u.index() * self.words_per_row;
-        present_bit(&self.present[lo..lo + self.words_per_row], c) == 1
+        let present = match self.view() {
+            PlanesView::U16(v) => v.dq.triple(v.cell_row(u)[i.index()]).2,
+            PlanesView::U8(v) => v.dq.triple(v.cell_row(u)[i.index()]).2,
+        };
+        present == 1
     }
 
     /// Bytes held by the quantized cell plane (footprint gauge).
@@ -507,129 +473,6 @@ impl WeightPlanes {
             Cells::U16(c) => c.len() * std::mem::size_of::<u16>(),
             Cells::U8(c) => c.len() * std::mem::size_of::<u8>(),
         }
-    }
-
-    /// Bytes held by the bit-packed presence plane (footprint gauge).
-    #[inline]
-    pub fn present_bytes(&self) -> usize {
-        self.present.len() * std::mem::size_of::<u64>()
-    }
-
-    /// Serializes the planes into a self-contained little-endian payload
-    /// (the V3 persistence section): precision code, dimensions, the
-    /// dequant affine map, then the raw cells and presence words. The
-    /// weight LUT is *not* stored — it is `[0, 0, 1−ε, ε]` by
-    /// construction, so storing `ε` alone reconstructs it exactly.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Vec::with_capacity(41 + self.cell_bytes() + self.present_bytes());
-        w.push(self.precision.code());
-        w.extend_from_slice(&(self.num_users as u64).to_le_bytes());
-        w.extend_from_slice(&(self.num_items as u64).to_le_bytes());
-        w.extend_from_slice(&self.dq.min.to_le_bytes());
-        w.extend_from_slice(&self.dq.step.to_le_bytes());
-        w.extend_from_slice(&self.dq.wlut[3].to_le_bytes()); // ε
-        match &self.cells {
-            Cells::U16(c) => {
-                for &cell in c {
-                    w.extend_from_slice(&cell.to_le_bytes());
-                }
-            }
-            Cells::U8(c) => w.extend_from_slice(c),
-        }
-        for &word in &self.present {
-            w.extend_from_slice(&word.to_le_bytes());
-        }
-        w
-    }
-
-    /// Inverse of [`WeightPlanes::encode`]. Validates the precision code,
-    /// dimension sanity, the dequant constants, and that the payload
-    /// length matches the dimensions *exactly* — trailing or missing
-    /// bytes are corruption even when a checksum upstream passed.
-    pub fn decode(bytes: &[u8]) -> Result<Self, String> {
-        fn take<'a>(b: &mut &'a [u8], n: usize, what: &str) -> Result<&'a [u8], String> {
-            if b.len() < n {
-                return Err(format!("planes payload truncated reading {what}"));
-            }
-            let (head, tail) = b.split_at(n);
-            *b = tail;
-            Ok(head)
-        }
-        fn take_u64(b: &mut &[u8], what: &str) -> Result<u64, String> {
-            let raw: [u8; 8] = take(b, 8, what)?
-                .try_into()
-                .map_err(|_| format!("planes payload truncated reading {what}"))?;
-            Ok(u64::from_le_bytes(raw))
-        }
-        fn take_f64(b: &mut &[u8], what: &str) -> Result<f64, String> {
-            let v = f64::from_bits(take_u64(b, what)?);
-            if v.is_finite() {
-                Ok(v)
-            } else {
-                Err(format!("planes {what} is not finite"))
-            }
-        }
-
-        const LIMIT: u64 = 1 << 32;
-        let mut b = bytes;
-        let code = take(&mut b, 1, "precision code")?[0];
-        let precision = PlanePrecision::from_code(code)
-            .ok_or_else(|| format!("unknown plane precision code {code}"))?;
-        let num_users = take_u64(&mut b, "num_users")?;
-        let num_items = take_u64(&mut b, "num_items")?;
-        let num_cells = num_users
-            .checked_mul(num_items)
-            .filter(|&n| n <= LIMIT && num_users <= LIMIT && num_items <= LIMIT)
-            .ok_or_else(|| {
-                format!("planes dimensions {num_users}×{num_items} exceed sanity limit")
-            })? as usize;
-        let min = take_f64(&mut b, "min")?;
-        let step = take_f64(&mut b, "step")?;
-        if step < 0.0 {
-            return Err(format!("planes step {step} is negative"));
-        }
-        let epsilon = take_f64(&mut b, "epsilon")?;
-        if !(0.0..=1.0).contains(&epsilon) {
-            return Err(format!("planes epsilon {epsilon} outside [0, 1]"));
-        }
-
-        let cells = match precision {
-            PlanePrecision::U16 => {
-                let raw = take(&mut b, num_cells * 2, "cells")?;
-                Cells::U16(
-                    raw.chunks_exact(2)
-                        .map(|c| u16::from_le_bytes([c[0], c[1]]))
-                        .collect(),
-                )
-            }
-            PlanePrecision::U8 => Cells::U8(take(&mut b, num_cells, "cells")?.to_vec()),
-        };
-        let words_per_row = (num_items as usize).div_ceil(64);
-        let num_words = num_users as usize * words_per_row;
-        let present = take(&mut b, num_words * 8, "presence words")?
-            .chunks_exact(8)
-            .map(|c| {
-                let raw: [u8; 8] = c.try_into().unwrap_or([0; 8]);
-                u64::from_le_bytes(raw)
-            })
-            .collect();
-        if !b.is_empty() {
-            return Err(format!("planes payload has {} trailing bytes", b.len()));
-        }
-        Ok(Self {
-            num_users: num_users as usize,
-            num_items: num_items as usize,
-            words_per_row,
-            dq: PlaneDequant {
-                wlut: [0.0, 0.0, 1.0 - epsilon, epsilon],
-                min,
-                step,
-            },
-            precision,
-            cells,
-            present,
-            row_ranges: None,
-        })
     }
 }
 
@@ -713,40 +556,29 @@ fn inv_step(step: f64) -> f64 {
     }
 }
 
-/// Quantizes every present cell of `dense` into `C` codes and packs the
-/// presence bits. Returns `(cells, present_words)`.
-fn build_cells<C: QuantCell>(
-    dense: &DenseRatings,
-    min: f64,
-    step: f64,
-    words_per_row: usize,
-) -> (Vec<C>, Vec<u64>) {
+/// Quantizes every present cell of `dense` into `C` codes.
+fn build_cells<C: QuantCell>(dense: &DenseRatings, min: f64, step: f64) -> Vec<C> {
     let (p, q) = (dense.num_users(), dense.num_items());
     let inv_step = inv_step(step);
 
     let mut cells = vec![C::pack(0, PlanesOnly(())); p * q];
-    let mut present = vec![0u64; p * words_per_row];
     for ui in 0..p {
         let row = dense.dense_row(UserId::from(ui));
         let base = ui * q;
-        let wbase = ui * words_per_row;
         for (ii, &r) in row.values.iter().enumerate() {
             if r.is_nan() {
                 continue;
             }
             let original = (row.original[ii >> 6] >> (ii & 63)) & 1 == 1;
             cells[base + ii] = encode(r, original, min, inv_step);
-            present[wbase + (ii >> 6)] |= 1u64 << (ii & 63);
         }
     }
-    (cells, present)
+    cells
 }
 
 /// [`build_cells`] for the listed cells only, in place.
 fn reencode<C: QuantCell>(
     cells: &mut [C],
-    present: &mut [u64],
-    words_per_row: usize,
     dense: &DenseRatings,
     min: f64,
     step: f64,
@@ -755,17 +587,13 @@ fn reencode<C: QuantCell>(
     let q = dense.num_items();
     let inv_step = inv_step(step);
     for &(u, i) in listed {
-        let (c, ii) = (u.index() * q + i.index(), i.index());
-        let word = &mut present[u.index() * words_per_row + (ii >> 6)];
         let row = dense.dense_row(u);
-        let r = row.values[ii];
-        if r.is_nan() {
-            cells[c] = C::pack(0, PlanesOnly(()));
-            *word &= !(1u64 << (ii & 63));
+        let r = row.values[i.index()];
+        cells[u.index() * q + i.index()] = if r.is_nan() {
+            C::pack(0, PlanesOnly(()))
         } else {
-            cells[c] = encode(r, row.is_original(i), min, inv_step);
-            *word |= 1u64 << (ii & 63);
-        }
+            encode(r, row.is_original(i), min, inv_step)
+        };
     }
 }
 
@@ -825,7 +653,6 @@ mod tests {
             panic!("default precision must be U16");
         };
         assert_eq!(v.cell_row(UserId::new(1)).len(), 3);
-        assert_eq!(v.present_row(UserId::new(1)).len(), 1);
         let (w, wr) = v.pair(UserId::new(1), ItemId::new(1));
         assert_eq!(w, 0.35);
         assert!((wr - 0.35).abs() <= 0.35 * p.step());
@@ -899,47 +726,6 @@ mod tests {
         assert!(!empty.is_present(UserId::new(1), ItemId::new(2)));
     }
 
-    #[test]
-    fn encode_decode_round_trips_both_precisions() {
-        let d = dense();
-        for precision in [PlanePrecision::U16, PlanePrecision::U8] {
-            let original = WeightPlanes::from_dense_with(&d, 0.35, precision);
-            let decoded = WeightPlanes::decode(&original.encode()).unwrap();
-            assert_eq!(decoded.precision(), precision);
-            assert_eq!(decoded.num_users(), original.num_users());
-            assert_eq!(decoded.num_items(), original.num_items());
-            assert_eq!(decoded.step(), original.step());
-            for u in 0..2 {
-                for i in 0..3 {
-                    let (u, i) = (UserId::new(u), ItemId::new(i));
-                    assert_eq!(decoded.pair(u, i), original.pair(u, i));
-                    assert_eq!(decoded.is_present(u, i), original.is_present(u, i));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn decode_rejects_malformed_payloads() {
-        let clean = WeightPlanes::from_dense(&dense(), 0.35).encode();
-        // Truncation anywhere fails.
-        for cut in [0usize, 5, 24, clean.len() - 1] {
-            assert!(WeightPlanes::decode(&clean[..cut]).is_err(), "cut {cut}");
-        }
-        // Trailing garbage fails even though all fields parse.
-        let mut long = clean.clone();
-        long.push(0);
-        assert!(WeightPlanes::decode(&long).is_err());
-        // Unknown precision code fails.
-        let mut bad = clean.clone();
-        bad[0] = 9;
-        assert!(WeightPlanes::decode(&bad).is_err());
-        // Corrupt epsilon (outside [0,1]) fails.
-        let mut bad = clean;
-        bad[33..41].copy_from_slice(&7.5f64.to_le_bytes());
-        assert!(WeightPlanes::decode(&bad).is_err());
-    }
-
     /// Re-encoding just the rewritten cells reproduces a full fold bit
     /// for bit while the calibrated range holds, and refuses once a new
     /// extreme moves it.
@@ -964,7 +750,8 @@ mod tests {
             next.set_smoothed(touched[2].0, touched[2].1, 4.75);
             let patched = base.patched(&next, touched).expect("range unchanged");
             let full = WeightPlanes::from_dense_with(&next, 0.35, precision);
-            assert_eq!(patched.encode(), full.encode(), "{precision:?}");
+            assert_eq!(patched, full, "{precision:?}");
+            assert_ne!(patched, base, "{precision:?}");
 
             next.set_smoothed(UserId::new(0), ItemId::new(7), 5.5); // new max
             assert!(base
@@ -974,21 +761,21 @@ mod tests {
         }
     }
 
+    /// Presence is per cell, on both sides of item 64, where a row of
+    /// 64-bit words would change words.
     #[test]
-    fn presence_words_pack_64_cells_per_word() {
-        // 70 items → 2 words per row; bit 69 lands in word 1, bit 5.
+    fn presence_holds_across_the_64th_item() {
         let mut d = DenseRatings::new(2, 70);
-        d.set_original(UserId::new(1), ItemId::new(69), 2.0);
         d.set_smoothed(UserId::new(1), ItemId::new(0), 4.0);
-        let p = WeightPlanes::from_dense(&d, 0.35);
-        let PlanesView::U16(v) = p.view() else {
-            panic!("default precision must be U16");
-        };
-        assert_eq!(v.present_row(UserId::new(0)), &[0u64, 0u64]);
-        let row1 = v.present_row(UserId::new(1));
-        assert_eq!(row1, &[1u64, 1u64 << 5]);
-        assert_eq!(present_bit(row1, 69), 1);
-        assert_eq!(present_bit(row1, 68), 0);
-        assert_eq!(p.present_bytes(), 2 * 2 * 8);
+        d.set_original(UserId::new(1), ItemId::new(63), 3.0);
+        d.set_original(UserId::new(1), ItemId::new(69), 2.0);
+        for precision in [PlanePrecision::U16, PlanePrecision::U8] {
+            let p = WeightPlanes::from_dense_with(&d, 0.35, precision);
+            for (i, present) in [(0, true), (63, true), (64, false), (68, false), (69, true)] {
+                let i = ItemId::new(i);
+                assert_eq!(p.is_present(UserId::new(1), i), present, "{i:?}");
+                assert!(!p.is_present(UserId::new(0), i), "{i:?}");
+            }
+        }
     }
 }

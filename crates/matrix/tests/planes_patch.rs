@@ -1,10 +1,9 @@
 //! `WeightPlanes::patched` against a full fold. A patch must calibrate
 //! its code range bit for bit as `from_dense_with` over the patched
-//! store, refuse exactly when that range moved, and otherwise encode the
-//! same bytes. Planes folded here cache their row ranges; planes decoded
-//! from bytes do not, so both kinds are patched. Both zeros are among
-//! the values, because a fold that visits cells in another order can
-//! keep the other zero as the minimum.
+//! store, refuse exactly when that range moved, and otherwise store the
+//! same bits, row ranges included. Both zeros are among the values,
+//! because a fold that visits cells in another order can keep the other
+//! zero as the minimum.
 
 #![allow(clippy::float_cmp)]
 
@@ -12,7 +11,7 @@ use cf_matrix::{DenseRatings, ItemId, PlanePrecision, PlanesView, UserId, Weight
 use proptest::prelude::*;
 
 const USERS: u32 = 5;
-/// Two presence words per row.
+/// Rows longer than one 64-bit word.
 const ITEMS: u32 = 70;
 /// Cell values by index; index 0 leaves the cell absent.
 const VALUES: [f64; 8] = [f64::NAN, -0.0, 0.0, 0.5, 1.25, 2.0, 3.5, 4.0];
@@ -102,23 +101,20 @@ proptest! {
 
         for precision in [PlanePrecision::U16, PlanePrecision::U8] {
             let folded = WeightPlanes::from_dense_with(&dense, 0.35, precision);
-            let decoded = WeightPlanes::decode(&folded.encode()).map_err(|e| e.to_string())?;
             let full = WeightPlanes::from_dense_with(&next, 0.35, precision);
             let moved = calibration(&full) != calibration(&folded);
-            for base in [&folded, &decoded] {
-                match base.patched(&next, listed.iter().copied()) {
-                    Some(patched) => {
-                        prop_assert!(!moved, "{precision:?}: patched across a range move");
-                        prop_assert_eq!(patched.encode(), full.encode());
-                        // A patched plane caches its row ranges too:
-                        // patching the cells back lands on the base.
-                        let back = patched
-                            .patched(&dense, listed.iter().copied())
-                            .ok_or("patching back refused")?;
-                        prop_assert_eq!(back.encode(), folded.encode());
-                    }
-                    None => prop_assert!(moved, "{precision:?}: refused an unmoved range"),
+            match folded.patched(&next, listed.iter().copied()) {
+                Some(patched) => {
+                    prop_assert!(!moved, "{precision:?}: patched across a range move");
+                    prop_assert_eq!(&patched, &full);
+                    // A patched plane caches its row ranges too:
+                    // patching the cells back lands on the base.
+                    let back = patched
+                        .patched(&dense, listed.iter().copied())
+                        .ok_or("patching back refused")?;
+                    prop_assert_eq!(&back, &folded);
                 }
+                None => prop_assert!(moved, "{precision:?}: refused an unmoved range"),
             }
         }
     }

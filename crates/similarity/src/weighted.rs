@@ -73,8 +73,8 @@ pub fn weighted_user_pcc(
 ///
 /// ε is already folded into the plane's weight LUT (exactly — weights are
 /// never quantized), so the per-item loop has no weight select; presence
-/// is tested word-at-a-time from the bit-packed plane, and the cell's
-/// rating is dequantized in the loop. Only the rating carries quantization
+/// comes from the same cell load ([`cf_matrix::PlaneDequant::triple`]),
+/// and the cell's rating is dequantized in the loop. Only the rating carries quantization
 /// error (≤ `step/2` per cell, `step = planes.step()`): the overlap count
 /// `n` and the availability decision are exact, and the correlation
 /// matches the naive kernel to a tolerance proportional to
