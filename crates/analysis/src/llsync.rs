@@ -4,7 +4,7 @@
 //! [`LLShim`] is the model checker's counterpart of
 //! [`cf_obs::sync::StdShim`]: every operation on its primitives is a
 //! *yield point* where the calling thread declares the operation it is
-//! about to perform (its [`OpId`], feeding the sleep-set reduction),
+//! about to perform (its `OpId`, feeding the sleep-set reduction),
 //! parks, and the [`crate::sched`] scheduler decides who runs next.
 //! Lock acquisition goes through a scheduler-side resource table, so a
 //! contended acquire parks the thread as `Blocked` (excluded from the

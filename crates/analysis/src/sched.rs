@@ -23,12 +23,12 @@
 //!
 //! - **Sleep-set partial-order reduction** (exhaustive mode): each
 //!   parked thread declares the operation it will perform next (its
-//!   [`OpId`]); after a subtree for thread `t` is explored, `t` joins
+//!   `OpId`); after a subtree for thread `t` is explored, `t` joins
 //!   the *sleep set* of its later siblings and stays asleep until an
 //!   operation **dependent** with its pending one executes. A schedule
 //!   whose every ready thread sleeps is a guaranteed reordering of an
 //!   already-explored one and is abandoned (counted in
-//!   [`Report::sleep_pruned`]). Soundness rests on [`dependent`] being
+//!   [`Report::sleep_pruned`]). Soundness rests on `dependent` being
 //!   conservative: independent operations commute and cannot
 //!   enable/disable each other, so commuting them cannot change any
 //!   reachable state.

@@ -17,7 +17,7 @@
 //!
 //! The insert/evict/poison-reset logic lives in [`ShardedCacheCore`],
 //! generic over the [`cf_obs::sync::Shim`] primitive family: production
-//! instantiates it with [`StdShim`] (this module's [`ShardedCache`]),
+//! instantiates it with [`StdShim`] (this module's `ShardedCache`),
 //! while the `cf-analysis` loom-lite model checker instantiates the
 //! *same* logic with scheduler-instrumented primitives and exhaustively
 //! explores thread interleavings against its invariants (bounded

@@ -42,11 +42,12 @@ pub struct CfsfConfig {
     /// "no smoothing" ablation: candidates and estimators then see only
     /// original ratings.
     pub use_smoothing: bool,
-    /// Storage precision of the serving weight planes. Online-only: it
-    /// never changes what the offline phase builds, and predictions stay
-    /// within the documented quantization tolerance of the f64 reference
-    /// path (DESIGN.md §6c). `U16` (default) is invisible next to model
-    /// error; `U8` halves the plane again at a coarser tolerance.
+    /// Storage precision of the serving weight planes. It has one value:
+    /// the planes are always 16-bit cells (DESIGN.md §6c), and nothing in
+    /// the model reads this field. It remains only because the
+    /// benchmark's offline-phase replay (`cfbench/src/profile.rs`) passes
+    /// it to [`cf_matrix::WeightPlanes::from_dense_with`]; once that call
+    /// uses `from_dense`, the field goes.
     pub plane_precision: PlanePrecision,
 }
 
@@ -200,13 +201,6 @@ impl CfsfConfig {
         self.clusters = clusters;
         self
     }
-
-    /// Builder-style override of the serving-plane precision.
-    #[must_use]
-    pub fn with_plane_precision(mut self, precision: PlanePrecision) -> Self {
-        self.plane_precision = precision;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -264,11 +258,8 @@ mod tests {
     }
 
     #[test]
-    fn plane_precision_defaults_to_u16_and_overrides() {
+    fn plane_precision_defaults_to_u16() {
         assert_eq!(CfsfConfig::paper().plane_precision, PlanePrecision::U16);
         assert_eq!(CfsfConfig::small().plane_precision, PlanePrecision::U16);
-        let c = CfsfConfig::small().with_plane_precision(PlanePrecision::U8);
-        assert_eq!(c.plane_precision, PlanePrecision::U8);
-        assert!(c.validate().is_ok());
     }
 }

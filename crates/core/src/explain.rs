@@ -58,7 +58,7 @@ pub struct Explanation {
 impl Cfsf {
     /// Explains the prediction for `(user, item)`: the breakdown plus the
     /// individual evidence terms, strongest first. Returns `None` exactly
-    /// when [`Cfsf::predict`] would.
+    /// when [`Cfsf::predict`](cf_matrix::Predictor::predict) would.
     pub fn explain(&self, user: UserId, item: ItemId) -> Option<Explanation> {
         let breakdown = self.predict_with_breakdown(user, item)?;
         let eps = self.config.w;

@@ -11,7 +11,8 @@
 //! 3. smooth every unrated cell within its user cluster (Eq. 7–8),
 //! 4. rank clusters per user into the iCluster structure (Eq. 9).
 //!
-//! **Online** ([`Cfsf::predict`]): for a request `(u_b, i_a)`,
+//! **Online** ([`Cfsf::predict`](cf_matrix::Predictor::predict)): for a
+//! request `(u_b, i_a)`,
 //! 1. take the top `M` similar items straight off the GIS,
 //! 2. harvest like-minded-user candidates cluster-by-cluster in iCluster
 //!    order and rank them with the smoothing-aware weighted PCC
@@ -63,7 +64,6 @@ pub mod refresh;
 mod strips;
 pub mod topk;
 
-pub use cf_matrix::PlanePrecision;
 pub use config::CfsfConfig;
 pub use degrade::DegradeLevel;
 pub use error::CfsfError;

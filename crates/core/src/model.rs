@@ -40,7 +40,7 @@ pub struct Cfsf {
     /// is off; otherwise [`Self::dense`] is the smoothed store itself.
     pub(crate) raw_dense: Option<DenseRatings>,
     /// Quantized weight planes over [`Self::dense`] (ε and provenance
-    /// folded into an exact weight LUT, ratings stored as u16/u8 codes
+    /// folded into an exact weight LUT, ratings stored as 16-bit codes
     /// with presence and provenance in each cell) — what the serving
     /// fast path actually reads. Derived state: every fit, load and
     /// rebuild folds (or patches) them from the dense store.
@@ -105,14 +105,16 @@ impl Cfsf {
             clusters,
             smoothed,
             icluster,
-            Self::fold_planes,
+            Self::fold_serving,
         )
     }
 
     /// [`Self::assemble`] past smoothing and iCluster, for callers that
     /// already hold both (an online-only reparameterization, a partial
-    /// rebuild). `planes` derives the weight planes from the dense store
-    /// the model will serve from.
+    /// rebuild). `serving` derives the raw store [`Self::dense`] serves
+    /// when smoothing is off (`None` when it is on) and the weight planes
+    /// folded from whichever store serves; [`Self::fold_serving`] builds
+    /// both from scratch.
     pub(crate) fn assemble_smoothed(
         config: CfsfConfig,
         matrix: RatingMatrix,
@@ -120,10 +122,13 @@ impl Cfsf {
         clusters: ClusterAssignment,
         smoothed: Smoothed,
         icluster: ICluster,
-        planes: impl FnOnce(&DenseRatings, &CfsfConfig) -> WeightPlanes,
+        serving: impl FnOnce(
+            &CfsfConfig,
+            &RatingMatrix,
+            &Smoothed,
+        ) -> (Option<DenseRatings>, WeightPlanes),
     ) -> Self {
-        let raw_dense = (!config.use_smoothing).then(|| DenseRatings::from_sparse(&matrix));
-        let planes = planes(raw_dense.as_ref().unwrap_or(&smoothed.dense), &config);
+        let (raw_dense, planes) = serving(&config, &matrix, &smoothed);
         let strips = crate::strips::ItemStrips::build(&gis, config.m);
         let model = Self {
             config,
@@ -143,7 +148,19 @@ impl Cfsf {
 
     /// Folds the whole dense store into weight planes.
     pub(crate) fn fold_planes(dense: &DenseRatings, config: &CfsfConfig) -> WeightPlanes {
-        WeightPlanes::from_dense_with(dense, config.w, config.plane_precision)
+        WeightPlanes::from_dense(dense, config.w)
+    }
+
+    /// The raw sparse ratings densified when smoothing is off, and the
+    /// weight planes folded whole from the store the model serves.
+    pub(crate) fn fold_serving(
+        config: &CfsfConfig,
+        matrix: &RatingMatrix,
+        smoothed: &Smoothed,
+    ) -> (Option<DenseRatings>, WeightPlanes) {
+        let raw_dense = (!config.use_smoothing).then(|| DenseRatings::from_sparse(matrix));
+        let planes = Self::fold_planes(raw_dense.as_ref().unwrap_or(&smoothed.dense), config);
+        (raw_dense, planes)
     }
 
     /// Dense ratings the online phase reads: the smoothed matrix, or the
@@ -257,7 +274,7 @@ impl Cfsf {
             self.clusters.clone(),
             self.smoothed.clone(),
             self.icluster.clone(),
-            Self::fold_planes,
+            Self::fold_serving,
         ))
     }
 

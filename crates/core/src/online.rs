@@ -5,13 +5,14 @@
 //!
 //! - the **serving fast path** ([`Cfsf::predict_with_breakdown`]): reads
 //!   the quantized [`cf_matrix::WeightPlanes`] (ε, presence, and
-//!   provenance folded into one u16/u8 cell per entry with an exact
-//!   weight LUT — one load per cell) and runs the Eq. 12 sums as branch-free
-//!   multiply-accumulate with the dequantization fused into the loops —
-//!   no per-cell `is_nan` test, no provenance-bit extraction, pair
-//!   weights via a vectorizable reciprocal-square-root strip, and the
-//!   next neighbor's plane row software-prefetched while the current one
-//!   is in the MAC (the path is LLC-latency-bound, DESIGN.md §6c);
+//!   provenance folded into one 16-bit [`cf_matrix::PlaneCell`] per entry
+//!   with an exact weight LUT — one load per cell) and runs the Eq. 12
+//!   sums as branch-free multiply-accumulate with the dequantization
+//!   fused into the loops — no per-cell `is_nan` test, no
+//!   provenance-bit extraction, pair weights via a vectorizable
+//!   reciprocal-square-root strip, and the next neighbor's plane row
+//!   software-prefetched while the current one is in the MAC (the path
+//!   is LLC-latency-bound, DESIGN.md §6c);
 //! - the **reference path** ([`Cfsf::predict_with_breakdown_ref`]): the
 //!   original per-cell f64 loops over the dense matrix. It is the ground
 //!   truth the fast kernels are property-tested against (within the
@@ -31,7 +32,7 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use cf_matrix::{ItemId, PlanesView, QuantCell, TypedPlanes, UserId};
+use cf_matrix::{ItemId, UserId};
 use cf_similarity::{pair_weight, smoothing_weight, weighted_user_pcc_planes};
 
 use crate::{fuse, Cfsf, DegradeLevel};
@@ -214,9 +215,7 @@ impl Cfsf {
     }
 
     // The fast Eq. 12 kernels over the quantized weight planes and the
-    // precomputed per-item strips, one per estimator. Each is generic
-    // over the plane precision, so a caller dispatches once per request
-    // and the kernels monomorphize. Dequantization
+    // precomputed per-item strips, one per estimator. Dequantization
     // ([`cf_matrix::PlaneDequant::pair`]) is fused into every loop, and
     // presence comes from each cell's own bit. Weights dequantize exactly
     // (the LUT holds `0`/`ε`/`1−ε` verbatim), so denominators, `m_used`,
@@ -229,15 +228,10 @@ impl Cfsf {
     /// items, dequantized straight off the user's plane row. The presence
     /// bit gates the weight (absent cells contribute exact zeros) and
     /// sums into `m_used` — no `is_nan` test. Returns `(sir, m_used)`.
-    fn sir_kernel<C: QuantCell>(
-        &self,
-        planes: &TypedPlanes<'_, C>,
-        user: UserId,
-        item: ItemId,
-    ) -> (Option<f64>, usize) {
-        let dq = planes.dq();
+    fn sir_kernel(&self, user: UserId, item: ItemId) -> (Option<f64>, usize) {
+        let dq = self.planes.dq();
         let (idx, sim, _) = self.strip(item);
-        let row_b = planes.cell_row(user);
+        let row_b = self.planes.cell_row(user);
         let mut sir_num = 0.0;
         let mut sir_den = 0.0;
         let mut m_used = 0u64;
@@ -254,18 +248,12 @@ impl Cfsf {
     /// SUR': like-minded users' (smoothed) ratings on the active item,
     /// mean-centered per user: `w·(r − mean)` becomes `w·r − w·mean`
     /// straight off the planes.
-    fn sur_kernel<C: QuantCell>(
-        &self,
-        planes: &TypedPlanes<'_, C>,
-        user: UserId,
-        item: ItemId,
-        top_users: &[(UserId, f64)],
-    ) -> Option<f64> {
+    fn sur_kernel(&self, user: UserId, item: ItemId, top_users: &[(UserId, f64)]) -> Option<f64> {
         let mean_b = self.matrix.user_mean(user);
         let mut sur_num = 0.0;
         let mut sur_den = 0.0;
         for &(u_t, sim_t) in top_users {
-            let (w, wr) = planes.pair(u_t, item);
+            let (w, wr) = self.planes.pair(u_t, item);
             sur_num += sim_t * (wr - w * self.matrix.user_mean(u_t));
             sur_den += sim_t * w;
         }
@@ -274,9 +262,9 @@ impl Cfsf {
 
     /// SUIR': Eq. 12/13 over the local `M × K` matrix, one neighbor row
     /// at a time. Phase one touches the *next* neighbor's plane row (safe
-    /// software prefetch — see `TypedPlanes::prefetch_row`), so its DRAM
-    /// latency overlaps this neighbor's pair-weight fill and MAC: at
-    /// q=1000 a u16 row is ~32 cache lines and the M=95 strip scatters
+    /// software prefetch — see [`cf_matrix::WeightPlanes::prefetch_row`]),
+    /// so its DRAM latency overlaps this neighbor's pair-weight fill and
+    /// MAC: at q=1000 a row is ~32 cache lines and the M=95 strip scatters
     /// across most of them, so whole-row touching is right-sized. Phase
     /// two fills the pair-weight strip `ss·st·rsqrt(ss² + st²)` — pure
     /// mul/add over contiguous memory, so it vectorizes where the
@@ -289,14 +277,10 @@ impl Cfsf {
     ///
     /// Every pair weight and every plane weight is non-negative, so the
     /// result is a weighted mean of dequantized plane ratings: it never
-    /// exceeds the top of [`TypedPlanes::rating_range`] by more than
-    /// rounding.
-    fn suir_kernel<C: QuantCell>(
-        &self,
-        planes: &TypedPlanes<'_, C>,
-        item: ItemId,
-        top_users: &[(UserId, f64)],
-    ) -> Option<f64> {
+    /// exceeds the top of [`cf_matrix::WeightPlanes::rating_range`] by
+    /// more than rounding.
+    fn suir_kernel(&self, item: ItemId, top_users: &[(UserId, f64)]) -> Option<f64> {
+        let planes = &self.planes;
         let dq = planes.dq();
         let (idx, sim, sim2) = self.strip(item);
         SCRATCH.with(|cell| {
@@ -339,41 +323,6 @@ impl Cfsf {
             }
             (suir_den > f64::EPSILON).then(|| suir_num / suir_den)
         })
-    }
-
-    /// The whole online phase for one item on one plane precision: the
-    /// three kernels back to back, each in its trace span, then fusion
-    /// and the per-prediction counters.
-    fn predict_typed<C: QuantCell>(
-        &self,
-        planes: &TypedPlanes<'_, C>,
-        user: UserId,
-        item: ItemId,
-        top_users: &[(UserId, f64)],
-    ) -> PredictionBreakdown {
-        let sir_span = cf_obs::trace::span("estimator.sir");
-        let (sir, m_used) = self.sir_kernel(planes, user, item);
-        drop(sir_span);
-        let sur_span = cf_obs::trace::span("estimator.sur");
-        let sur = self.sur_kernel(planes, user, item, top_users);
-        drop(sur_span);
-        let suir_span = cf_obs::trace::span("estimator.suir");
-        let suir = self.suir_kernel(planes, item, top_users);
-        drop(suir_span);
-        #[cfg(feature = "faultinject")]
-        let sir = sir.map(|v| cf_faultinject::corrupt_f64("online.nan_estimator", v));
-
-        let fuse_span = cf_obs::trace::span("fuse");
-        let estimates = Estimates {
-            sir,
-            sur,
-            suir,
-            m_used,
-        };
-        let b = self.fuse_with_ladder(user, item, estimates, top_users.len());
-        drop(fuse_span);
-        record_served(&b);
-        b
     }
 
     /// Fuses whatever estimators survived sanitization and, when none
@@ -475,10 +424,28 @@ impl Cfsf {
             self.top_k_users(user)
         };
         cf_obs::time_scope!("online.predict_ns");
-        let b = match self.planes.view() {
-            PlanesView::U16(v) => self.predict_typed(&v, user, item, &top_users),
-            PlanesView::U8(v) => self.predict_typed(&v, user, item, &top_users),
+        let sir_span = cf_obs::trace::span("estimator.sir");
+        let (sir, m_used) = self.sir_kernel(user, item);
+        drop(sir_span);
+        let sur_span = cf_obs::trace::span("estimator.sur");
+        let sur = self.sur_kernel(user, item, &top_users);
+        drop(sur_span);
+        let suir_span = cf_obs::trace::span("estimator.suir");
+        let suir = self.suir_kernel(item, &top_users);
+        drop(suir_span);
+        #[cfg(feature = "faultinject")]
+        let sir = sir.map(|v| cf_faultinject::corrupt_f64("online.nan_estimator", v));
+
+        let fuse_span = cf_obs::trace::span("fuse");
+        let estimates = Estimates {
+            sir,
+            sur,
+            suir,
+            m_used,
         };
+        let b = self.fuse_with_ladder(user, item, estimates, top_users.len());
+        drop(fuse_span);
+        record_served(&b);
         trace_req.finish(cf_obs::trace::Outcome {
             level: b.level.as_str(),
             fallback: b.used_fallback,
@@ -504,20 +471,6 @@ impl Cfsf {
         start: u32,
         end: u32,
     ) -> Vec<(ItemId, f64)> {
-        match self.planes.view() {
-            PlanesView::U16(v) => self.top_n_typed(&v, user, n, start, end),
-            PlanesView::U8(v) => self.top_n_typed(&v, user, n, start, end),
-        }
-    }
-
-    fn top_n_typed<C: QuantCell>(
-        &self,
-        planes: &TypedPlanes<'_, C>,
-        user: UserId,
-        n: usize,
-        start: u32,
-        end: u32,
-    ) -> Vec<(ItemId, f64)> {
         // One trace for the whole call, labeled like the router's.
         let trace_req = cf_obs::trace::begin_request(user.raw(), u32::MAX);
         let top_users = {
@@ -529,18 +482,18 @@ impl Cfsf {
         // ascending item order, so ties on the candidate index break as
         // ties on the item id do.
         let bound_span = cf_obs::trace::span("topn.bound");
-        let suir_max = self.suir_ceiling(planes, top_users.len());
+        let suir_max = self.suir_ceiling(top_users.len());
         let mut candidates: Vec<(ItemId, Estimates)> = Vec::new();
         let mut bounds: Vec<f64> = Vec::new();
         for item in (start..end).map(ItemId::new) {
             if self.matrix.is_rated(user, item) {
                 continue;
             }
-            let (sir, m_used) = self.sir_kernel(planes, user, item);
+            let (sir, m_used) = self.sir_kernel(user, item);
             // The same fault point, at the same place, as `predict`.
             #[cfg(feature = "faultinject")]
             let sir = sir.map(|v| cf_faultinject::corrupt_f64("online.nan_estimator", v));
-            let sur = self.sur_kernel(planes, user, item, &top_users);
+            let sur = self.sur_kernel(user, item, &top_users);
             bounds.push(self.score_bound(sir, sur, suir_max));
             let estimates = Estimates {
                 sir,
@@ -558,7 +511,7 @@ impl Cfsf {
         let (best, scored) = crate::topk::top_k_by_bound(n, &bounds, |k| {
             let (item, estimates) = candidates[k];
             let estimates = Estimates {
-                suir: self.suir_kernel(planes, item, &top_users),
+                suir: self.suir_kernel(item, &top_users),
                 ..estimates
             };
             let b = self.fuse_with_ladder(user, item, estimates, top_users.len());
@@ -605,15 +558,15 @@ impl Cfsf {
         }
     }
 
-    /// The largest SUIR' [`Self::suir_kernel`] can return on `planes`
-    /// with `k_used` neighbors: the planes' top rating plus a rounding
-    /// margin. SUIR' is a quotient of two sums of at most `M·K`
-    /// non-negatively weighted terms; each sum is within `n·u` of exact
-    /// (`u` the unit roundoff, `n` the terms), so the quotient exceeds the
-    /// top rating by at most about `2n·u` of the largest rating
-    /// magnitude. The margin allows four times that, plus slack.
-    fn suir_ceiling<C: QuantCell>(&self, planes: &TypedPlanes<'_, C>, k_used: usize) -> f64 {
-        let (lo, hi) = planes.rating_range();
+    /// The largest SUIR' [`Self::suir_kernel`] can return with `k_used`
+    /// neighbors: the planes' top rating plus a rounding margin. SUIR'
+    /// is a quotient of two sums of at most `M·K` non-negatively
+    /// weighted terms; each sum is within `n·u` of exact (`u` the unit
+    /// roundoff, `n` the terms), so the quotient exceeds the top rating
+    /// by at most about `2n·u` of the largest rating magnitude. The
+    /// margin allows four times that, plus slack.
+    fn suir_ceiling(&self, k_used: usize) -> f64 {
+        let (lo, hi) = self.planes.rating_range();
         let terms = (self.config.m * k_used + 64) as f64;
         hi + 4.0 * terms * f64::EPSILON * lo.abs().max(hi.abs()).max(1.0)
     }

@@ -22,7 +22,7 @@
 //! config (1)    | clusters, k, m, candidate_factor, kmeans_iterations: u64
 //!               | lambda, delta, w, gis.threshold: f64
 //!               | gis.max_neighbors: u64 (u64::MAX = none)
-//!               | seed: u64 | use_smoothing: u8 | plane_precision: u8
+//!               | seed: u64 | use_smoothing: u8 | plane_precision: u8 (= 0)
 //! matrix (2)    | num_users, num_items, nnz: u64 | scale min,max: f64
 //!               | nnz × (user u32, item u32, rating f64)
 //! gis (3)       | num_items × [len u64, len × (item u32, sim f64)]
@@ -223,7 +223,9 @@ fn encode_config(c: &CfsfConfig) -> io::Result<Vec<u8>> {
     put_u64(&mut w, c.gis.max_neighbors.map_or(u64::MAX, |n| n as u64))?;
     put_u64(&mut w, c.seed)?;
     put_u8(&mut w, u8::from(c.use_smoothing))?;
-    put_u8(&mut w, c.plane_precision.code())?;
+    // The plane precision byte: 0, 16-bit cells, the only layout. It
+    // stays so V4 files keep their bytes; the next format version drops it.
+    put_u8(&mut w, 0)?;
     Ok(w)
 }
 
@@ -282,8 +284,11 @@ fn decode_config(r: &mut &[u8]) -> Result<CfsfConfig, PersistError> {
     let seed = get_u64(r)?;
     let use_smoothing = get_u8(r)? != 0;
     let code = get_u8(r)?;
-    let plane_precision = cf_matrix::PlanePrecision::from_code(code)
-        .ok_or_else(|| PersistError::Format(format!("unknown plane precision code {code}")))?;
+    if code != 0 {
+        return Err(PersistError::Format(format!(
+            "unknown plane precision code {code}"
+        )));
+    }
     let config = CfsfConfig {
         clusters,
         lambda,
@@ -301,7 +306,7 @@ fn decode_config(r: &mut &[u8]) -> Result<CfsfConfig, PersistError> {
         seed,
         threads: None,
         use_smoothing,
-        plane_precision,
+        plane_precision: cf_matrix::PlanePrecision::U16,
     };
     config.validate()?;
     Ok(config)
@@ -388,8 +393,21 @@ fn decode_gis(r: &mut &[u8], num_items: usize) -> Result<Gis, PersistError> {
     Ok(Gis::from_lists(lists))
 }
 
-fn decode_clusters(r: &mut &[u8], num_users: usize) -> Result<ClusterAssignment, PersistError> {
+/// `max_clusters` is the stored config's `C`: [`KMeans::fit`] forms
+/// between 1 and `min(C, P)` clusters, and a count outside that would
+/// size the member lists before a single id is read.
+fn decode_clusters(
+    r: &mut &[u8],
+    num_users: usize,
+    max_clusters: usize,
+) -> Result<ClusterAssignment, PersistError> {
     let stored_k = get_usize(r, "cluster count", LIMIT)?;
+    let max_k = max_clusters.min(num_users);
+    if !(1..=max_k).contains(&stored_k) {
+        return Err(PersistError::Format(format!(
+            "cluster count {stored_k} outside 1..={max_k}"
+        )));
+    }
     let iterations = get_usize(r, "kmeans iterations run", LIMIT)?;
     let converged = get_u8(r)? != 0;
     let mut assignment = Vec::with_capacity(num_users);
@@ -574,9 +592,11 @@ fn load_impl<R: Read>(mut r: R, recover: bool) -> Result<(Cfsf, RecoveryReport),
             Gis::build(&matrix, &config.gis_config())
         }
     };
-    let clusters = match read_section(&mut r, TAG_CLUSTERS, "clusters")
-        .and_then(|p| decode_section(&p, "clusters", |r| decode_clusters(r, matrix.num_users())))
-    {
+    let clusters = match read_section(&mut r, TAG_CLUSTERS, "clusters").and_then(|p| {
+        decode_section(&p, "clusters", |r| {
+            decode_clusters(r, matrix.num_users(), config.clusters)
+        })
+    }) {
         Ok(clusters) => clusters,
         Err(e) if !recover => return Err(e),
         Err(_) => {
@@ -629,6 +649,33 @@ mod tests {
         }
     }
 
+    /// The model-file bytes of one fit, pinned by length and CRC32 as
+    /// recorded when the V4 layout was current: a change to the format,
+    /// the GIS or K-means that alters a single saved byte fails here.
+    /// The matrix is an integer formula, not the synthetic generator, so
+    /// no libm result feeds it, and the fit runs on one thread.
+    #[test]
+    fn saved_model_bytes_are_pinned() {
+        let (users, items) = (60u32, 90u32);
+        let mut b = MatrixBuilder::with_dims(users as usize, items as usize);
+        for u in 0..users {
+            for i in 0..items {
+                if (u * 7 + i * 13 + u * i) % 11 < 4 {
+                    let r = 1 + (u % 3 * 2 + i % 5 + (u * i) % 3) % 5;
+                    b.push(UserId::new(u), ItemId::new(i), f64::from(r));
+                }
+            }
+        }
+        let config = CfsfConfig {
+            threads: Some(1),
+            ..CfsfConfig::small()
+        };
+        let model = Cfsf::fit(&b.build().unwrap(), config).unwrap();
+        let mut buf = Vec::new();
+        model.save(&mut buf).unwrap();
+        assert_eq!((buf.len(), crc32(&buf)), (69_667, 0xF397_9486));
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // Standard IEEE CRC-32 check values.
@@ -671,21 +718,6 @@ mod tests {
         assert_eq!(a.gis.max_neighbors, b.gis.max_neighbors);
     }
 
-    #[test]
-    fn plane_precision_round_trips_through_save() {
-        let d = SyntheticConfig::small().generate();
-        let cfg = CfsfConfig::small().with_plane_precision(cf_matrix::PlanePrecision::U8);
-        let original = Cfsf::fit(&d.matrix, cfg).unwrap();
-        let mut buf = Vec::new();
-        original.save(&mut buf).unwrap();
-        let loaded = Cfsf::load(buf.as_slice()).unwrap();
-        assert_eq!(
-            loaded.config().plane_precision,
-            cf_matrix::PlanePrecision::U8
-        );
-        assert_predictions_match(&original, &loaded);
-    }
-
     /// A V4 stream of the given `(tag, payload)` sections.
     fn stream(sections: &[(u32, &[u8])]) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -697,12 +729,28 @@ mod tests {
         buf
     }
 
+    /// The precision byte must be 0 (16-bit cells): code 1, once 8-bit
+    /// cells, and any other code fail both loads of an otherwise intact
+    /// file.
     #[test]
     fn unknown_plane_precision_code_is_rejected() {
-        let mut payload = encode_config(&model().config).unwrap();
-        *payload.last_mut().unwrap() = 7; // no such precision
-        let e = Cfsf::load(stream(&[(TAG_CONFIG, &payload)]).as_slice()).unwrap_err();
-        assert!(e.to_string().contains("plane precision"), "{e}");
+        let mut clean = Vec::new();
+        model().save(&mut clean).unwrap();
+        let config = section_payload(&clean, 0);
+        assert_eq!(clean[config.end - 1], 0);
+        for code in [1u8, 7] {
+            let mut payload = clean[config.clone()].to_vec();
+            *payload.last_mut().unwrap() = code;
+            let mut buf = clean[..config.start - 12].to_vec();
+            write_section(&mut buf, TAG_CONFIG, &payload).unwrap();
+            buf.extend_from_slice(&clean[config.end + 4..]);
+            assert_eq!(buf.len(), clean.len());
+            let e = Cfsf::load(buf.as_slice()).unwrap_err();
+            assert!(matches!(e, PersistError::Format(_)), "{code}: {e}");
+            assert!(e.to_string().contains("plane precision"), "{e}");
+            let e = Cfsf::load_with_recovery(buf.as_slice()).unwrap_err();
+            assert!(matches!(e, PersistError::Format(_)), "{code}: {e}");
+        }
     }
 
     /// A config the fit would refuse is refused on load too, not served.
@@ -849,6 +897,32 @@ mod tests {
         assert!(report.clusters_rebuilt);
         assert!(!report.gis_rebuilt);
         assert_predictions_match(&original, &recovered);
+    }
+
+    /// A cluster count no fit can form is refused before the member
+    /// lists are sized: `P + 1` clusters over valid ids (which a lenient
+    /// decoder loads), and `2^32`, which would ask for 96 GiB of empty
+    /// lists. Recovery refits the assignment as `fit` does.
+    #[test]
+    fn cluster_counts_beyond_what_kmeans_forms_are_format() {
+        let original = model();
+        let mut clean = Vec::new();
+        original.save(&mut clean).unwrap();
+        let clusters = section_payload(&clean, 3);
+        let num_users = original.matrix.num_users() as u64;
+        for k in [num_users + 1, LIMIT] {
+            let mut payload = clean[clusters.clone()].to_vec();
+            payload[..8].copy_from_slice(&k.to_le_bytes());
+            let mut buf = clean[..clusters.start - 12].to_vec();
+            write_section(&mut buf, TAG_CLUSTERS, &payload).unwrap();
+            assert_eq!(buf.len(), clean.len());
+            let e = Cfsf::load(buf.as_slice()).unwrap_err();
+            assert!(matches!(e, PersistError::Format(_)), "k {k}: {e}");
+            assert!(e.to_string().contains("cluster count"), "{e}");
+            let (recovered, report) = Cfsf::load_with_recovery(buf.as_slice()).unwrap();
+            assert!(report.clusters_rebuilt && !report.gis_rebuilt, "k {k}");
+            assert_predictions_match(&original, &recovered);
+        }
     }
 
     /// A stream ends after its clusters section. Appended bytes fail the

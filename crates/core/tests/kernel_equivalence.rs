@@ -3,8 +3,7 @@
 //! `Cfsf::predict_with_breakdown` (quantized planes + gathered SUIR
 //! kernel) must match `Cfsf::predict_with_breakdown_ref` (per-cell `f64`
 //! loops over the dense matrix) on every component, for random matrices,
-//! the ε extremes and paper default, both plane precisions, and across
-//! thread counts.
+//! the ε extremes and paper default, and across thread counts.
 //!
 //! The tolerance is model-derived: `plane_quant_step() + 1e-9`. Every
 //! estimator is a convex (weighted-average) combination of ratings each
@@ -14,7 +13,7 @@
 //! and degrade level must agree exactly.
 
 use cf_matrix::{ItemId, MatrixBuilder, Predictor, RatingMatrix, UserId};
-use cfsf_core::{Cfsf, CfsfConfig, PlanePrecision};
+use cfsf_core::{Cfsf, CfsfConfig};
 use proptest::prelude::*;
 
 fn arb_matrix() -> impl Strategy<Value = RatingMatrix> {
@@ -45,56 +44,42 @@ proptest! {
 
     #[test]
     fn fast_path_matches_reference_across_epsilon(m in arb_matrix()) {
-        for precision in [PlanePrecision::U16, PlanePrecision::U8] {
-            for eps in [0.0, 0.35, 1.0] {
-                let mut cfg = CfsfConfig::small().with_plane_precision(precision);
-                cfg.w = eps;
-                let model = Cfsf::fit(&m, cfg).expect("fit");
-                let tol = model.plane_quant_step() + 1e-9;
-                for u in 0..m.num_users() {
-                    for i in 0..m.num_items() {
-                        let (user, item) = (UserId::from(u), ItemId::from(i));
-                        let fast = model.predict_with_breakdown(user, item);
-                        let refr = model.predict_with_breakdown_ref(user, item);
-                        match (fast, refr) {
-                            (Some(f), Some(r)) => {
-                                prop_assert!(
-                                    (f.fused - r.fused).abs() <= tol,
-                                    "{precision:?} eps={eps} ({u},{i}): fast={} ref={}",
-                                    f.fused, r.fused
-                                );
-                                prop_assert!(
-                                    opt_close(f.sir, r.sir, tol),
-                                    "sir {precision:?} eps={eps} ({u},{i})"
-                                );
-                                prop_assert!(
-                                    opt_close(f.sur, r.sur, tol),
-                                    "sur {precision:?} eps={eps} ({u},{i})"
-                                );
-                                prop_assert!(
-                                    opt_close(f.suir, r.suir, tol),
-                                    "suir {precision:?} eps={eps} ({u},{i})"
-                                );
-                                prop_assert!(
-                                    f.m_used == r.m_used,
-                                    "m_used {precision:?} eps={eps} ({u},{i})"
-                                );
-                                prop_assert!(
-                                    f.k_used == r.k_used,
-                                    "k_used {precision:?} eps={eps} ({u},{i})"
-                                );
-                                prop_assert!(
-                                    f.used_fallback == r.used_fallback,
-                                    "fallback {precision:?} eps={eps} ({u},{i})"
-                                );
-                            }
-                            (None, None) => {}
-                            (f, r) => {
-                                prop_assert!(
-                                    false,
-                                    "availability {precision:?} eps={eps} ({u},{i}): {f:?} vs {r:?}"
-                                );
-                            }
+        for eps in [0.0, 0.35, 1.0] {
+            let mut cfg = CfsfConfig::small();
+            cfg.w = eps;
+            let model = Cfsf::fit(&m, cfg).expect("fit");
+            let tol = model.plane_quant_step() + 1e-9;
+            for u in 0..m.num_users() {
+                for i in 0..m.num_items() {
+                    let (user, item) = (UserId::from(u), ItemId::from(i));
+                    let fast = model.predict_with_breakdown(user, item);
+                    let refr = model.predict_with_breakdown_ref(user, item);
+                    match (fast, refr) {
+                        (Some(f), Some(r)) => {
+                            prop_assert!(
+                                (f.fused - r.fused).abs() <= tol,
+                                "eps={eps} ({u},{i}): fast={} ref={}",
+                                f.fused, r.fused
+                            );
+                            prop_assert!(opt_close(f.sir, r.sir, tol), "sir eps={eps} ({u},{i})");
+                            prop_assert!(opt_close(f.sur, r.sur, tol), "sur eps={eps} ({u},{i})");
+                            prop_assert!(
+                                opt_close(f.suir, r.suir, tol),
+                                "suir eps={eps} ({u},{i})"
+                            );
+                            prop_assert!(f.m_used == r.m_used, "m_used eps={eps} ({u},{i})");
+                            prop_assert!(f.k_used == r.k_used, "k_used eps={eps} ({u},{i})");
+                            prop_assert!(
+                                f.used_fallback == r.used_fallback,
+                                "fallback eps={eps} ({u},{i})"
+                            );
+                        }
+                        (None, None) => {}
+                        (f, r) => {
+                            prop_assert!(
+                                false,
+                                "availability eps={eps} ({u},{i}): {f:?} vs {r:?}"
+                            );
                         }
                     }
                 }

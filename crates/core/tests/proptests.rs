@@ -4,7 +4,7 @@ use std::sync::OnceLock;
 
 use cf_matrix::{ItemId, MatrixBuilder, Predictor, RatingMatrix, UserId};
 use cfsf_core::topk::top_k_by_score;
-use cfsf_core::{fuse, Cfsf, CfsfConfig, FusionWeights, PlanePrecision};
+use cfsf_core::{fuse, Cfsf, CfsfConfig, FusionWeights};
 use proptest::prelude::*;
 
 fn arb_component() -> impl Strategy<Value = Option<f64>> {
@@ -171,15 +171,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Pruned top-N equals the exhaustive pipeline by `to_bits` and in
-    /// order, for `w`, `λ`, `δ` on {0, 0.1, 1}, both plane precisions,
-    /// smoothing on and off, random stripes, a user with no ratings, and
-    /// `n` from none through every candidate to `u32::MAX`.
+    /// order, for `w`, `λ`, `δ` on {0, 0.1, 1}, smoothing on and off,
+    /// random stripes, a user with no ratings, and `n` from none through
+    /// every candidate to `u32::MAX`.
     #[test]
     fn pruned_top_n_equals_scoring_every_item(
         w in 0usize..3,
         lambda in 0usize..3,
         delta in 0usize..3,
-        u8_planes in 0u32..2,
         smoothing in 0u32..2,
         user in 0u32..82,
         a in 0u32..140,
@@ -191,7 +190,6 @@ proptest! {
                 c.w = GRID[w];
                 c.lambda = GRID[lambda];
                 c.delta = GRID[delta];
-                c.plane_precision = if u8_planes == 1 { PlanePrecision::U8 } else { PlanePrecision::U16 };
                 c.use_smoothing = smoothing == 1;
             })
             .expect("online-only parameters are valid");

@@ -165,8 +165,9 @@ pub fn load_movielens(path: impl AsRef<Path>) -> Result<Dataset, LoadError> {
     load_movielens_reader(file, &name)
 }
 
-/// Loads a `u.data` file from disk leniently; see
-/// [`load_movielens_reader_lenient`].
+/// Loads a `u.data` file from disk leniently: malformed lines and
+/// invalid ratings are skipped and counted in the returned
+/// [`LoadReport`] instead of aborting the load.
 pub fn load_movielens_lenient(path: impl AsRef<Path>) -> Result<(Dataset, LoadReport), LoadError> {
     let path = path.as_ref();
     let file = std::fs::File::open(path)?;
@@ -182,7 +183,8 @@ pub fn load_movielens_str(text: &str, name: &str) -> Result<Dataset, LoadError> 
     load_movielens_reader(text.as_bytes(), name)
 }
 
-/// Lenient string-input variant; see [`load_movielens_reader_lenient`].
+/// Lenient string-input variant, with the skip-and-count policy of
+/// [`load_movielens_lenient`].
 pub fn load_movielens_str_lenient(
     text: &str,
     name: &str,

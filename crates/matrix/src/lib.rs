@@ -13,9 +13,10 @@
 //! - [`DenseRatings`] — a dense user×item matrix with an "originally rated"
 //!   bitset; used for cluster-smoothed ratings (Eq. 7 of the paper),
 //! - [`WeightPlanes`] — the serving fast path's quantized weight planes,
-//!   folded from a [`DenseRatings`]: per-cell rating codes (u16/u8) that
-//!   also hold presence and provenance, with the Eq. 11 smoothing weight
-//!   in an exact 4-entry LUT, dequantized in-kernel via [`PlaneDequant`],
+//!   folded from a [`DenseRatings`]: one 16-bit [`PlaneCell`] per cell
+//!   holding a rating code, presence and provenance, with the Eq. 11
+//!   smoothing weight in an exact 4-entry LUT, dequantized in-kernel via
+//!   [`PlaneDequant`],
 //! - [`Predictor`] — the trait every CF algorithm in this workspace
 //!   implements, plus rating-scale clamping helpers,
 //! - [`stats`] — dataset statistics as reported in Table I of the paper,
@@ -47,8 +48,6 @@ pub use dense::{DenseRatings, DenseRow};
 pub use error::MatrixError;
 pub use ids::{ItemId, UserId};
 pub use matrix::RatingMatrix;
-pub use planes::{
-    PlaneDequant, PlanePrecision, PlanesOnly, PlanesView, QuantCell, TypedPlanes, WeightPlanes,
-};
+pub use planes::{PlaneCell, PlaneDequant, PlanePrecision, WeightPlanes};
 pub use predictor::{clamp_rating, Predictor, RatingScale};
 pub use stats::MatrixStats;

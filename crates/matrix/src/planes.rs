@@ -12,12 +12,13 @@
 //!
 //! This layout attacks the footprint instead of the ALUs:
 //!
-//! - **Cells are quantized codes, not floats.** One `u16` (default) or
-//!   `u8` per cell: bit 0 is provenance (`1` = original rating, `0` =
-//!   smoothed), bit 1 is presence, and the remaining 14 (resp. 6) bits
-//!   are a linear code for the rating over the plane's own `[min, max]`
-//!   range (`r ≈ min + code · step`, `step = span / (2^bits − 1)`).
-//!   16 B/cell becomes 2 B/cell.
+//! - **Cells are quantized codes, not floats.** One 16-bit [`PlaneCell`]
+//!   per cell: bit 0 is provenance (`1` = original rating, `0` =
+//!   smoothed), bit 1 is presence, and the remaining 14 bits are a
+//!   linear code for the rating over the plane's own `[min, max]` range
+//!   (`r ≈ min + code · step`, `step = span / (2^14 − 1)`). 16 B/cell
+//!   becomes 2 B/cell, and the rating error stays below `span/32766` —
+//!   invisible next to model error.
 //! - **Presence lives in the cell, once.** Bit 1 makes a kernel's
 //!   scattered gather one load per cell — the LLC-bound MAC loops never
 //!   touch a second stream — and [`WeightPlanes::is_present`] reads the
@@ -44,119 +45,62 @@
 //! minimum). The cell plane itself stays one flat allocation, which a
 //! patch copies.
 //!
-//! All raw code/LUT handling lives in this file behind [`PlaneDequant`]
-//! and the typed row views; kernels never touch cell bits directly. The
-//! type system holds this: [`QuantCell::bits`] and [`QuantCell::pack`]
-//! take a [`PlanesOnly`] that only this file can build, and the LUT is a
-//! private field.
+//! All raw code/LUT handling lives in this file; kernels read cells
+//! through [`WeightPlanes::cell_row`] and dequantize them through
+//! [`PlaneDequant`], never touching the bits. The type system holds
+//! this: [`PlaneCell`]'s field and the LUT are private.
 
 use crate::{DenseRatings, ItemId, UserId};
 
-/// Storage precision of the quantized weight planes.
+/// Storage precision of the quantized weight planes: 16-bit cells, the
+/// only layout.
 ///
-/// `U16` (the default) keeps rating error below `span/32766` — invisible
-/// next to model error. `U8` halves the plane again for footprint-critical
-/// deployments at a coarser (documented) tolerance.
+/// It survives with one variant for the benchmark's offline-phase
+/// replay, which passes [`crate::WeightPlanes::from_dense_with`] the
+/// precision its model config holds; once that call uses
+/// [`WeightPlanes::from_dense`], the enum, the config field and
+/// `from_dense_with` can go.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlanePrecision {
     /// 16-bit cells: 14-bit rating code + presence and provenance bits.
     #[default]
     U16,
-    /// 8-bit cells: 6-bit rating code + presence and provenance bits.
-    U8,
 }
 
-impl PlanePrecision {
-    /// Stable wire/persistence code (`0` = U16, `1` = U8).
-    #[inline]
-    pub fn code(self) -> u8 {
-        match self {
-            PlanePrecision::U16 => 0,
-            PlanePrecision::U8 => 1,
-        }
-    }
+/// Bits of a cell left for the rating code after presence and
+/// provenance.
+const CODE_BITS: u32 = 14;
+/// Largest representable rating code.
+const MAX_CODE: u32 = (1 << CODE_BITS) - 1;
 
-    /// Inverse of [`PlanePrecision::code`]; `None` for unknown codes.
-    #[inline]
-    pub fn from_code(code: u8) -> Option<Self> {
-        match code {
-            0 => Some(PlanePrecision::U16),
-            1 => Some(PlanePrecision::U8),
-            _ => None,
-        }
-    }
-}
-
-/// The key to a cell's raw bits. Its field is private, so only this file
-/// can build one, and so only this file can call [`QuantCell::bits`] or
-/// [`QuantCell::pack`]: decoding a cell anywhere else would duplicate the
-/// encoding and silently diverge when it changes. Kernels dequantize
-/// through [`PlaneDequant::pair`] instead.
+/// One quantized plane cell: `(rating_code << 2) | (present << 1) |
+/// provenance` in 16 bits.
 ///
-/// ```compile_fail,E0423
-/// use cf_matrix::{PlanesOnly, QuantCell};
-/// fn raw<C: QuantCell>(cell: C) -> u32 {
-///     cell.bits(PlanesOnly(()))
+/// The field is private, so only this file reads or writes a cell's raw
+/// bits: decoding a cell anywhere else would duplicate the encoding and
+/// silently diverge when it changes. Kernels dequantize through
+/// [`PlaneDequant::pair`] instead.
+///
+/// ```compile_fail,E0616
+/// fn raw(cell: cf_matrix::PlaneCell) -> u16 {
+///     cell.0
 /// }
 /// ```
 ///
 /// ```
-/// use cf_matrix::{DenseRatings, ItemId, PlaneDequant, PlanesView, QuantCell, UserId, WeightPlanes};
-/// fn weighted<C: QuantCell>(dq: PlaneDequant, cell: C) -> (f64, f64) {
-///     dq.pair(cell)
-/// }
+/// use cf_matrix::{DenseRatings, ItemId, UserId, WeightPlanes};
 /// let mut dense = DenseRatings::new(1, 1);
 /// dense.set_original(UserId::new(0), ItemId::new(0), 4.0);
 /// let planes = WeightPlanes::from_dense(&dense, 0.25);
-/// let (w, _) = match planes.view() {
-///     PlanesView::U16(t) => weighted(t.dq(), t.cell_row(UserId::new(0))[0]),
-///     PlanesView::U8(t) => weighted(t.dq(), t.cell_row(UserId::new(0))[0]),
-/// };
+/// let (w, _) = planes.dq().pair(planes.cell_row(UserId::new(0))[0]);
 /// assert_eq!(w, 0.25);
 /// ```
-#[derive(Debug)]
-pub struct PlanesOnly(());
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlaneCell(u16);
 
-/// One quantized plane cell: an unsigned integer holding
-/// `(rating_code << 2) | (present << 1) | provenance`.
-///
-/// Implemented for `u16` and `u8`; kernels are generic over this trait and
-/// monomorphize per precision, so the dequant math inlines with no
-/// per-cell dispatch.
-pub trait QuantCell: Copy + Send + Sync + 'static {
-    /// Bits available for the rating code (cell width minus the
-    /// presence and provenance bits).
-    const CODE_BITS: u32;
-    /// Largest representable rating code.
-    const MAX_CODE: u32 = (1u32 << Self::CODE_BITS) - 1;
-    /// Packs raw cell bits (code + provenance already combined).
-    fn pack(bits: u32, key: PlanesOnly) -> Self;
-    /// The raw cell bits.
-    fn bits(self, key: PlanesOnly) -> u32;
-}
-
-impl QuantCell for u16 {
-    const CODE_BITS: u32 = 14;
-    #[inline]
-    fn pack(bits: u32, _: PlanesOnly) -> Self {
-        bits as u16
-    }
-    #[inline]
-    fn bits(self, _: PlanesOnly) -> u32 {
-        self as u32
-    }
-}
-
-impl QuantCell for u8 {
-    const CODE_BITS: u32 = 6;
-    #[inline]
-    fn pack(bits: u32, _: PlanesOnly) -> Self {
-        bits as u8
-    }
-    #[inline]
-    fn bits(self, _: PlanesOnly) -> u32 {
-        self as u32
-    }
+impl PlaneCell {
+    /// An absent cell: presence, provenance and code all zero.
+    const ABSENT: Self = Self(0);
 }
 
 /// The dequantization constants of one plane: the exact-weight LUT and the
@@ -181,8 +125,8 @@ impl PlaneDequant {
     /// absent cells contribute exact zeros from a *single* load — the
     /// scattered MAC loops read one stream.
     #[inline(always)]
-    pub fn pair<C: QuantCell>(&self, cell: C) -> (f64, f64) {
-        let b = cell.bits(PlanesOnly(()));
+    pub fn pair(&self, cell: PlaneCell) -> (f64, f64) {
+        let b = u32::from(cell.0);
         let w = self.wlut[(b & 3) as usize];
         let r = (b >> 2) as f64 * self.step + self.min;
         (w, w * r)
@@ -191,8 +135,8 @@ impl PlaneDequant {
     /// [`PlaneDequant::pair`] plus the cell's presence bit (0 or 1), for
     /// kernels that also count overlap (`m_used`, PCC normalization).
     #[inline(always)]
-    pub fn triple<C: QuantCell>(&self, cell: C) -> (f64, f64, u64) {
-        let b = cell.bits(PlanesOnly(()));
+    pub fn triple(&self, cell: PlaneCell) -> (f64, f64, u64) {
+        let b = u32::from(cell.0);
         let w = self.wlut[(b & 3) as usize];
         let r = (b >> 2) as f64 * self.step + self.min;
         (w, w * r, u64::from((b >> 1) & 1))
@@ -206,95 +150,9 @@ impl PlaneDequant {
     }
 }
 
-/// A borrowed, precision-typed view of one plane: the generic kernels'
-/// entry point. Obtained via [`WeightPlanes::view`]; dispatching on the
-/// [`PlanesView`] enum once per request monomorphizes the whole kernel.
-#[derive(Debug, Clone, Copy)]
-pub struct TypedPlanes<'a, C: QuantCell> {
-    cells: &'a [C],
-    num_items: usize,
-    dq: PlaneDequant,
-}
-
-impl<'a, C: QuantCell> TypedPlanes<'a, C> {
-    /// The plane's dequantization constants (copy it out of loops).
-    #[inline]
-    pub fn dq(&self) -> PlaneDequant {
-        self.dq
-    }
-
-    /// Number of item columns per row.
-    #[inline]
-    pub fn num_items(&self) -> usize {
-        self.num_items
-    }
-
-    /// The quantized cell row of user `u` (`num_items` cells).
-    #[inline]
-    pub fn cell_row(&self, u: UserId) -> &'a [C] {
-        let lo = u.index() * self.num_items;
-        &self.cells[lo..lo + self.num_items]
-    }
-
-    /// The dequantized `(w, w·r)` pair of one cell (`(0.0, ±0.0)` where
-    /// absent).
-    #[inline]
-    pub fn pair(&self, u: UserId, i: ItemId) -> (f64, f64) {
-        self.dq.pair(self.cell_row(u)[i.index()])
-    }
-
-    /// The lowest and highest rating any cell of this plane dequantizes
-    /// to: codes 0 and `MAX_CODE` through the same affine map as
-    /// [`PlaneDequant::pair`], so (with `step ≥ 0`, which folding
-    /// guarantees) every cell's `r` lies inside, bit for bit.
-    #[inline]
-    pub fn rating_range(&self) -> (f64, f64) {
-        let top = f64::from(C::MAX_CODE) * self.dq.step + self.dq.min;
-        (self.dq.min, top)
-    }
-
-    /// Safe software prefetch of user `u`'s cell row: touches one cell per
-    /// cache line and sinks the result through [`std::hint::black_box`] so
-    /// the loads are emitted but nothing is architecturally consumed. With
-    /// `unsafe` forbidden crate-wide there is no `_mm_prefetch`;
-    /// demand-touching the next neighbor's row while the current one is in
-    /// the MAC overlaps its DRAM latency with live work, which is the same
-    /// pipelining effect. Presence is in the cells, so the MAC reads only
-    /// this row.
-    #[inline]
-    pub fn prefetch_row(&self, u: UserId) {
-        let row = self.cell_row(u);
-        let stride = (64 / std::mem::size_of::<C>()).max(1);
-        let mut acc = 0u32;
-        let mut c = 0;
-        while c < row.len() {
-            acc ^= row[c].bits(PlanesOnly(()));
-            c += stride;
-        }
-        std::hint::black_box(acc);
-    }
-}
-
-/// The precision-dispatch view over a [`WeightPlanes`]. Match once per
-/// request, then run a generic kernel on the typed arm.
-#[derive(Debug, Clone, Copy)]
-pub enum PlanesView<'a> {
-    /// 16-bit cells.
-    U16(TypedPlanes<'a, u16>),
-    /// 8-bit cells.
-    U8(TypedPlanes<'a, u8>),
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum Cells {
-    U16(Vec<u16>),
-    U8(Vec<u8>),
-}
-
 /// Dense quantized weight planes with ε folded into the weight LUT and
 /// presence in each cell. Built once per fitted model (and rebuilt when
-/// the dense ratings, ε, or the precision change); read-only on the
-/// serving path.
+/// the dense ratings or ε change); read-only on the serving path.
 ///
 /// Equality compares every stored bit: the cells, the dequantization
 /// constants and the row ranges, each `f64` by [`f64::to_bits`].
@@ -303,8 +161,7 @@ pub struct WeightPlanes {
     num_users: usize,
     num_items: usize,
     dq: PlaneDequant,
-    precision: PlanePrecision,
-    cells: Cells,
+    cells: Vec<PlaneCell>,
     /// Each row's lowest and highest present rating, folded in row order
     /// into the code range.
     row_ranges: Vec<(f64, f64)>,
@@ -319,13 +176,7 @@ impl PartialEq for WeightPlanes {
                 .iter()
                 .map(|&(lo, hi)| (lo.to_bits(), hi.to_bits()));
             let consts = (wlut.map(f64::to_bits), min.to_bits(), step.to_bits());
-            (
-                p.num_users,
-                p.num_items,
-                p.precision,
-                consts,
-                ranges.collect::<Vec<_>>(),
-            )
+            (p.num_users, p.num_items, consts, ranges.collect::<Vec<_>>())
         };
         self.cells == other.cells && bits(self) == bits(other)
     }
@@ -333,25 +184,14 @@ impl PartialEq for WeightPlanes {
 
 impl WeightPlanes {
     /// Folds the dense ratings and their provenance bitmap into quantized
-    /// weight planes at the default [`PlanePrecision::U16`].
+    /// weight planes. The rating code range is self-calibrated to the
+    /// plane's own min/max (smoothed ratings routinely overshoot the
+    /// nominal rating scale), so the documented tolerance is
+    /// `span / (2^14 − 1) / 2` per cell.
     pub fn from_dense(dense: &DenseRatings, epsilon: f64) -> Self {
-        Self::from_dense_with(dense, epsilon, PlanePrecision::default())
-    }
-
-    /// [`WeightPlanes::from_dense`] at an explicit precision. The rating
-    /// code range is self-calibrated to the plane's own min/max (smoothed
-    /// ratings routinely overshoot the nominal rating scale), so the
-    /// documented tolerance is `span / (2^code_bits − 1) / 2` per cell.
-    pub fn from_dense_with(dense: &DenseRatings, epsilon: f64, precision: PlanePrecision) -> Self {
         // Pass 1: self-calibrate the code range over the present cells.
         let row_ranges = row_ranges(dense);
-        let (min, step) = calibrate(&row_ranges, precision);
-
-        let cells = match precision {
-            PlanePrecision::U16 => Cells::U16(build_cells(dense, min, step)),
-            PlanePrecision::U8 => Cells::U8(build_cells(dense, min, step)),
-        };
-
+        let (min, step) = calibrate(&row_ranges);
         Self {
             num_users: dense.num_users(),
             num_items: dense.num_items(),
@@ -360,14 +200,21 @@ impl WeightPlanes {
                 min,
                 step,
             },
-            precision,
-            cells,
+            cells: build_cells(dense, min, step),
             row_ranges,
         }
     }
 
+    /// [`WeightPlanes::from_dense`]: the one precision there is. Kept
+    /// only for the benchmark's offline-phase replay
+    /// (`cfbench/src/profile.rs`), which passes its config's
+    /// [`PlanePrecision`] here.
+    pub fn from_dense_with(dense: &DenseRatings, epsilon: f64, _: PlanePrecision) -> Self {
+        Self::from_dense(dense, epsilon)
+    }
+
     /// These planes with `cells` re-encoded from `dense`: what
-    /// [`WeightPlanes::from_dense_with`] would fold from `dense`, at the
+    /// [`WeightPlanes::from_dense`] would fold from `dense`, at the
     /// cost of the listed cells plus a rescan of the rows that hold one,
     /// provided every cell *not* listed holds the value and provenance it
     /// was folded from.
@@ -391,7 +238,7 @@ impl WeightPlanes {
                 row_ranges[u.index()] = row_range(dense.row(u));
             }
         }
-        let (min, step) = calibrate(&row_ranges, self.precision);
+        let (min, step) = calibrate(&row_ranges);
         if min.to_bits() != self.dq.min.to_bits() || step.to_bits() != self.dq.step.to_bits() {
             return None;
         }
@@ -400,10 +247,7 @@ impl WeightPlanes {
             row_ranges,
             ..*self
         };
-        match &mut out.cells {
-            Cells::U16(c) => reencode(c, dense, min, step, &cells),
-            Cells::U8(c) => reencode(c, dense, min, step, &cells),
-        }
+        reencode(&mut out.cells, dense, min, step, &cells);
         Some(out)
     }
 
@@ -426,53 +270,68 @@ impl WeightPlanes {
         self.dq.step
     }
 
-    /// The precision-typed view for kernel dispatch.
+    /// The plane's dequantization constants (copy it out of loops).
     #[inline]
-    pub fn view(&self) -> PlanesView<'_> {
-        match &self.cells {
-            Cells::U16(c) => PlanesView::U16(TypedPlanes {
-                cells: c,
-                num_items: self.num_items,
-                dq: self.dq,
-            }),
-            Cells::U8(c) => PlanesView::U8(TypedPlanes {
-                cells: c,
-                num_items: self.num_items,
-                dq: self.dq,
-            }),
-        }
+    pub fn dq(&self) -> PlaneDequant {
+        self.dq
+    }
+
+    /// The quantized cell row of user `u` (`num_items` cells).
+    #[inline]
+    pub fn cell_row(&self, u: UserId) -> &[PlaneCell] {
+        let lo = u.index() * self.num_items;
+        &self.cells[lo..lo + self.num_items]
     }
 
     /// The dequantized `(w, w·r)` pair of one cell (`(0.0, ±0.0)` where
-    /// absent). Convenience for single-cell reads; kernels should dispatch
-    /// through [`WeightPlanes::view`] instead.
+    /// absent).
     #[inline]
     pub fn pair(&self, u: UserId, i: ItemId) -> (f64, f64) {
-        debug_assert!(u.index() < self.num_users && i.index() < self.num_items);
-        match self.view() {
-            PlanesView::U16(v) => v.pair(u, i),
-            PlanesView::U8(v) => v.pair(u, i),
-        }
+        self.dq.pair(self.cell_row(u)[i.index()])
     }
 
     /// Whether the cell holds a value: its presence bit, as
     /// [`PlaneDequant::triple`] reads it for the kernels.
     #[inline]
     pub fn is_present(&self, u: UserId, i: ItemId) -> bool {
-        let present = match self.view() {
-            PlanesView::U16(v) => v.dq.triple(v.cell_row(u)[i.index()]).2,
-            PlanesView::U8(v) => v.dq.triple(v.cell_row(u)[i.index()]).2,
-        };
-        present == 1
+        self.dq.triple(self.cell_row(u)[i.index()]).2 == 1
+    }
+
+    /// The lowest and highest rating any cell of this plane dequantizes
+    /// to: codes 0 and the largest code through the same affine map as
+    /// [`PlaneDequant::pair`], so (with `step ≥ 0`, which folding
+    /// guarantees) every cell's `r` lies inside, bit for bit.
+    #[inline]
+    pub fn rating_range(&self) -> (f64, f64) {
+        let top = f64::from(MAX_CODE) * self.dq.step + self.dq.min;
+        (self.dq.min, top)
+    }
+
+    /// Safe software prefetch of user `u`'s cell row: touches one cell per
+    /// cache line and sinks the result through [`std::hint::black_box`] so
+    /// the loads are emitted but nothing is architecturally consumed. With
+    /// `unsafe` forbidden crate-wide there is no `_mm_prefetch`;
+    /// demand-touching the next neighbor's row while the current one is in
+    /// the MAC overlaps its DRAM latency with live work, which is the same
+    /// pipelining effect. Presence is in the cells, so the MAC reads only
+    /// this row.
+    #[inline]
+    pub fn prefetch_row(&self, u: UserId) {
+        let row = self.cell_row(u);
+        let stride = 64 / std::mem::size_of::<PlaneCell>();
+        let mut acc = 0u32;
+        let mut c = 0;
+        while c < row.len() {
+            acc ^= u32::from(row[c].0);
+            c += stride;
+        }
+        std::hint::black_box(acc);
     }
 
     /// Bytes held by the quantized cell plane (footprint gauge).
     #[inline]
     pub fn cell_bytes(&self) -> usize {
-        match &self.cells {
-            Cells::U16(c) => c.len() * std::mem::size_of::<u16>(),
-            Cells::U8(c) => c.len() * std::mem::size_of::<u8>(),
-        }
+        self.cells.len() * std::mem::size_of::<PlaneCell>()
     }
 }
 
@@ -516,7 +375,7 @@ fn row_ranges(dense: &DenseRatings) -> Vec<(f64, f64)> {
 
 /// The code range a plane self-calibrates to: `(min, step)` from the
 /// fold of its row ranges, with `step = 0` for a constant or empty plane.
-fn calibrate(row_ranges: &[(f64, f64)], precision: PlanePrecision) -> (f64, f64) {
+fn calibrate(row_ranges: &[(f64, f64)]) -> (f64, f64) {
     let (lo, hi) = fold_ranges(row_ranges.iter().copied());
     let (min, span) = if lo.is_finite() && hi > lo {
         (lo, hi - lo)
@@ -525,12 +384,8 @@ fn calibrate(row_ranges: &[(f64, f64)], precision: PlanePrecision) -> (f64, f64)
     } else {
         (0.0, 0.0)
     };
-    let max_code = match precision {
-        PlanePrecision::U16 => u16::MAX_CODE,
-        PlanePrecision::U8 => u8::MAX_CODE,
-    };
     let step = if span > 0.0 {
-        span / max_code as f64
+        span / MAX_CODE as f64
     } else {
         0.0
     };
@@ -540,11 +395,11 @@ fn calibrate(row_ranges: &[(f64, f64)], precision: PlanePrecision) -> (f64, f64)
 /// The cell code of a present rating `r` under the affine map
 /// `(min, step)`.
 #[inline]
-fn encode<C: QuantCell>(r: f64, original: bool, min: f64, inv_step: f64) -> C {
+fn encode(r: f64, original: bool, min: f64, inv_step: f64) -> PlaneCell {
     // (r − min) ≥ 0 by construction of min; clamp guards the
     // floating-point overshoot of round() at the top of the range.
-    let code = (((r - min) * inv_step).round() as u32).min(C::MAX_CODE);
-    C::pack((code << 2) | 0b10 | u32::from(original), PlanesOnly(()))
+    let code = (((r - min) * inv_step).round() as u32).min(MAX_CODE);
+    PlaneCell(((code << 2) | 0b10 | u32::from(original)) as u16)
 }
 
 #[inline]
@@ -556,12 +411,12 @@ fn inv_step(step: f64) -> f64 {
     }
 }
 
-/// Quantizes every present cell of `dense` into `C` codes.
-fn build_cells<C: QuantCell>(dense: &DenseRatings, min: f64, step: f64) -> Vec<C> {
+/// Quantizes every present cell of `dense`.
+fn build_cells(dense: &DenseRatings, min: f64, step: f64) -> Vec<PlaneCell> {
     let (p, q) = (dense.num_users(), dense.num_items());
     let inv_step = inv_step(step);
 
-    let mut cells = vec![C::pack(0, PlanesOnly(())); p * q];
+    let mut cells = vec![PlaneCell::ABSENT; p * q];
     for ui in 0..p {
         let row = dense.dense_row(UserId::from(ui));
         let base = ui * q;
@@ -577,8 +432,8 @@ fn build_cells<C: QuantCell>(dense: &DenseRatings, min: f64, step: f64) -> Vec<C
 }
 
 /// [`build_cells`] for the listed cells only, in place.
-fn reencode<C: QuantCell>(
-    cells: &mut [C],
+fn reencode(
+    cells: &mut [PlaneCell],
     dense: &DenseRatings,
     min: f64,
     step: f64,
@@ -590,7 +445,7 @@ fn reencode<C: QuantCell>(
         let row = dense.dense_row(u);
         let r = row.values[i.index()];
         cells[u.index() * q + i.index()] = if r.is_nan() {
-            C::pack(0, PlanesOnly(()))
+            PlaneCell::ABSENT
         } else {
             encode(r, row.is_original(i), min, inv_step)
         };
@@ -613,6 +468,9 @@ mod tests {
     #[test]
     fn planes_fold_epsilon_and_provenance() {
         let p = WeightPlanes::from_dense(&dense(), 0.35);
+        // span = 4.0 − 1.0 = 3.0 over 16383 codes, two bytes per cell.
+        assert!((p.step() - 3.0 / 16383.0).abs() < 1e-12);
+        assert_eq!(p.cell_bytes(), 2 * 3 * 2);
         let tol = p.step(); // rating error ≤ step/2; weights exact
                             // original rating: w = ε exactly, rating within quantization
         let (w, wr) = p.pair(UserId::new(0), ItemId::new(0));
@@ -649,66 +507,42 @@ mod tests {
         let p = WeightPlanes::from_dense(&dense(), 0.35);
         assert_eq!(p.num_users(), 2);
         assert_eq!(p.num_items(), 3);
-        let PlanesView::U16(v) = p.view() else {
-            panic!("default precision must be U16");
-        };
-        assert_eq!(v.cell_row(UserId::new(1)).len(), 3);
-        let (w, wr) = v.pair(UserId::new(1), ItemId::new(1));
+        let row = p.cell_row(UserId::new(1));
+        assert_eq!(row.len(), 3);
+        let (w, wr) = p.dq().pair(row[1]);
         assert_eq!(w, 0.35);
         assert!((wr - 0.35).abs() <= 0.35 * p.step());
-        // Typed view and dispatching accessor agree exactly.
+        // Row view and single-cell accessor agree exactly.
         assert_eq!(p.pair(UserId::new(1), ItemId::new(1)), (w, wr));
     }
 
-    #[test]
-    fn u8_precision_quantizes_coarser_but_same_weights() {
-        let d = dense();
-        let p16 = WeightPlanes::from_dense_with(&d, 0.35, PlanePrecision::U16);
-        let p8 = WeightPlanes::from_dense_with(&d, 0.35, PlanePrecision::U8);
-        assert!(p8.step() > p16.step());
-        // span = 4.0 − 1.0 = 3.0 over 63 (resp. 16383) codes.
-        assert!((p8.step() - 3.0 / 63.0).abs() < 1e-12);
-        assert!((p16.step() - 3.0 / 16383.0).abs() < 1e-12);
-        let (w16, _) = p16.pair(UserId::new(0), ItemId::new(2));
-        let (w8, wr8) = p8.pair(UserId::new(0), ItemId::new(2));
-        assert_eq!(w16, w8); // weights never quantized
-        assert!((wr8 - 0.65 * 2.5).abs() <= 0.65 * p8.step());
-        assert_eq!(p8.cell_bytes() * 2, p16.cell_bytes());
-    }
-
-    /// Every code of both precisions dequantizes inside
-    /// `rating_range`, and codes 0 and `MAX_CODE` to exactly its ends.
+    /// Every code dequantizes inside `rating_range`, and codes 0 and
+    /// `MAX_CODE` to exactly its ends.
     #[test]
     fn rating_range_holds_every_code() {
-        fn check<C: QuantCell>(t: &TypedPlanes<'_, C>) {
-            // ε = 0: a present smoothed cell weighs exactly 1, so the
-            // pair's product is the dequantized rating itself.
-            let dq = t.dq();
-            let (lo, hi) = t.rating_range();
-            for code in 0..=C::MAX_CODE {
-                let (w, r) = dq.pair(C::pack((code << 2) | 0b10, PlanesOnly(())));
-                assert_eq!(w, 1.0);
-                assert!(
-                    (lo..=hi).contains(&r),
-                    "code {code}: {r} outside [{lo}, {hi}]"
-                );
-            }
-            let (_, bottom) = dq.pair(C::pack(0b10, PlanesOnly(())));
-            let (_, top) = dq.pair(C::pack((C::MAX_CODE << 2) | 0b10, PlanesOnly(())));
-            assert_eq!(
-                (bottom.to_bits(), top.to_bits()),
-                (lo.to_bits(), hi.to_bits())
-            );
-        }
         let mut d = DenseRatings::new(1, 2);
         d.set_original(UserId::new(0), ItemId::new(0), 1.1);
         d.set_original(UserId::new(0), ItemId::new(1), 4.7);
-        for precision in [PlanePrecision::U16, PlanePrecision::U8] {
-            match WeightPlanes::from_dense_with(&d, 0.0, precision).view() {
-                PlanesView::U16(t) => check(&t),
-                PlanesView::U8(t) => check(&t),
-            }
+        // ε = 0: a present smoothed cell weighs exactly 1, so the pair's
+        // product is the dequantized rating itself.
+        let p = WeightPlanes::from_dense(&d, 0.0);
+        let dq = p.dq();
+        let smoothed = |code: u32| PlaneCell(((code << 2) | 0b10) as u16);
+        let (lo, hi) = p.rating_range();
+        for code in 0..=MAX_CODE {
+            let (w, r) = dq.pair(smoothed(code));
+            assert_eq!(w, 1.0);
+            assert!(
+                (lo..=hi).contains(&r),
+                "code {code}: {r} outside [{lo}, {hi}]"
+            );
         }
+        let (_, bottom) = dq.pair(smoothed(0));
+        let (_, top) = dq.pair(smoothed(MAX_CODE));
+        assert_eq!(
+            (bottom.to_bits(), top.to_bits()),
+            (lo.to_bits(), hi.to_bits())
+        );
     }
 
     #[test]
@@ -731,34 +565,31 @@ mod tests {
     /// extreme moves it.
     #[test]
     fn patched_planes_equal_a_full_fold_or_refuse() {
-        for precision in [PlanePrecision::U16, PlanePrecision::U8] {
-            let mut d = DenseRatings::new(3, 70);
-            for u in 0..3u32 {
-                for i in (0..70u32).step_by(2) {
-                    d.set_smoothed(UserId::new(u), ItemId::new(i), 1.0 + f64::from(i % 9) * 0.5);
-                }
+        let mut d = DenseRatings::new(3, 70);
+        for u in 0..3u32 {
+            for i in (0..70u32).step_by(2) {
+                d.set_smoothed(UserId::new(u), ItemId::new(i), 1.0 + f64::from(i % 9) * 0.5);
             }
-            let base = WeightPlanes::from_dense_with(&d, 0.35, precision);
-            let mut next = d.clone();
-            let touched = [
-                (UserId::new(1), ItemId::new(3)),  // value moves inside the range
-                (UserId::new(2), ItemId::new(69)), // absent → original
-                (UserId::new(0), ItemId::new(5)),  // absent → smoothed
-            ];
-            next.set_smoothed(touched[0].0, touched[0].1, 2.25);
-            next.set_original(touched[1].0, touched[1].1, 3.0);
-            next.set_smoothed(touched[2].0, touched[2].1, 4.75);
-            let patched = base.patched(&next, touched).expect("range unchanged");
-            let full = WeightPlanes::from_dense_with(&next, 0.35, precision);
-            assert_eq!(patched, full, "{precision:?}");
-            assert_ne!(patched, base, "{precision:?}");
-
-            next.set_smoothed(UserId::new(0), ItemId::new(7), 5.5); // new max
-            assert!(base
-                .patched(&next, [(UserId::new(0), ItemId::new(7))])
-                .is_none());
-            assert!(base.patched(&DenseRatings::new(3, 69), []).is_none());
         }
+        let base = WeightPlanes::from_dense(&d, 0.35);
+        let mut next = d.clone();
+        let touched = [
+            (UserId::new(1), ItemId::new(3)),  // value moves inside the range
+            (UserId::new(2), ItemId::new(69)), // absent → original
+            (UserId::new(0), ItemId::new(5)),  // absent → smoothed
+        ];
+        next.set_smoothed(touched[0].0, touched[0].1, 2.25);
+        next.set_original(touched[1].0, touched[1].1, 3.0);
+        next.set_smoothed(touched[2].0, touched[2].1, 4.75);
+        let patched = base.patched(&next, touched).expect("range unchanged");
+        assert_eq!(patched, WeightPlanes::from_dense(&next, 0.35));
+        assert_ne!(patched, base);
+
+        next.set_smoothed(UserId::new(0), ItemId::new(7), 5.5); // new max
+        assert!(base
+            .patched(&next, [(UserId::new(0), ItemId::new(7))])
+            .is_none());
+        assert!(base.patched(&DenseRatings::new(3, 69), []).is_none());
     }
 
     /// Presence is per cell, on both sides of item 64, where a row of
@@ -769,13 +600,11 @@ mod tests {
         d.set_smoothed(UserId::new(1), ItemId::new(0), 4.0);
         d.set_original(UserId::new(1), ItemId::new(63), 3.0);
         d.set_original(UserId::new(1), ItemId::new(69), 2.0);
-        for precision in [PlanePrecision::U16, PlanePrecision::U8] {
-            let p = WeightPlanes::from_dense_with(&d, 0.35, precision);
-            for (i, present) in [(0, true), (63, true), (64, false), (68, false), (69, true)] {
-                let i = ItemId::new(i);
-                assert_eq!(p.is_present(UserId::new(1), i), present, "{i:?}");
-                assert!(!p.is_present(UserId::new(0), i), "{i:?}");
-            }
+        let p = WeightPlanes::from_dense(&d, 0.35);
+        for (i, present) in [(0, true), (63, true), (64, false), (68, false), (69, true)] {
+            let i = ItemId::new(i);
+            assert_eq!(p.is_present(UserId::new(1), i), present, "{i:?}");
+            assert!(!p.is_present(UserId::new(0), i), "{i:?}");
         }
     }
 }

@@ -1,5 +1,5 @@
 //! `WeightPlanes::patched` against a full fold. A patch must calibrate
-//! its code range bit for bit as `from_dense_with` over the patched
+//! its code range bit for bit as `from_dense` over the patched
 //! store, refuse exactly when that range moved, and otherwise store the
 //! same bits, row ranges included. Both zeros are among the values,
 //! because a fold that visits cells in another order can keep the other
@@ -7,7 +7,7 @@
 
 #![allow(clippy::float_cmp)]
 
-use cf_matrix::{DenseRatings, ItemId, PlanePrecision, PlanesView, UserId, WeightPlanes};
+use cf_matrix::{DenseRatings, ItemId, UserId, WeightPlanes};
 use proptest::prelude::*;
 
 const USERS: u32 = 5;
@@ -20,11 +20,7 @@ type Cell = ((u32, u32), (usize, bool));
 
 /// The calibrated code range: the bits of `min` and `step`.
 fn calibration(p: &WeightPlanes) -> (u64, u64) {
-    let (min, _) = match p.view() {
-        PlanesView::U16(t) => t.rating_range(),
-        PlanesView::U8(t) => t.rating_range(),
-    };
-    (min.to_bits(), p.step().to_bits())
+    (p.rating_range().0.to_bits(), p.step().to_bits())
 }
 
 fn set(d: &mut DenseRatings, (u, i): (u32, u32), (value, original): (usize, bool)) {
@@ -99,23 +95,21 @@ proptest! {
             listed.push((UserId::new(cell.0), ItemId::new(cell.1)));
         }
 
-        for precision in [PlanePrecision::U16, PlanePrecision::U8] {
-            let folded = WeightPlanes::from_dense_with(&dense, 0.35, precision);
-            let full = WeightPlanes::from_dense_with(&next, 0.35, precision);
-            let moved = calibration(&full) != calibration(&folded);
-            match folded.patched(&next, listed.iter().copied()) {
-                Some(patched) => {
-                    prop_assert!(!moved, "{precision:?}: patched across a range move");
-                    prop_assert_eq!(&patched, &full);
-                    // A patched plane caches its row ranges too:
-                    // patching the cells back lands on the base.
-                    let back = patched
-                        .patched(&dense, listed.iter().copied())
-                        .ok_or("patching back refused")?;
-                    prop_assert_eq!(&back, &folded);
-                }
-                None => prop_assert!(moved, "{precision:?}: refused an unmoved range"),
+        let folded = WeightPlanes::from_dense(&dense, 0.35);
+        let full = WeightPlanes::from_dense(&next, 0.35);
+        let moved = calibration(&full) != calibration(&folded);
+        match folded.patched(&next, listed.iter().copied()) {
+            Some(patched) => {
+                prop_assert!(!moved, "patched across a range move");
+                prop_assert_eq!(&patched, &full);
+                // A patched plane caches its row ranges too:
+                // patching the cells back lands on the base.
+                let back = patched
+                    .patched(&dense, listed.iter().copied())
+                    .ok_or("patching back refused")?;
+                prop_assert_eq!(&back, &folded);
             }
+            None => prop_assert!(moved, "refused an unmoved range"),
         }
     }
 }

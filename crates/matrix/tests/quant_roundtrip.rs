@@ -2,7 +2,7 @@
 //!
 //! The planes store each cell as a quantized code plus presence and
 //! provenance bits (DESIGN.md §6c).
-//! The contract under test, at both precisions:
+//! The contract under test:
 //!
 //! - weights are **exact**: an original cell dequantizes to `w = ε`, a
 //!   smoothed one to `w = 1 − ε`, bit-for-bit — weights are a 4-entry LUT,
@@ -14,7 +14,7 @@
 
 #![allow(clippy::float_cmp)]
 
-use cf_matrix::{DenseRatings, ItemId, MatrixBuilder, PlanePrecision, UserId, WeightPlanes};
+use cf_matrix::{DenseRatings, ItemId, MatrixBuilder, UserId, WeightPlanes};
 use proptest::prelude::*;
 
 /// A dense ratings sheet mixing original, pseudo-smoothed, and absent
@@ -55,55 +55,34 @@ proptest! {
         eps_pick in 0usize..3,
     ) {
         let eps = [0.0, 0.35, 1.0][eps_pick];
-        for precision in [PlanePrecision::U16, PlanePrecision::U8] {
-            let planes = WeightPlanes::from_dense_with(&dense, eps, precision);
-            let half = planes.step() * 0.5;
-            for u in 0..dense.num_users() {
-                let user = UserId::from(u);
-                for i in 0..dense.num_items() {
-                    let item = ItemId::from(i);
-                    let (w, wr) = planes.pair(user, item);
-                    match dense.get(user, item) {
-                        Some(r) => {
-                            let original = dense.is_original(user, item);
-                            let expect_w = if original { eps } else { 1.0 - eps };
-                            prop_assert!(
-                                w.to_bits() == expect_w.to_bits(),
-                                "weight must be exact at ({u},{i}), {precision:?}"
-                            );
-                            prop_assert!(
-                                (wr - w * r).abs() <= w.abs() * half + 1e-12,
-                                "({u},{i}) {precision:?}: wr={wr}, w*r={}, step={}",
-                                w * r, planes.step()
-                            );
-                            prop_assert!(planes.is_present(user, item));
-                        }
-                        None => {
-                            prop_assert_eq!(w, 0.0);
-                            prop_assert_eq!(wr.abs(), 0.0);
-                            prop_assert!(!planes.is_present(user, item));
-                        }
+        let planes = WeightPlanes::from_dense(&dense, eps);
+        let half = planes.step() * 0.5;
+        for u in 0..dense.num_users() {
+            let user = UserId::from(u);
+            for i in 0..dense.num_items() {
+                let item = ItemId::from(i);
+                let (w, wr) = planes.pair(user, item);
+                match dense.get(user, item) {
+                    Some(r) => {
+                        let original = dense.is_original(user, item);
+                        let expect_w = if original { eps } else { 1.0 - eps };
+                        prop_assert!(
+                            w.to_bits() == expect_w.to_bits(),
+                            "weight must be exact at ({u},{i})"
+                        );
+                        prop_assert!(
+                            (wr - w * r).abs() <= w.abs() * half + 1e-12,
+                            "({u},{i}): wr={wr}, w*r={}, step={}",
+                            w * r, planes.step()
+                        );
+                        prop_assert!(planes.is_present(user, item));
+                    }
+                    None => {
+                        prop_assert_eq!(w, 0.0);
+                        prop_assert_eq!(wr.abs(), 0.0);
+                        prop_assert!(!planes.is_present(user, item));
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn u8_step_is_coarser_but_presence_identical(dense in arb_dense()) {
-        let fine = WeightPlanes::from_dense_with(&dense, 0.35, PlanePrecision::U16);
-        let coarse = WeightPlanes::from_dense_with(&dense, 0.35, PlanePrecision::U8);
-        // Same data range ⇒ step ratio is exactly the code-capacity ratio.
-        if fine.step() > 0.0 {
-            prop_assert!((coarse.step() / fine.step() - 16383.0 / 63.0).abs() < 1e-9);
-        } else {
-            prop_assert_eq!(coarse.step(), 0.0);
-        }
-        prop_assert!(coarse.cell_bytes() * 2 == fine.cell_bytes());
-        for u in 0..dense.num_users() {
-            for i in 0..dense.num_items() {
-                let (user, item) = (UserId::from(u), ItemId::from(i));
-                prop_assert_eq!(fine.is_present(user, item), coarse.is_present(user, item));
             }
         }
     }

@@ -11,7 +11,7 @@
 //! the *merged* histograms, so a shard cannot hide a tail by being small.
 //!
 //! Bad-event counts for latency objectives come from the log-bucket
-//! histogram via [`HistogramBuckets::count_over`]: because bucket
+//! histogram via [`crate::HistogramBuckets::count_over`]: because bucket
 //! boundaries are deterministic and shared fleet-wide, the "slower than
 //! X" count after a merge equals the sum of the per-shard counts —
 //! no re-binning error.

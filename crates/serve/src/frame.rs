@@ -867,7 +867,7 @@ pub fn read_frame(
     Ok(ReadOutcome::Frame((kind, payload)))
 }
 
-/// [`read_frame`] + [`Request::decode`].
+/// [`read_frame`] + `Request::decode`.
 pub fn read_request(
     stream: &mut TcpStream,
     frame_deadline: Duration,
@@ -879,7 +879,7 @@ pub fn read_request(
     })
 }
 
-/// [`read_frame`] + [`Response::decode`]: the response and the remote
+/// [`read_frame`] + `Response::decode`: the response and the remote
 /// spans the responder shipped with it. Idle ticks are retried until
 /// `overall_deadline` — a client waiting for its answer treats "no bytes
 /// yet" as waiting, not as an idle connection.

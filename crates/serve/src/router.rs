@@ -24,8 +24,8 @@
 //!   from the fallback table.
 //! - `recommend_top_n(user, n)` scatter-gathers: the item space is cut
 //!   into one fixed stripe per configured shard, each live shard scores
-//!   its stripe ([`Cfsf::recommend_top_n_in_range`]), and the router
-//!   merges with [`cfsf_core::topk::top_k_by_score`] — the same
+//!   its stripe ([`cfsf_core::Cfsf::recommend_top_n_in_range`]), and the
+//!   router merges with [`cfsf_core::topk::top_k_by_score`] — the same
 //!   comparator the model uses, so with all shards up the merged answer
 //!   is bit-for-bit the single-process answer. A dead shard's stripe is
 //!   dropped and the (still valid, still ordered) partial result is
@@ -125,6 +125,24 @@ impl FallbackTable {
             generation: p.generation,
         }
     }
+}
+
+/// Checks that a fallback profile fits shards serving `num_users` ×
+/// `num_items` and carries a usable rating scale; the reason when not.
+/// [`Router::connect`] and [`Router::refresh_profile_if_stale`] both
+/// accept a profile only through here.
+fn check_profile(p: &WireProfile, num_users: u64, num_items: u64) -> Result<(), String> {
+    if p.user_means.len() as u64 != num_users || p.num_items != num_items {
+        return Err(format!(
+            "profile covers {} users / {} items, shards serve {num_users} / {num_items}",
+            p.user_means.len(),
+            p.num_items,
+        ));
+    }
+    if !(p.scale_min.is_finite() && p.scale_max.is_finite() && p.scale_min < p.scale_max) {
+        return Err(format!("scale [{}, {}]", p.scale_min, p.scale_max));
+    }
+    Ok(())
 }
 
 /// A tiny xoshiro256**-style generator seeded through splitmix64 — the
@@ -372,26 +390,8 @@ impl Router {
             (Some(s), Some(p)) => (s, p),
             _ => return Err(RouterError::NoShards),
         };
-        if profile.user_means.len() as u64 != shape.num_users
-            || profile.num_items != shape.num_items
-        {
-            return Err(RouterError::BadProfile(format!(
-                "profile covers {} users / {} items, shards serve {} / {}",
-                profile.user_means.len(),
-                profile.num_items,
-                shape.num_users,
-                shape.num_items
-            )));
-        }
-        if !(profile.scale_min.is_finite()
-            && profile.scale_max.is_finite()
-            && profile.scale_min < profile.scale_max)
-        {
-            return Err(RouterError::BadProfile(format!(
-                "scale [{}, {}]",
-                profile.scale_min, profile.scale_max
-            )));
-        }
+        check_profile(&profile, shape.num_users, shape.num_items)
+            .map_err(RouterError::BadProfile)?;
         let profile_generation = profile.generation;
         // Register the router's health counters up front: a snapshot must
         // carry `router.request_errors: 0` explicitly — absent vs zero is
@@ -474,12 +474,7 @@ impl Router {
             }
             match self.request_on_shard(i, &Request::Profile) {
                 Ok((Response::Profile(p), _)) => {
-                    if p.user_means.len() as u64 != self.num_users
-                        || p.num_items != self.num_items
-                        || !(p.scale_min.is_finite()
-                            && p.scale_max.is_finite()
-                            && p.scale_min < p.scale_max)
-                    {
+                    if check_profile(&p, self.num_users, self.num_items).is_err() {
                         // A malformed refresh never replaces a working
                         // table: keep serving the old generation.
                         cf_obs::counter!("router.profile.refresh_errors").inc();
@@ -1044,6 +1039,121 @@ impl RouterServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::{ShardOptions, ShardServer};
+    use crate::ModelHandle;
+    use cf_data::SyntheticConfig;
+    use cf_matrix::{ItemId, RatingMatrix, UserId};
+    use cfsf_core::{Cfsf, CfsfConfig, GenCell};
+
+    /// The profile-refresh tests read the process-global
+    /// `router.profile.*` counters, so they run one at a time.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: RecoverMutex<()> = RecoverMutex::new(());
+        LOCK.lock()
+    }
+
+    fn fit(matrix: &RatingMatrix) -> Arc<Cfsf> {
+        Arc::new(Cfsf::fit(matrix, CfsfConfig::small()).unwrap())
+    }
+
+    /// One shard serving `cell`'s current generation, and a router in
+    /// front of it with test-sized timeouts.
+    fn fleet(cell: &Arc<GenCell<Cfsf>>) -> (ShardServer, Router) {
+        let handle = ModelHandle::from_cell(Arc::clone(cell));
+        let shard = ShardServer::bind("127.0.0.1:0", handle, ShardOptions::default()).unwrap();
+        let router = Router::connect(RouterConfig {
+            shards: vec![shard.local_addr().to_string()],
+            client: ClientOptions {
+                connect_timeout: Duration::from_millis(300),
+                io_timeout: Duration::from_millis(500),
+                request_deadline: Duration::from_secs(2),
+            },
+            retries: 1,
+            backoff: Duration::from_millis(5),
+            ..RouterConfig::default()
+        })
+        .unwrap();
+        (shard, router)
+    }
+
+    /// A newer generation published behind a live shard swaps the
+    /// router's fallback table once; with nothing newer, a refresh
+    /// changes nothing.
+    #[test]
+    fn a_newer_published_generation_swaps_the_fallback_table() {
+        let _serial = serial();
+        let base = SyntheticConfig::small().generate().matrix;
+        let cell = Arc::new(GenCell::new(fit(&base)));
+        let (shard, router) = fleet(&cell);
+        assert!(!router.refresh_profile_if_stale());
+        assert_eq!(router.profile_generation(), 0);
+
+        // The same users and items with one more rating, so user 3's
+        // mean moves.
+        let user = UserId::new(3);
+        let item = (0..base.num_items() as u32)
+            .map(ItemId::new)
+            .find(|&i| base.get(user, i).is_none())
+            .unwrap();
+        let next = fit(&base.with_ratings(&[(user, item, 5.0)]).unwrap());
+        assert_ne!(
+            next.matrix().user_mean(user).to_bits(),
+            base.user_mean(user).to_bits()
+        );
+        cell.publish(Arc::clone(&next));
+
+        let refreshed = cf_obs::counter!("router.profile.refreshed").get();
+        assert!(router.refresh_profile_if_stale());
+        assert!(!router.refresh_profile_if_stale());
+        assert_eq!(router.profile_generation(), 1);
+        assert_eq!(
+            cf_obs::counter!("router.profile.refreshed").get(),
+            refreshed + 1
+        );
+        assert_eq!(router.profile().user_means, next.matrix().user_means());
+        let answer = router.fallback_predict(user.raw());
+        let expect = next.matrix().scale().clamp(next.matrix().user_mean(user));
+        assert_eq!(answer.fused.to_bits(), expect.to_bits());
+        shard.shutdown();
+    }
+
+    /// A published model that serves another user count is refused: the
+    /// old table keeps serving, the generation stays, and
+    /// `router.profile.refresh_errors` rises by one.
+    #[test]
+    fn a_profile_of_another_user_count_is_refused() {
+        let _serial = serial();
+        let data = SyntheticConfig::small();
+        let cell = Arc::new(GenCell::new(fit(&data.generate().matrix)));
+        let (shard, router) = fleet(&cell);
+        let before = router.profile();
+        let fewer_users = SyntheticConfig {
+            num_users: data.num_users - 1,
+            ..data.clone()
+        };
+        cell.publish(fit(&fewer_users.generate().matrix));
+
+        let errors = cf_obs::counter!("router.profile.refresh_errors").get();
+        assert!(!router.refresh_profile_if_stale());
+        assert_eq!(
+            cf_obs::counter!("router.profile.refresh_errors").get(),
+            errors + 1
+        );
+        assert_eq!(router.profile_generation(), 0);
+        assert_eq!(router.profile(), before);
+        // The last user exists only in the old model, and the table
+        // still answers for it.
+        let last = data.num_users as u32 - 1;
+        let answer = router.fallback_predict(last);
+        assert_eq!(answer.level, DegradeLevel::UserMean);
+        let scale = RatingScale {
+            min: before.scale_min,
+            max: before.scale_max,
+        };
+        let expect = scale.clamp(before.user_means[last as usize]);
+        assert_eq!(answer.fused.to_bits(), expect.to_bits());
+        shard.shutdown();
+    }
 
     /// The retry schedule two slots would sleep, as durations — pure:
     /// no sockets, no sleeping.

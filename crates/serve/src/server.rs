@@ -7,14 +7,14 @@
 //! cap, and per-connection frame loops that answer every decodable
 //! request and close on protocol errors.
 //!
-//! [`ShardServer`] plugs a loaded [`Cfsf`] model into that transport:
-//! `predict` / `predict_batch` / `recommend_top_n` / `health` /
-//! `profile` frames answered straight from the model, bit-for-bit with
-//! the in-process API (batches run through the strip-sorted
-//! [`Cfsf::predict_batch_with_breakdown`] engine). The
-//! router front tier reuses the same transport with its own handler
-//! (see [`crate::router`]), so both tiers speak the identical protocol
-//! and fix socket bugs in exactly one place.
+//! [`ShardServer`] plugs a loaded [`Cfsf`](cfsf_core::Cfsf) model into
+//! that transport: `predict` / `predict_batch` / `recommend_top_n` /
+//! `health` / `profile` frames answered straight from the model,
+//! bit-for-bit with the in-process API (batches run through the
+//! strip-sorted [`cfsf_core::Cfsf::predict_batch_with_breakdown`]
+//! engine). The router front tier reuses the same transport with its
+//! own handler (see [`crate::router`]), so both tiers speak the
+//! identical protocol and fix socket bugs in exactly one place.
 
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

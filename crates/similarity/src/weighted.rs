@@ -1,6 +1,6 @@
 //! Smoothing-aware similarity: Eq. 10/11 and the pair weight of Eq. 13.
 
-use cf_matrix::{DenseRatings, ItemId, PlanesView, QuantCell, TypedPlanes, UserId, WeightPlanes};
+use cf_matrix::{DenseRatings, ItemId, UserId, WeightPlanes};
 
 /// The weighting coefficient `w` of Eq. 11: an original rating counts with
 /// weight `ε`, a smoothed (imputed) rating with `1 − ε`.
@@ -67,18 +67,18 @@ pub fn weighted_user_pcc(
     (dot / (norm_c.sqrt() * norm_a.sqrt())).clamp(-1.0, 1.0)
 }
 
-/// The serving-fast-path variant of [`weighted_user_pcc`], reading
-/// quantized [`WeightPlanes`] instead of the dense matrix + provenance
-/// bitmap.
+/// The serving-fast-path variant of [`weighted_user_pcc`], reading the
+/// candidate's row of 16-bit cells from the quantized [`WeightPlanes`]
+/// instead of the dense matrix + provenance bitmap.
 ///
 /// ε is already folded into the plane's weight LUT (exactly — weights are
 /// never quantized), so the per-item loop has no weight select; presence
 /// comes from the same cell load ([`cf_matrix::PlaneDequant::triple`]),
-/// and the cell's rating is dequantized in the loop. Only the rating carries quantization
-/// error (≤ `step/2` per cell, `step = planes.step()`): the overlap count
-/// `n` and the availability decision are exact, and the correlation
-/// matches the naive kernel to a tolerance proportional to
-/// `step / min|deviation|` (DESIGN.md §6c).
+/// and the cell's rating is dequantized in the loop. Only the rating
+/// carries quantization error (≤ `step/2` per cell, `step =
+/// planes.step()`): the overlap count `n` and the availability decision
+/// are exact, and the correlation matches the naive kernel to a
+/// tolerance proportional to `step / min|deviation|` (DESIGN.md §6c).
 ///
 /// A candidate whose weighted deviations are indistinguishable from
 /// quantization noise (`Σ(w·dc)² ≤ n·(step/2)²`) scores 0: with exact
@@ -90,35 +90,6 @@ pub fn weighted_user_pcc_planes(
     active_vals: &[f64],
     active_mean: f64,
     planes: &WeightPlanes,
-    candidate: UserId,
-    candidate_mean: f64,
-) -> f64 {
-    match planes.view() {
-        PlanesView::U16(v) => pcc_planes_typed(
-            active_items,
-            active_vals,
-            active_mean,
-            &v,
-            candidate,
-            candidate_mean,
-        ),
-        PlanesView::U8(v) => pcc_planes_typed(
-            active_items,
-            active_vals,
-            active_mean,
-            &v,
-            candidate,
-            candidate_mean,
-        ),
-    }
-}
-
-/// Monomorphized inner loop of [`weighted_user_pcc_planes`].
-fn pcc_planes_typed<C: QuantCell>(
-    active_items: &[ItemId],
-    active_vals: &[f64],
-    active_mean: f64,
-    planes: &TypedPlanes<'_, C>,
     candidate: UserId,
     candidate_mean: f64,
 ) -> f64 {
@@ -290,24 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn planes_variant_tracks_naive_at_u8_precision() {
-        use cf_matrix::PlanePrecision;
-        let (items, vals, d) = fixture();
-        for eps in [0.0, 0.35, 1.0] {
-            let planes = WeightPlanes::from_dense_with(&d, eps, PlanePrecision::U8);
-            let naive = weighted_user_pcc(&items, &vals, 3.0, &d, UserId::new(0), 3.0, eps);
-            let fused = weighted_user_pcc_planes(&items, &vals, 3.0, &planes, UserId::new(0), 3.0);
-            // u8 step on the [2,4] fixture span is 2/127 ≈ 0.0157; the
-            // fixture's unit-scale deviations keep the error O(step).
-            let tol = 10.0 * planes.step() + 1e-9;
-            assert!(
-                (naive - fused).abs() < tol,
-                "eps={eps}: naive={naive}, fused={fused}, tol={tol}"
-            );
-        }
-    }
-
-    #[test]
     fn planes_variant_zeroes_quantization_noise_candidates() {
         // Candidate rated everything exactly at their mean: the naive
         // kernel sees zero variance and returns 0. Quantization would
@@ -321,32 +274,21 @@ mod tests {
         d.set_original(UserId::new(0), ItemId::new(0), 3.3);
         d.set_original(UserId::new(0), ItemId::new(1), 3.3);
         d.set_smoothed(UserId::new(0), ItemId::new(2), 1.0);
-        for precision in [
-            cf_matrix::PlanePrecision::U16,
-            cf_matrix::PlanePrecision::U8,
-        ] {
-            let planes = WeightPlanes::from_dense_with(&d, 0.35, precision);
-            assert!(planes.step() > 0.0);
-            let naive = weighted_user_pcc(
-                &[ItemId::new(0), ItemId::new(1)],
-                &vals[..2],
-                3.0,
-                &d,
-                UserId::new(0),
-                3.3,
-                0.35,
-            );
-            assert_eq!(naive, 0.0);
-            let fused = weighted_user_pcc_planes(
-                &items[..2],
-                &vals[..2],
-                3.0,
-                &planes,
-                UserId::new(0),
-                3.3,
-            );
-            assert_eq!(fused, 0.0, "noise floor must zero {precision:?}");
-        }
+        let planes = WeightPlanes::from_dense(&d, 0.35);
+        assert!(planes.step() > 0.0);
+        let naive = weighted_user_pcc(
+            &[ItemId::new(0), ItemId::new(1)],
+            &vals[..2],
+            3.0,
+            &d,
+            UserId::new(0),
+            3.3,
+            0.35,
+        );
+        assert_eq!(naive, 0.0);
+        let fused =
+            weighted_user_pcc_planes(&items[..2], &vals[..2], 3.0, &planes, UserId::new(0), 3.3);
+        assert_eq!(fused, 0.0, "noise floor must zero the candidate");
     }
 
     #[test]
