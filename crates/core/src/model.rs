@@ -105,16 +105,15 @@ impl Cfsf {
             clusters,
             smoothed,
             icluster,
-            Self::fold_serving,
+            WeightPlanes::from_dense,
         )
     }
 
     /// [`Self::assemble`] past smoothing and iCluster, for callers that
     /// already hold both (an online-only reparameterization, a partial
-    /// rebuild). `serving` derives the raw store [`Self::dense`] serves
-    /// when smoothing is off (`None` when it is on) and the weight planes
-    /// folded from whichever store serves; [`Self::fold_serving`] builds
-    /// both from scratch.
+    /// rebuild). `planes` derives the weight planes from the dense store
+    /// the model will serve from and the ε of `config.w`;
+    /// [`WeightPlanes::from_dense`] folds them whole.
     pub(crate) fn assemble_smoothed(
         config: CfsfConfig,
         matrix: RatingMatrix,
@@ -122,13 +121,10 @@ impl Cfsf {
         clusters: ClusterAssignment,
         smoothed: Smoothed,
         icluster: ICluster,
-        serving: impl FnOnce(
-            &CfsfConfig,
-            &RatingMatrix,
-            &Smoothed,
-        ) -> (Option<DenseRatings>, WeightPlanes),
+        planes: impl FnOnce(&DenseRatings, f64) -> WeightPlanes,
     ) -> Self {
-        let (raw_dense, planes) = serving(&config, &matrix, &smoothed);
+        let raw_dense = (!config.use_smoothing).then(|| DenseRatings::from_sparse(&matrix));
+        let planes = planes(raw_dense.as_ref().unwrap_or(&smoothed.dense), config.w);
         let strips = crate::strips::ItemStrips::build(&gis, config.m);
         let model = Self {
             config,
@@ -144,23 +140,6 @@ impl Cfsf {
         };
         model.publish_footprint();
         model
-    }
-
-    /// Folds the whole dense store into weight planes.
-    pub(crate) fn fold_planes(dense: &DenseRatings, config: &CfsfConfig) -> WeightPlanes {
-        WeightPlanes::from_dense(dense, config.w)
-    }
-
-    /// The raw sparse ratings densified when smoothing is off, and the
-    /// weight planes folded whole from the store the model serves.
-    pub(crate) fn fold_serving(
-        config: &CfsfConfig,
-        matrix: &RatingMatrix,
-        smoothed: &Smoothed,
-    ) -> (Option<DenseRatings>, WeightPlanes) {
-        let raw_dense = (!config.use_smoothing).then(|| DenseRatings::from_sparse(matrix));
-        let planes = Self::fold_planes(raw_dense.as_ref().unwrap_or(&smoothed.dense), config);
-        (raw_dense, planes)
     }
 
     /// Dense ratings the online phase reads: the smoothed matrix, or the
@@ -274,7 +253,7 @@ impl Cfsf {
             self.clusters.clone(),
             self.smoothed.clone(),
             self.icluster.clone(),
-            Self::fold_serving,
+            WeightPlanes::from_dense,
         ))
     }
 

@@ -43,7 +43,7 @@ use std::sync::{mpsc, Arc, Condvar};
 use std::time::{Duration, Instant};
 
 use cf_cluster::SmoothPatch;
-use cf_matrix::{ItemId, RatingMatrix, UserId};
+use cf_matrix::{ItemId, RatingMatrix, UserId, WeightPlanes};
 use cf_obs::drift::BucketCounts;
 use cf_obs::sync::{RecoverMutex, Shim, ShimAtomicU64, ShimRwLock, StdShim};
 
@@ -958,10 +958,9 @@ fn build_generation(
 /// every other structure patched where `pending` can change it — the GIS
 /// rows of the touched items, smoothing and iCluster for the clusters
 /// holding a rating user ([`cf_cluster::Smoothed::patched`],
-/// [`cf_cluster::ICluster::patched`]), with smoothing off the raw store's
-/// pending cells, and the plane cells the served store rewrote, unless
-/// it calibrates another code range (then the planes are folded in
-/// full). The result is bit-identical to
+/// [`cf_cluster::ICluster::patched`]), and the plane cells smoothing
+/// rewrote, unless the new dense store calibrates another code range
+/// (then the planes are folded in full). The result is bit-identical to
 /// [`Cfsf::assemble`] of the merged matrix, the patched GIS and
 /// `base`'s clusters. Finally every cached selection `pending` cannot
 /// reach is carried over ([`carry_selections`]). With the merge, the
@@ -993,23 +992,10 @@ fn partial_generation(
         base.clusters.clone(),
         smoothed,
         icluster,
-        |config, matrix, smoothed| {
-            // With smoothing off the raw store serves: the base's, with
-            // the pending cells set from the merged matrix and every
-            // other row shared.
-            let raw_dense = base.raw_dense.as_ref().map(|raw| {
-                let mut raw = raw.clone();
-                for &(u, i, _) in pending {
-                    if let Some(r) = matrix.get(u, i) {
-                        raw.set_original(u, i, r);
-                    }
-                }
-                raw
-            });
-            let dense = raw_dense.as_ref().unwrap_or(&smoothed.dense);
+        |dense, w| {
             // Smoothing rewrote the patch's cells; the raw store only
             // gained the pending cells.
-            let patched = if config.use_smoothing {
+            let patched = if base.config.use_smoothing {
                 base.planes
                     .patched(dense, patch.cells(&base.clusters, num_items))
             } else {
@@ -1018,10 +1004,10 @@ fn partial_generation(
             };
             let planes = patched.unwrap_or_else(|| {
                 refolded = true;
-                Cfsf::fold_planes(dense, config)
+                WeightPlanes::from_dense(dense, w)
             });
             clock.lap(cf_obs::histogram!("refresh.phase.planes_ns"));
-            (raw_dense, planes)
+            planes
         },
     );
     clock.lap(cf_obs::histogram!("refresh.phase.strips_ns"));
@@ -1080,7 +1066,7 @@ mod tests {
     use super::*;
     use crate::CfsfConfig;
     use cf_data::SyntheticConfig;
-    use cf_matrix::{DenseRatings, Predictor};
+    use cf_matrix::Predictor;
     use cf_similarity::Gis;
 
     /// The drift/quality windows and the drift baseline are
@@ -1541,39 +1527,6 @@ mod tests {
             .snapshot()
             .count;
         assert!(carries >= carries_before + 3);
-    }
-
-    /// With smoothing off the model serves the raw store, and a partial
-    /// rebuild patches it: after a one-rating rebuild every raw row but
-    /// the rating user's is the base generation's allocation, and the
-    /// store equals the raw matrix densified afresh.
-    #[test]
-    fn a_smoothing_off_partial_rebuild_shares_every_other_raw_row() {
-        let _serial = windows_lock();
-        let d = SyntheticConfig::small().generate();
-        let mut config = CfsfConfig::small();
-        config.use_smoothing = false;
-        let cfg = DriftConfig {
-            full_refit_fraction: 1.0,
-            ..DriftConfig::manual()
-        };
-        let healing = SelfHealingCfsf::new(Cfsf::fit(&d.matrix, config).unwrap(), cfg).unwrap();
-        let base = healing.model();
-        let (u, i) = unrated_cell(base.matrix(), 11);
-        healing.add_rating(u, i, 2.0).unwrap();
-        assert_eq!(healing.refresh_now().unwrap().kind, RefreshKind::Partial);
-        let next = healing.model();
-        let (raw, base_raw) = (next.dense(), base.dense());
-        for v in next.matrix().users() {
-            assert_eq!(raw.shares_row(base_raw, v), v != u, "{v:?}");
-        }
-        assert_eq!(raw.get(u, i), Some(2.0));
-        assert!(raw.is_original(u, i));
-        let fresh = DenseRatings::from_sparse(next.matrix());
-        for v in next.matrix().users() {
-            let bits = |d: &DenseRatings| d.row(v).iter().map(|r| r.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(raw), bits(&fresh), "{v:?}");
-        }
     }
 
     /// After every link of a chain of partial rebuilds and full refits,
