@@ -5,9 +5,9 @@
 //! A deterministic scheduler ([`sched`], [`llsync`], [`models`]) explores
 //! thread interleavings (exhaustive DFS with sleep-set partial-order
 //! reduction, seeded random, exact replay) over the production concurrent
-//! cores, which are generic over [`cf_obs::sync::Shim`]: the sharded
-//! second-chance cache, the slow-trace reservoir, the poisoned-shard
-//! reset, the generation cell, and the fleet aggregator all run the
+//! cores, which are generic over [`cf_obs::sync::Shim`]: the per-user
+//! neighbor slots, the slow-trace reservoir, the poisoned-slot reset,
+//! the generation cell, and the fleet aggregator all run the
 //! *same code* in production and under the checker. The checked shim
 //! carries a FastTrack-style happens-before race detector ([`vclock`],
 //! [`llsync::LLCell`]) and models relaxed atomics against a bounded store

@@ -4,18 +4,18 @@
 //! the scheduler-instrumented [`crate::llsync::LLShim`] primitives and
 //! asserts its invariants over every explored interleaving:
 //!
-//! - [`CacheInsertEvictModel`] — `cfsf_core::cache::ShardedCacheCore`
-//!   under racing inserts into one full shard: capacity is a hard bound,
-//!   the map↔slot structure stays intact, and a hit never returns a
-//!   value nobody inserted for that key;
+//! - [`SlotInsertRaceModel`] — `cfsf_core::cache::NeighborSlots` under
+//!   two inserts racing on one user's slot: both return the first
+//!   writer's value, a hit never returns another user's value, and one
+//!   entry is cached;
 //! - [`ReservoirAdmissionModel`] — `cf_obs::reservoir::SlowReservoir`
 //!   under racing admissions: bounded size, the maximum admitted key
 //!   always survives, and the admission bar ends consistent with the
 //!   held set;
-//! - [`PoisonResetModel`] — the poisoned-shard self-reset racing a
+//! - [`SlotPoisonResetModel`] — the poisoned-slot self-reset racing a
 //!   writer: when the poison fully precedes the insert, the reset must
-//!   not silently drop the concurrent writer's entry, and the insert
-//!   never panics;
+//!   not silently drop the writer's entry, the insert never panics, and
+//!   the neighbouring slot keeps its entry;
 //! - [`GenSwapModel`] — the refresh generation cell under publish racing
 //!   readers: no torn `(model, generation)` pair, generations monotone;
 //! - [`FleetScrapeModel`] — `cf_serve::fleet::FleetSync` under a poll
@@ -32,87 +32,82 @@
 //!
 //! [`run_builtin_models`] runs them all exhaustively (the CI gate).
 
+use cf_matrix::UserId;
 use cf_obs::reservoir::SlowReservoir;
 use cf_obs::sync::{Ordering, ShimAtomicU64};
-use cfsf_core::cache::ShardedCacheCore;
+use cfsf_core::cache::NeighborSlots;
 
 use crate::llsync::{LLAtomicU64, LLShim};
 use crate::sched::{Explorer, Mode, Model, Report};
 
 // --------------------------------------------------------------------------
-// Model A: sharded cache insert / evict
+// Model A: two inserts racing on one slot
 // --------------------------------------------------------------------------
 
-/// Two threads race three inserts (and a re-read) into a single 2-slot
-/// shard, so the third insert always exercises second-chance eviction.
-/// Two threads — not three — keep the tree exhaustive now that lock
-/// releases are scheduling points and relaxed reference-bit loads fork
-/// on store-buffer value choices.
-pub struct CacheInsertEvictModel;
+/// Two threads insert different values for user 0 into a two-slot
+/// table, thread 1 looking user 0 up before its insert. First writer
+/// wins: both inserts return the same value, which ends as the only
+/// cached entry, and the lookup sees nothing or thread 0's value. User
+/// 1's slot stays empty throughout.
+pub struct SlotInsertRaceModel;
 
-/// Shared state of [`CacheInsertEvictModel`].
-pub struct CacheState {
-    cache: ShardedCacheCore<LLShim, u32>,
+/// Shared state of [`SlotInsertRaceModel`].
+pub struct SlotInsertState {
+    cache: NeighborSlots<LLShim, u32>,
+    /// What each thread's insert returned (0 = not yet).
+    returned: [LLAtomicU64; 2],
 }
 
-impl Model for CacheInsertEvictModel {
-    type State = CacheState;
+impl Model for SlotInsertRaceModel {
+    type State = SlotInsertState;
 
     fn name(&self) -> &'static str {
-        "cache-insert-evict"
+        "slot-insert-race"
     }
 
     fn threads(&self) -> usize {
         2
     }
 
-    fn make_state(&self) -> CacheState {
-        CacheState {
-            // One shard, two slots: three racing inserts force the
-            // second-chance eviction path under contention.
-            cache: ShardedCacheCore::new(1, 2),
+    fn make_state(&self) -> SlotInsertState {
+        SlotInsertState {
+            cache: NeighborSlots::new(2),
+            returned: [ShimAtomicU64::new(0), ShimAtomicU64::new(0)],
         }
     }
 
-    fn run_thread(&self, tid: usize, st: &CacheState) {
-        let key = tid as u32;
-        let value = 100 + key;
-        let stored = st.cache.insert(key, value);
-        assert_eq!(stored, value, "insert must return this key's value");
-        if tid == 0 {
-            // The third insert: drives eviction in the full shard.
-            let stored = st.cache.insert(2, 102);
-            assert_eq!(stored, 102, "insert must return this key's value");
-        } else if let Some(v) = st.cache.get(key) {
-            // The entry may have been evicted (miss is fine), but a hit
-            // must never surface a value inserted for a different key.
-            assert_eq!(v, value, "hit for key {key} returned foreign value {v}");
-        }
-    }
-
-    fn check(&self, st: &CacheState) -> Result<(), String> {
-        st.cache.integrity()?;
-        let len = st.cache.len();
-        if len > st.cache.capacity() {
-            return Err(format!(
-                "len {len} exceeds capacity {}",
-                st.cache.capacity()
-            ));
-        }
-        // Three inserts into two slots always end exactly full.
-        if len != 2 {
-            return Err(format!(
-                "expected exactly 2 entries after 3 inserts, got {len}"
-            ));
-        }
-        for key in 0..3u32 {
-            if let Some(v) = st.cache.get(key) {
-                if v != 100 + key {
-                    return Err(format!("key {key} holds foreign value {v}"));
-                }
+    fn run_thread(&self, tid: usize, st: &SlotInsertState) {
+        let user = UserId::new(0);
+        if tid == 1 {
+            // Before this thread's own insert, only thread 0's value can
+            // be cached.
+            if let Some(v) = st.cache.get(user) {
+                assert_eq!(v, 100, "hit before inserting returned {v}");
             }
         }
-        Ok(())
+        let value = 100 * (tid as u32 + 1);
+        let stored = st.cache.insert(user, value);
+        st.returned[tid].store(u64::from(stored), Ordering::Relaxed);
+    }
+
+    fn check(&self, st: &SlotInsertState) -> Result<(), String> {
+        let returned = st.returned.each_ref().map(|r| r.load(Ordering::Relaxed));
+        if returned[0] != returned[1] || !matches!(returned[0], 100 | 200) {
+            return Err(format!("racing inserts returned {returned:?}"));
+        }
+        let cached = st.cache.get(UserId::new(0)).map(u64::from);
+        if cached != Some(returned[0]) {
+            return Err(format!(
+                "slot holds {cached:?}, inserts returned {returned:?}"
+            ));
+        }
+        if let Some(v) = st.cache.get(UserId::new(1)) {
+            return Err(format!("user 1 was never inserted, yet holds {v}"));
+        }
+        match st.cache.len() {
+            1 => Ok(()),
+            len => Err(format!("expected 1 cached entry, got {len}")),
+        }
     }
 }
 
@@ -184,84 +179,93 @@ impl Model for ReservoirAdmissionModel {
 }
 
 // --------------------------------------------------------------------------
-// Model C: poisoned-shard reset vs concurrent writer
+// Model C: poisoned-slot reset vs concurrent writer
 // --------------------------------------------------------------------------
 
-/// One thread poisons the shard (as a panicking writer would) while
-/// another inserts; a logical clock orders the two completions so the
-/// final check can assert the happened-before case exactly.
-pub struct PoisonResetModel;
+/// One thread poisons user 0's slot (as a panicking writer would) while
+/// another inserts for that user; a logical clock orders the two
+/// completions so the final check can assert the happened-before case
+/// exactly. User 1's slot sits beside it.
+pub struct SlotPoisonResetModel;
 
-/// Shared state of [`PoisonResetModel`].
-pub struct PoisonState {
-    cache: ShardedCacheCore<LLShim, u32>,
+/// Shared state of [`SlotPoisonResetModel`].
+pub struct SlotPoisonState {
+    cache: NeighborSlots<LLShim, u32>,
     clock: LLAtomicU64,
-    /// Clock stamp *after* `poison_shard` returned (0 = not yet).
+    /// Clock stamp *after* `poison` returned (0 = not yet).
     poison_done: LLAtomicU64,
     /// Clock stamp *before* the insert began (0 = not yet).
     insert_start: LLAtomicU64,
+    /// What the insert returned (0 = not yet).
+    stored: LLAtomicU64,
 }
 
-impl Model for PoisonResetModel {
-    type State = PoisonState;
+impl Model for SlotPoisonResetModel {
+    type State = SlotPoisonState;
 
     fn name(&self) -> &'static str {
-        "poison-reset"
+        "slot-poison-reset"
     }
 
     fn threads(&self) -> usize {
         2
     }
 
-    fn make_state(&self) -> PoisonState {
-        let cache = ShardedCacheCore::new(1, 4);
-        // Pre-existing entries the reset is allowed to drop.
-        cache.insert(1, 101);
-        cache.insert(2, 102);
-        PoisonState {
+    fn make_state(&self) -> SlotPoisonState {
+        let cache = NeighborSlots::new(2);
+        // User 0's stale entry, which a reset may drop, and user 1's,
+        // which nothing may touch.
+        cache.insert(UserId::new(0), 100);
+        cache.insert(UserId::new(1), 101);
+        SlotPoisonState {
             cache,
             clock: ShimAtomicU64::new(1),
             poison_done: ShimAtomicU64::new(0),
             insert_start: ShimAtomicU64::new(0),
+            stored: ShimAtomicU64::new(0),
         }
     }
 
-    fn run_thread(&self, tid: usize, st: &PoisonState) {
+    fn run_thread(&self, tid: usize, st: &SlotPoisonState) {
         if tid == 0 {
-            st.cache.poison_shard(0);
+            st.cache.poison(UserId::new(0));
             let stamp = st.clock.fetch_add(1, Ordering::SeqCst);
             st.poison_done.store(stamp, Ordering::Relaxed);
         } else {
             let stamp = st.clock.fetch_add(1, Ordering::SeqCst);
             st.insert_start.store(stamp, Ordering::Relaxed);
             // Must never panic, poisoned or not.
-            let stored = st.cache.insert(5, 105);
-            assert_eq!(stored, 105, "insert through a reset must keep its value");
+            let stored = st.cache.insert(UserId::new(0), 105);
+            st.stored.store(u64::from(stored), Ordering::Relaxed);
         }
     }
 
-    fn check(&self, st: &PoisonState) -> Result<(), String> {
-        st.cache.integrity()?;
+    fn check(&self, st: &SlotPoisonState) -> Result<(), String> {
         let p = st.poison_done.load(Ordering::Relaxed);
         let i = st.insert_start.load(Ordering::Relaxed);
         if p == 0 || i == 0 {
             return Err("both threads must have stamped the clock".into());
         }
+        let stored = st.stored.load(Ordering::Relaxed);
         if p < i {
             // The poison fully completed before the insert began: the
-            // insert observed the poison, ran the reset, and re-inserted
-            // into the fresh shard. The reset must not have dropped it.
-            match st.cache.get(5) {
-                Some(105) => {}
-                other => {
-                    return Err(format!(
-                        "poison happened-before insert, but key 5 is {other:?} \
-                         (reset silently dropped a concurrent writer's entry)"
-                    ))
-                }
+            // insert observed the poison, reset the slot, and inserted
+            // into it. The reset must not have dropped that entry, nor
+            // served the stale one.
+            let cached = st.cache.get(UserId::new(0));
+            if stored != 105 || cached != Some(105) {
+                return Err(format!(
+                    "poison happened-before insert, but the insert returned {stored} \
+                     and user 0 holds {cached:?}"
+                ));
             }
+        } else if !matches!(stored, 100 | 105) {
+            return Err(format!("insert returned {stored}"));
         }
-        Ok(())
+        match st.cache.get(UserId::new(1)) {
+            Some(101) => Ok(()),
+            other => Err(format!("the reset touched user 1's slot: {other:?}")),
+        }
     }
 }
 
@@ -620,9 +624,9 @@ impl Model for RacyCellModel {
 /// Names of the built-in models, in the order [`run_builtin_models`]
 /// runs them.
 pub const BUILTIN_MODELS: [&str; 8] = [
-    "cache-insert-evict",
+    "slot-insert-race",
     "reservoir-admission",
-    "poison-reset",
+    "slot-poison-reset",
     "gen-swap",
     "fleet-scrape",
     "slo-merge",
@@ -653,17 +657,17 @@ pub fn run_builtin_models() -> Vec<ModelRun> {
         report,
     };
     vec![
-        run(
-            "cache-insert-evict",
-            false,
-            explorer.run(CacheInsertEvictModel),
-        ),
+        run("slot-insert-race", false, explorer.run(SlotInsertRaceModel)),
         run(
             "reservoir-admission",
             false,
             explorer.run(ReservoirAdmissionModel),
         ),
-        run("poison-reset", false, explorer.run(PoisonResetModel)),
+        run(
+            "slot-poison-reset",
+            false,
+            explorer.run(SlotPoisonResetModel),
+        ),
         run("gen-swap", false, explorer.run(GenSwapModel)),
         run("fleet-scrape", false, explorer.run(FleetScrapeModel)),
         run("slo-merge", false, explorer.run(SloMergeModel)),
@@ -691,9 +695,9 @@ pub fn run_builtin_models() -> Vec<ModelRun> {
 pub fn replay_builtin(name: &str, script: Vec<usize>) -> Option<Report> {
     let explorer = Explorer::new(Mode::Replay { script }).with_max_steps(5_000);
     match name {
-        "cache-insert-evict" => Some(explorer.run(CacheInsertEvictModel)),
+        "slot-insert-race" => Some(explorer.run(SlotInsertRaceModel)),
         "reservoir-admission" => Some(explorer.run(ReservoirAdmissionModel)),
-        "poison-reset" => Some(explorer.run(PoisonResetModel)),
+        "slot-poison-reset" => Some(explorer.run(SlotPoisonResetModel)),
         "gen-swap" => Some(explorer.run(GenSwapModel)),
         "fleet-scrape" => Some(explorer.run(FleetScrapeModel)),
         "slo-merge" => Some(explorer.run(SloMergeModel)),

@@ -4,7 +4,7 @@ use cf_cluster::{ClusterAssignment, ICluster, KMeans, Smoothed, Smoother};
 use cf_matrix::{DenseRatings, ItemId, Predictor, RatingMatrix, UserId, WeightPlanes};
 use cf_similarity::Gis;
 
-use crate::cache::ShardedCache;
+use crate::cache::NeighborCache;
 use crate::{CfsfConfig, CfsfError};
 
 /// Summary of what the offline phase built; useful for reports and tests.
@@ -26,7 +26,7 @@ pub struct OfflineSummary {
 ///
 /// Fitting runs the offline phase (GIS, K-means, smoothing, iCluster);
 /// [`Cfsf::predict`] runs the `O(M·K)` online phase. The per-user top-`K`
-/// like-minded-user selection is cached behind a lock ("caching
+/// like-minded-user selection is cached in one slot per user ("caching
 /// intermediate results", §V-D), so predicting many items for one user —
 /// the recommender workload — pays the selection cost once.
 pub struct Cfsf {
@@ -48,7 +48,8 @@ pub struct Cfsf {
     /// Per-item GIS top-`M` lists flattened into structure-of-arrays
     /// strips at fit time for the online kernels.
     pub(crate) strips: crate::strips::ItemStrips,
-    pub(crate) neighbor_cache: ShardedCache,
+    /// One cached neighbor selection slot per user of `matrix`.
+    pub(crate) neighbor_cache: NeighborCache,
 }
 
 impl std::fmt::Debug for Cfsf {
@@ -126,6 +127,7 @@ impl Cfsf {
         let raw_dense = (!config.use_smoothing).then(|| DenseRatings::from_sparse(&matrix));
         let planes = planes(raw_dense.as_ref().unwrap_or(&smoothed.dense), config.w);
         let strips = crate::strips::ItemStrips::build(&gis, config.m);
+        let neighbor_cache = NeighborCache::new(matrix.num_users());
         let model = Self {
             config,
             matrix,
@@ -136,7 +138,7 @@ impl Cfsf {
             raw_dense,
             planes,
             strips,
-            neighbor_cache: ShardedCache::new(crate::cache::DEFAULT_CAPACITY),
+            neighbor_cache,
         };
         model.publish_footprint();
         model
@@ -181,8 +183,10 @@ impl Cfsf {
         }
     }
 
-    /// Drops all cached per-user neighbor selections (used by benchmarks
-    /// that must measure cold-path latency).
+    /// Drops every user's cached neighbor selection, so the next
+    /// [`Self::top_k_users`] for each user selects afresh (benchmarks
+    /// that measure cold-path latency clear before each call). A
+    /// poisoned slot is reset on the way.
     pub fn clear_caches(&self) {
         self.neighbor_cache.clear();
     }
@@ -204,22 +208,10 @@ impl Cfsf {
         cf_obs::gauge!("model.bytes.strips").set(self.strips.bytes() as i64);
     }
 
-    /// Number of users with a cached neighbor selection.
+    /// Number of users with a cached neighbor selection, at most the
+    /// model's user count.
     pub fn neighbor_cache_len(&self) -> usize {
         self.neighbor_cache.len()
-    }
-
-    /// The neighbor cache's entry bound ([`Self::neighbor_cache_len`]
-    /// never exceeds it).
-    pub fn neighbor_cache_capacity(&self) -> usize {
-        self.neighbor_cache.capacity()
-    }
-
-    /// Replaces the neighbor cache with an empty one bounded at (roughly)
-    /// `capacity` entries. Serving processes facing more distinct users
-    /// than the default bound can trade memory for hit rate here.
-    pub fn set_neighbor_cache_capacity(&mut self, capacity: usize) {
-        self.neighbor_cache = ShardedCache::new(capacity);
     }
 
     /// Builds a new model with a modified configuration, reusing the

@@ -99,10 +99,16 @@ thread_local! {
 
 impl Cfsf {
     /// Selects the top `K` like-minded users for `user` (Eq. 10/11),
-    /// walking the iCluster ranking to build the candidate pool. Results
-    /// are cached per user in a sharded, capacity-bounded cache:
-    /// selection is independent of the active item.
+    /// walking the iCluster ranking to build the candidate pool. The
+    /// result is cached in the user's slot, since selection is
+    /// independent of the active item; lookups count in
+    /// `online.neighbor_cache.{hit,miss}`. A user id past the model's
+    /// users has no ratings and no slot: it is answered with an empty
+    /// selection, and nothing is selected, cached or counted.
     pub fn top_k_users(&self, user: UserId) -> Arc<Vec<(UserId, f64)>> {
+        if user.index() >= self.matrix.num_users() {
+            return Arc::default();
+        }
         if let Some(hit) = self.neighbor_cache.get(user) {
             cf_obs::counter!("online.neighbor_cache.hit").inc();
             return hit;
@@ -719,6 +725,36 @@ mod tests {
         let a = m.top_k_users(UserId::new(5));
         let b = m.top_k_users(UserId::new(5));
         assert!(Arc::ptr_eq(&a, &b), "second call should hit the cache");
+    }
+
+    /// A poisoned slot resets alone: its user selects afresh, to the same
+    /// list, and every other user's cached selection is still the very
+    /// `Arc` served before.
+    #[test]
+    fn a_poisoned_slot_resets_alone() {
+        let m = model();
+        let users = m.matrix().num_users();
+        let served: Vec<_> = (0..users).map(|u| m.top_k_users(UserId::from(u))).collect();
+        let resets = cf_obs::counter!("cache.poison_reset").get();
+        let victim = UserId::new(7);
+        m.neighbor_cache.poison(victim);
+        assert_eq!(m.neighbor_cache_len(), users - 1);
+
+        let fresh = m.top_k_users(victim);
+        assert!(!Arc::ptr_eq(&fresh, &served[victim.index()]), "reselected");
+        assert_eq!(*fresh, *served[victim.index()]);
+        assert!(cf_obs::counter!("cache.poison_reset").get() > resets);
+        for (u, before) in served
+            .iter()
+            .enumerate()
+            .filter(|&(u, _)| u != victim.index())
+        {
+            assert!(
+                Arc::ptr_eq(&m.top_k_users(UserId::from(u)), before),
+                "user {u}"
+            );
+        }
+        assert_eq!(m.neighbor_cache_len(), users);
     }
 
     #[test]

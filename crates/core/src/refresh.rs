@@ -9,7 +9,7 @@
 //! - [`GenCellCore`] — the generation pointer. Readers take an `Arc`
 //!   snapshot of the current model plus its generation number in one
 //!   consistent pair; a writer publishes a fully built replacement with
-//!   one pointer swap. Like the sharded neighbor cache it is written
+//!   one pointer swap. Like the neighbor cache's slots it is written
 //!   generically over [`cf_obs::sync::Shim`], so the `cf-analysis`
 //!   model checker explores the *same* swap/reader logic production
 //!   runs ([`GenCell`] is the `std` instantiation).
@@ -68,7 +68,7 @@ use crate::{Cfsf, CfsfError};
 /// and allowed to lag a concurrent publish by design (it feeds gauges
 /// and staleness probes, not correctness).
 ///
-/// Poison recovery mirrors the sharded cache: the data is an `Arc`
+/// Poison recovery mirrors the neighbor cache: the data is an `Arc`
 /// snapshot (always internally consistent), so a reader that observes
 /// poison recovers the guard, clones, and clears the flag — one
 /// panicking holder cannot take serving down.
@@ -898,11 +898,10 @@ impl PhaseClock {
     }
 }
 
-/// Builds the next generation completely off to the side, inheriting
-/// the base's neighbor-cache bound. The merged matrix is `base`'s with
-/// `pending` spliced in. Heavy churn since the last full refit (or an
-/// empty `pending`) refits from scratch; otherwise
-/// [`partial_generation`] patches `base`.
+/// Builds the next generation completely off to the side. The merged
+/// matrix is `base`'s with `pending` spliced in. Heavy churn since the
+/// last full refit (or an empty `pending`) refits from scratch;
+/// otherwise [`partial_generation`] patches `base`.
 fn build_generation(
     base: &Cfsf,
     cfg: &DriftConfig,
@@ -931,8 +930,7 @@ fn build_generation(
         // pure fallback-rate trip) refits on the same data: K-means may
         // land a better local optimum, and the baseline resets. New
         // clusters move every input of every selection: nothing carries.
-        let mut model = Cfsf::fit(&merged, base.config.clone())?;
-        model.set_neighbor_cache_capacity(base.neighbor_cache_capacity());
+        let model = Cfsf::fit(&merged, base.config.clone())?;
         cf_obs::counter!("refresh.cache_dropped").add(base.neighbor_cache_len() as u64);
         Built {
             dirty_clusters: model.clusters.k(),
@@ -985,7 +983,7 @@ fn partial_generation(
 
     let num_items = merged.num_items();
     let mut refolded = false;
-    let mut model = Cfsf::assemble_smoothed(
+    let model = Cfsf::assemble_smoothed(
         base.config.clone(),
         merged,
         gis,
@@ -1011,7 +1009,6 @@ fn partial_generation(
         },
     );
     clock.lap(cf_obs::histogram!("refresh.phase.strips_ns"));
-    model.set_neighbor_cache_capacity(base.neighbor_cache_capacity());
     let carried_selections = if refolded {
         cf_obs::counter!("refresh.planes_refolded").inc();
         cf_obs::counter!("refresh.cache_dropped").add(base.neighbor_cache_len() as u64);
@@ -1338,37 +1335,6 @@ mod tests {
             }
         }
         assert!(compared > 0);
-    }
-
-    /// A bounded neighbor cache keeps its bound across every swap: a
-    /// rebuilt generation inherits the served one's capacity instead of
-    /// the default.
-    #[test]
-    fn rebuilds_keep_the_neighbor_cache_bound() {
-        let _serial = windows_lock();
-        for full_refit_fraction in [1.0, 0.0] {
-            let (d, mut model) = fitted();
-            model.set_neighbor_cache_capacity(16);
-            let cfg = DriftConfig {
-                full_refit_fraction,
-                ..DriftConfig::manual()
-            };
-            let healing = SelfHealingCfsf::new(model, cfg).unwrap();
-            let (u, i) = unrated_cell(&d.matrix, 2);
-            healing.add_rating(u, i, 4.0).unwrap();
-            let report = healing.refresh_now().unwrap();
-            let expected = if full_refit_fraction > 0.5 {
-                RefreshKind::Partial
-            } else {
-                RefreshKind::Full
-            };
-            assert_eq!(report.kind, expected);
-            assert_eq!(
-                healing.model().neighbor_cache_capacity(),
-                16,
-                "{expected:?}"
-            );
-        }
     }
 
     /// Predicts one item for every user, so every user's selection is

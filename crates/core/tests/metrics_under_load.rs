@@ -69,7 +69,7 @@ fn degrade_and_cache_counters_balance_under_concurrent_load() {
     let misses_before = counter("online.neighbor_cache.miss");
 
     // Two OS threads race full batches (each itself 4-way parallel) over
-    // a cold cache: worst-case contention on the sharded neighbor cache.
+    // a cold cache: worst-case contention on the neighbor cache's slots.
     m.clear_caches();
     let h1 = {
         let m = std::sync::Arc::clone(&m);
@@ -140,6 +140,29 @@ fn estimator_counters_never_exceed_predictions() {
             "{est} can fire at most once per prediction"
         );
     }
+}
+
+/// A user id past the model's users has no ratings and no cache slot:
+/// `top_k_users` answers an empty selection without selecting (so no
+/// caught panic in `online.select_panic`), caching or counting a lookup.
+#[test]
+fn top_k_users_past_the_model_is_empty_uncached_and_uncounted() {
+    let _serial = serial();
+    let m = model();
+    let counted = || {
+        [
+            "online.neighbor_cache.hit",
+            "online.neighbor_cache.miss",
+            "online.select_panic",
+        ]
+        .map(counter)
+    };
+    let before = counted();
+    for user in [USERS, USERS + 5, u32::MAX as usize] {
+        assert!(m.top_k_users(UserId::from(user)).is_empty(), "user {user}");
+    }
+    assert_eq!(counted(), before);
+    assert_eq!(m.neighbor_cache_len(), 0);
 }
 
 /// Top-N's bookkeeping, exactly, per call: every unrated item of the

@@ -31,7 +31,7 @@ pub use crossval::k_fold_splits;
 pub use dataset::Dataset;
 pub use loader::{
     load_movielens, load_movielens_lenient, load_movielens_str, load_movielens_str_lenient,
-    save_movielens, LoadError, LoadReport,
+    parse_line, save_movielens, LoadError, LoadReport, RatingLine,
 };
 pub use protocol::{GivenN, HoldoutCell, Protocol, ProtocolError, Split, TrainSize};
 pub use rng::NormalSampler;

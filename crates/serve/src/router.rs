@@ -296,11 +296,7 @@ pub struct Router {
 /// which users a given shard owns.
 pub fn shard_for_user(user: u32, shards: usize) -> usize {
     debug_assert!(shards > 0);
-    let mut z = u64::from(user).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z % shards.max(1) as u64) as usize
+    (splitmix64(&mut u64::from(user)) % shards.max(1) as u64) as usize
 }
 
 /// Errors establishing the router (runtime requests never error — they
@@ -1054,6 +1050,18 @@ mod tests {
 
     fn fit(matrix: &RatingMatrix) -> Arc<Cfsf> {
         Arc::new(Cfsf::fit(matrix, CfsfConfig::small()).unwrap())
+    }
+
+    /// The fleet, its tests and cfbench all route by `shard_for_user`,
+    /// so its values are pinned: a different mixer would move users
+    /// between shards.
+    #[test]
+    fn shard_for_user_is_pinned() {
+        let ids = [0, 1, 2, 3, 17, 85, 1999, u32::MAX];
+        let at = |shards| ids.map(|u| shard_for_user(u, shards));
+        assert_eq!(at(2), [1, 1, 0, 1, 1, 0, 1, 0]);
+        assert_eq!(at(3), [1, 2, 1, 0, 0, 2, 2, 2]);
+        assert_eq!(at(1), [0; 8]);
     }
 
     /// One shard serving `cell`'s current generation, and a router in
