@@ -9,7 +9,7 @@
 //! proves the scheduler's blocked/promote machinery keeps the schedule
 //! tree finite.
 
-use cf_obs::sync::{Ordering, ShimAtomicBool, ShimAtomicU64, ShimMutex};
+use cf_obs::sync::{Ordering, ShimAtomicU64, ShimMutex};
 
 use crate::llsync::{LLAtomicBool, LLAtomicU64, LLMutex};
 use crate::sched::Model;
@@ -65,7 +65,7 @@ impl Model for ToyLockModel {
 
     fn make_state(&self) -> ToyLockState {
         ToyLockState {
-            flag: ShimAtomicBool::new(false),
+            flag: LLAtomicBool::new(false),
             lock: ShimMutex::new(()),
             in_cs: ShimAtomicU64::new(0),
             violations: ShimAtomicU64::new(0),
